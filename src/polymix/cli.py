@@ -78,7 +78,6 @@ def _config_dict(args, **extra):
     cfg = {
         "subcommand": args.command,
         "format": getattr(args, "format", "json"),
-        "threads": getattr(args, "threads", 1),
     }
     for key in ("seed", "samples", "side", "strict"):
         if getattr(args, key, None) is not None:
@@ -243,32 +242,28 @@ def cmd_sector_blowup(args):
     cfg = _config_dict(args, alpha=alpha, epsilons=list(epsilons))
     if len(epsilons) >= 3:
         report = sector.blowup_report(sol, epsilons)
-        if args.format == "csv":
-            header = ("epsilon", "I_closed_form", "I_quadrature", "stderr")
-            _emit(args, reporting.csv_report(header, report.csv_rows(), cfg))
-        else:
-            _emit(args, reporting.json_report(report.to_json_dict(), cfg))
+        rows, result = report.csv_rows(), report.to_json_dict()
     else:
         energies = [sector.truncated_energy(sol, e) for e in epsilons]
         rows = [(t.epsilon, t.closed_form, t.quadrature, t.quadrature_error) for t in energies]
-        if args.format == "csv":
-            header = ("epsilon", "I_closed_form", "I_quadrature", "stderr")
-            _emit(args, reporting.csv_report(header, rows, cfg))
-        else:
-            result = {
-                "aperture": sol.aperture,
-                "exponent": sol.exponent,
-                "energies": [
-                    {
-                        "epsilon": t.epsilon,
-                        "closed_form": t.closed_form,
-                        "quadrature": t.quadrature,
-                        "quadrature_error": t.quadrature_error,
-                    }
-                    for t in energies
-                ],
-            }
-            _emit(args, reporting.json_report(result, cfg))
+        result = {
+            "aperture": sol.aperture,
+            "exponent": sol.exponent,
+            "energies": [
+                {
+                    "epsilon": t.epsilon,
+                    "closed_form": t.closed_form,
+                    "quadrature": t.quadrature,
+                    "quadrature_error": t.quadrature_error,
+                }
+                for t in energies
+            ],
+        }
+    if args.format == "csv":
+        header = ("epsilon", "I_closed_form", "I_quadrature", "stderr")
+        _emit(args, reporting.csv_report(header, rows, cfg))
+    else:
+        _emit(args, reporting.json_report(result, cfg))
     return EXIT_OK
 
 
@@ -384,8 +379,6 @@ def build_parser():
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="report format (default json)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallelism cap; results never depend on it")
         p.add_argument("--seed", type=int, default=0,
                        help="root RNG seed (recorded; used by sampling subcommands)")
         if samples is not None:

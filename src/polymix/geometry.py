@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import MeshError, PolyhedralSurface
+from .mesh import MeshError, PolyhedralSurface, plane_basis
 
 # Probe displacement for reflex-branch disambiguation, relative to the
 # local edge length.
@@ -71,11 +71,12 @@ def dihedral_angles(surface):
     The angle between the two face normals fixes the pair
     {pi - phi, pi + phi}; a probe point displaced from the edge midpoint
     along the bisector of the two in-face directions picks the branch
-    (inside the solid -> pi - phi, outside -> pi + phi).
+    (inside the solid -> pi - phi, outside -> pi + phi).  Cached per surface.
     """
-    cache = getattr(surface, "_dihedral_cache", None)
-    if cache is not None:
-        return cache
+    return surface.cached(_compute_dihedral_angles)
+
+
+def _compute_dihedral_angles(surface):
     out = []
     for edge in surface.edge_list:
         inc = surface.edge_incidence[edge]
@@ -84,12 +85,7 @@ def dihedral_angles(surface):
                 "dihedral angles need a closed oriented surface; offending edge %r" % (edge,)
             )
         out.append(_edge_dihedral(surface, edge, inc))
-    out = tuple(out)
-    try:
-        surface._dihedral_cache = out
-    except AttributeError:
-        pass
-    return out
+    return tuple(out)
 
 
 def interior_angle_table(surface):
@@ -175,11 +171,7 @@ def point_face_distance(surface, p, fi):
 
 def _face_contains_projected(surface, fi, q):
     # crossing-number test in the face plane
-    n = surface.face_normals[fi]
-    hh = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = np.cross(hh, n)
-    u /= np.linalg.norm(u)
-    w = np.cross(n, u)
+    u, w = plane_basis(surface.face_normals[fi])
     face = surface.faces[fi]
     base = surface.vertices[face[0]]
     pts = surface.vertices[list(face)] - base

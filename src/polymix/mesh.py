@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 # Planarity: a face is planar when every vertex lies within this fraction of
 # the bounding-box diagonal of its best-fit plane.  Relative, so fixtures are
@@ -83,7 +85,9 @@ class PolyhedralSurface:
 
     Construction only checks indexing; geometric and topological invariants
     are reported by :func:`validate_surface`.  Instances are treated as
-    immutable; derived quantities are cached on first use.
+    immutable; derived quantities are cached on first use, mesh-level ones
+    as cached properties and those computed in other modules via
+    :meth:`cached`.
     """
 
     def __init__(self, vertices, faces):
@@ -104,6 +108,20 @@ class PolyhedralSurface:
                     raise MeshError("face %d: vertex index out of range" % fi)
             clean.append(cyc)
         self.faces = tuple(clean)
+        self._memo = {}
+
+    def cached(self, compute):
+        """``compute(self)``, computed on first use and kept for this surface.
+
+        For per-surface data derived in modules that import this one; the
+        value must be immutable (a tuple, a read-only mapping, or an array
+        that is not writeable).
+        """
+        try:
+            return self._memo[compute]
+        except KeyError:
+            value = self._memo[compute] = compute(self)
+            return value
 
     # ------------------------------------------------------------------
     # derived connectivity
@@ -142,17 +160,6 @@ class PolyhedralSurface:
             for v in face:
                 vf[v].append(fi)
         return tuple(tuple(f) for f in vf)
-
-    @cached_property
-    def face_adjacency(self):
-        """dict face -> set of faces sharing an edge with it."""
-        adj = {fi: set() for fi in range(len(self.faces))}
-        for inc in self.edge_incidence.values():
-            for fi, _ in inc:
-                for fj, _ in inc:
-                    if fi != fj:
-                        adj[fi].add(fj)
-        return adj
 
     # ------------------------------------------------------------------
     # geometry
@@ -220,11 +227,7 @@ class PolyhedralSurface:
         n = self.face_normals[fi]
         if not np.any(n):
             n = np.array([0.0, 0.0, 1.0])
-        # any vector not parallel to n
-        h = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        u = np.cross(h, n)
-        u /= np.linalg.norm(u)
-        w = np.cross(n, u)
+        u, w = plane_basis(n)
         p = self.vertices[list(self.faces[fi])]
         rel = p - p[0]
         return np.column_stack([rel @ u, rel @ w])
@@ -249,6 +252,19 @@ class PolyhedralSurface:
         tris, _ = self.triangles
         p = self.vertices[tris]
         return float(np.einsum("ij,ij->i", p[:, 0], np.cross(p[:, 1], p[:, 2])).sum() / 6.0)
+
+
+def plane_basis(n):
+    """Orthonormal in-plane axes (u, w) of the plane with unit normal n.
+
+    (u, w, n) is right-handed, so a polygon counterclockwise about n stays
+    counterclockwise in (u, w) coordinates.
+    """
+    # any vector not parallel to n
+    h = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    u = np.cross(h, n)
+    u /= np.linalg.norm(u)
+    return u, np.cross(n, u)
 
 
 # ----------------------------------------------------------------------
@@ -494,17 +510,12 @@ def validate_surface(surface):
     # face-adjacency connectivity (via shared edges)
     nf = len(surface.faces)
     if nf:
-        seen = {0}
-        stack = [0]
-        while stack:
-            fi = stack.pop()
-            for fj in surface.face_adjacency[fi]:
-                if fj not in seen:
-                    seen.add(fj)
-                    stack.append(fj)
-        if len(seen) != nf:
-            components = _count_face_components(surface)
-            violations.append(Violation("disconnected", (components,)))
+        joined = [(faces[0], f) for faces in surface.edge_faces for f in faces[1:]]
+        rows, cols = np.array(joined, dtype=np.int64).reshape(-1, 2).T
+        graph = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(nf, nf))
+        components, _ = connected_components(graph, directed=False)
+        if components != 1:
+            violations.append(Violation("disconnected", (int(components),)))
 
     diag = surface.bbox_diagonal or 1.0
     planar_tol = PLANAR_REL_TOL * diag
@@ -561,19 +572,3 @@ def _link_is_single_cycle(surface, v, edges_at_v):
         seen.add(step)
         prev, cur = cur, step
     return len(seen) == len(edges_at_v)
-
-
-def _count_face_components(surface):
-    nf = len(surface.faces)
-    unseen = set(range(nf))
-    comps = 0
-    while unseen:
-        comps += 1
-        stack = [unseen.pop()]
-        while stack:
-            fi = stack.pop()
-            for fj in surface.face_adjacency[fi]:
-                if fj in unseen:
-                    unseen.remove(fj)
-                    stack.append(fj)
-    return comps

@@ -13,6 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
+
+import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from . import fixtures
 from .geometry import interior_angle_table, _rng
@@ -82,39 +87,16 @@ def side_angles(surface, side):
     return interior if side == "interior" else 2.0 * math.pi - interior
 
 
-def _edge_topology(surface):
-    """Per edge: ((a, b), (f0, f1)) for a valid closed surface; cached."""
-    cached = getattr(surface, "_edge_topology_cache", None)
-    if cached is not None:
-        return cached
-    pairs = []
-    for edge in surface.edge_list:
-        inc = surface.edge_incidence[edge]
-        pairs.append((edge, (inc[0][0], inc[1][0])))
-    pairs = tuple(pairs)
-    try:
-        surface._edge_topology_cache = pairs
-    except AttributeError:
-        pass
-    return pairs
-
-
-def _side_edge_data(surface, side):
-    """Cached per-edge tuples (edge, f0, f1, side-relevant angle)."""
-    cache = getattr(surface, "_side_edge_cache", None)
-    if cache is None:
-        cache = {}
-        try:
-            surface._side_edge_cache = cache
-        except AttributeError:
-            pass
-    if side not in cache:
-        angles = side_angles(surface, side)
-        cache[side] = tuple(
-            (edge, f0, f1, float(angles[eid]))
-            for eid, (edge, (f0, f1)) in enumerate(_edge_topology(surface))
+def _side_edge_data(surface):
+    """Per side: per-edge tuples (edge, f0, f1, side-relevant angle)."""
+    return MappingProxyType({
+        side: tuple(
+            (edge, f0, f1, float(angle))
+            for edge, (f0, f1), angle in zip(
+                surface.edge_list, surface.edge_faces, side_angles(surface, side))
         )
-    return cache[side]
+        for side in SIDES
+    })
 
 
 def validate_partition(surface, partition, tau=TAU_ANGLE):
@@ -130,7 +112,7 @@ def validate_partition(surface, partition, tau=TAU_ANGLE):
         )
     threshold = math.pi - tau
     violating = []
-    for edge, f0, f1, angle in _side_edge_data(surface, partition.side):
+    for edge, f0, f1, angle in surface.cached(_side_edge_data)[partition.side]:
         if labels[f0] != labels[f1] and angle >= threshold:
             violating.append((edge, (f0, f1), angle))
     d_empty = "D" not in labels
@@ -161,41 +143,25 @@ class QuotientGraph:
 def quotient_graph(surface, side, tau=TAU_ANGLE):
     """Merge faces across every edge whose side-relevant angle is >= pi - tau."""
     nf = len(surface.faces)
-    parent = list(range(nf))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    angles = side_angles(surface, side)
-    threshold = math.pi - tau
-    topo = _edge_topology(surface)
-    for eid, (_, (f0, f1)) in enumerate(topo):
-        if angles[eid] >= threshold:
-            ra, rb = find(f0), find(f1)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-    groups = {}
-    for f in range(nf):
-        groups.setdefault(find(f), []).append(f)
-    classes = tuple(tuple(groups[r]) for r in sorted(groups, key=lambda r: min(groups[r])))
-    face_class = [0] * nf
-    for ci, members in enumerate(classes):
-        for f in members:
-            face_class[f] = ci
-    adjacency = set()
-    for eid, (_, (f0, f1)) in enumerate(topo):
-        if angles[eid] < threshold:
-            ci, cj = face_class[f0], face_class[f1]
-            if ci != cj:
-                adjacency.add((min(ci, cj), max(ci, cj)))
+    blocked = side_angles(surface, side) >= math.pi - tau
+    f0, f1 = np.array(surface.edge_faces, dtype=np.int64).reshape(-1, 2).T
+    merged = sparse.coo_matrix(
+        (np.ones(blocked.sum()), (f0[blocked], f1[blocked])), shape=(nf, nf)
+    )
+    # components are numbered in order of their least face, the class order
+    count, face_class = connected_components(merged, directed=False)
+    members = [[] for _ in range(count)]
+    for f, c in enumerate(face_class.tolist()):
+        members[c].append(f)
+    adjacency = {
+        (min(ci, cj), max(ci, cj))
+        for ci, cj in zip(face_class[f0[~blocked]].tolist(), face_class[f1[~blocked]].tolist())
+        if ci != cj
+    }
     return QuotientGraph(
         side=side,
-        classes=classes,
-        face_class=tuple(face_class),
+        classes=tuple(tuple(m) for m in members),
+        face_class=tuple(face_class.tolist()),
         class_adjacency=tuple(sorted(adjacency)),
     )
 

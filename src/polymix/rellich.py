@@ -233,56 +233,38 @@ def rellich_suite(arch, test_functions, n, seed):
     }
 
     volume, inner, outer, lateral = _arch_batches(arch, n, seed)
-
-    # volume side: 2 (W . grad u)^2 / |X|
-    pts = volume.points - v
-    norms = np.linalg.norm(pts, axis=1)
-    w = pts / norms[:, None]
-    for u in test_functions:
-        g = u.gradient(pts)
-        wg = np.einsum("ij,ij->i", w, g)
-        est, se = volume.integrate(2.0 * wg * wg / norms)
-        acc[u.name]["lhs"] = est
-        acc[u.name]["lhs_stderr"] = se
-    del pts, norms, w, volume
-
-    # inner base, outward normal -W
-    pts = inner.points - v
-    w = pts / np.linalg.norm(pts, axis=1)[:, None]
-    for u in test_functions:
-        g = u.gradient(pts)
-        wg = np.einsum("ij,ij->i", w, g)
-        g2 = np.einsum("ij,ij->i", g, g)
-        acc[u.name]["inner_id"] = inner.integrate(-g2 + 2.0 * wg * wg)
-        acc[u.name]["inner_est"] = inner.integrate(2.0 * wg * wg)
-    del pts, w, inner
-
-    # outer base, outward normal +W
-    pts = outer.points - v
-    w = pts / np.linalg.norm(pts, axis=1)[:, None]
-    for u in test_functions:
-        g = u.gradient(pts)
-        wg = np.einsum("ij,ij->i", w, g)
-        g2 = np.einsum("ij,ij->i", g, g)
-        acc[u.name]["outer_id"] = outer.integrate(g2 - 2.0 * wg * wg)
-        acc[u.name]["outer_est"] = outer.integrate(g2)
-    del pts, w, outer
-
-    # lateral faces: nu from face geometry; nu . W vanishes on faces
-    # through the vertex up to round-off but is kept in the integrand
-    pts = lateral.points - v
-    w = pts / np.linalg.norm(pts, axis=1)[:, None]
-    nu = lateral.normals
-    nuw = np.einsum("ij,ij->i", nu, w)
-    for u in test_functions:
-        g = u.gradient(pts)
-        wg = np.einsum("ij,ij->i", w, g)
-        g2 = np.einsum("ij,ij->i", g, g)
-        dn = np.einsum("ij,ij->i", nu, g)
-        acc[u.name]["lat_id"] = lateral.integrate(nuw * g2 - 2.0 * dn * wg)
-        gt = np.sqrt(np.maximum(g2 - dn * dn, 0.0))
-        acc[u.name]["lat_est"] = lateral.integrate(2.0 * np.abs(dn) * gt)
-    del pts, w, nu, nuw, lateral
+    # per batch: (key, integrand) pairs; the integrands take the per-point
+    # |X|, W . grad u, |grad u|^2 and, on the lateral faces, nu . grad u and
+    # nu . W
+    regions = (
+        # volume side: 2 (W . grad u)^2 / |X|
+        (volume, (("lhs", lambda r, wg, **_: 2.0 * wg * wg / r),)),
+        # inner base, outward normal -W
+        (inner, (("inner_id", lambda wg, g2, **_: -g2 + 2.0 * wg * wg),
+                 ("inner_est", lambda wg, **_: 2.0 * wg * wg))),
+        # outer base, outward normal +W
+        (outer, (("outer_id", lambda wg, g2, **_: g2 - 2.0 * wg * wg),
+                 ("outer_est", lambda g2, **_: g2))),
+        # lateral faces: nu from face geometry; nu . W vanishes on faces
+        # through the vertex up to round-off but is kept in the integrand
+        (lateral, (("lat_id", lambda wg, g2, dn, nuw, **_: nuw * g2 - 2.0 * dn * wg),
+                   ("lat_est", lambda g2, dn, **_:
+                       2.0 * np.abs(dn) * np.sqrt(np.maximum(g2 - dn * dn, 0.0))))),
+    )
+    for batch, integrands in regions:
+        pts = batch.points - v
+        r = np.linalg.norm(pts, axis=1)
+        w = pts / r[:, None]
+        nu = batch.normals
+        nuw = None if nu is None else np.einsum("ij,ij->i", nu, w)
+        for u in test_functions:
+            g = u.gradient(pts)
+            wg = np.einsum("ij,ij->i", w, g)
+            g2 = np.einsum("ij,ij->i", g, g)
+            dn = None if nu is None else np.einsum("ij,ij->i", nu, g)
+            for key, integrand in integrands:
+                acc[u.name][key] = batch.integrate(
+                    integrand(r=r, wg=wg, g2=g2, dn=dn, nuw=nuw))
 
     for u in test_functions:
         a = acc[u.name]
@@ -291,7 +273,7 @@ def rellich_suite(arch, test_functions, n, seed):
         identities[u.name] = RellichResult(
             vertex=a["vertex"], r_inner=a["r_inner"], r_outer=a["r_outer"],
             u_name=u.name,
-            lhs=a["lhs"], lhs_stderr=a["lhs_stderr"],
+            lhs=a["lhs"][0], lhs_stderr=a["lhs"][1],
             rhs=rhs, rhs_stderr=rhs_se,
             rhs_inner=a["inner_id"][0], rhs_outer=a["outer_id"][0],
             rhs_lateral=a["lat_id"][0],
@@ -304,7 +286,7 @@ def rellich_suite(arch, test_functions, n, seed):
         estimates[u.name] = EstimateResult(
             vertex=a["vertex"], r_inner=a["r_inner"], r_outer=a["r_outer"],
             u_name=u.name,
-            lhs=a["lhs"], lhs_stderr=a["lhs_stderr"],
+            lhs=a["lhs"][0], lhs_stderr=a["lhs"][1],
             rhs=rhs_e, rhs_stderr=rhs_e_se,
         )
     ordered = [u.name for u in test_functions]

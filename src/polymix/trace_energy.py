@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import cg
 
 from .mesh import PolyhedralSurface
@@ -226,33 +227,18 @@ def lumped_mass(vertices, triangles):
     return m
 
 
-def _free_components_without_anchor(n, matrix, free_mask):
-    """Connected components of the free vertex graph with no pinned neighbor."""
-    indptr, indices = matrix.indptr, matrix.indices
-    comp = -np.ones(n, dtype=np.int64)
-    unanchored = []
-    next_comp = 0
-    for start in range(n):
-        if not free_mask[start] or comp[start] >= 0:
-            continue
-        stack = [start]
-        comp[start] = next_comp
-        members = []
-        anchored = False
-        while stack:
-            i = stack.pop()
-            members.append(i)
-            for j in indices[indptr[i]:indptr[i + 1]]:
-                if free_mask[j]:
-                    if comp[j] < 0:
-                        comp[j] = next_comp
-                        stack.append(j)
-                else:
-                    anchored = True
-        if not anchored:
-            unanchored.append(members)
-        next_comp += 1
-    return unanchored
+def _free_components_without_anchor(matrix, free_mask):
+    """Connected components of the free vertex graph with no pinned neighbor.
+
+    Stored entries are edges, explicit zeros included.  Returns one sorted
+    index array per unanchored component, ordered by least member.
+    """
+    free = np.flatnonzero(free_mask)
+    rows = matrix[free]
+    count, comp = connected_components(rows[:, free], directed=False)
+    anchored = np.zeros(count, dtype=bool)
+    anchored[comp[rows[:, ~free_mask].getnnz(axis=1) > 0]] = True
+    return [free[comp == c] for c in np.flatnonzero(~anchored)]
 
 
 def solve_constrained(matrix, fixed_idx, fixed_vals, rtol=SOLVER_RTOL):
@@ -269,7 +255,7 @@ def solve_constrained(matrix, fixed_idx, fixed_vals, rtol=SOLVER_RTOL):
     u[fixed_idx] = fixed_vals
     free_mask = ~fixed_mask
 
-    unanchored = _free_components_without_anchor(n, matrix, free_mask)
+    unanchored = _free_components_without_anchor(matrix, free_mask)
     for members in unanchored:
         free_mask[members] = False  # value stays 0; constant kernel pinned
     free = np.flatnonzero(free_mask)

@@ -44,7 +44,6 @@ def test_every_subcommand_has_help(sub, capsys):
     text = capsys.readouterr().out
     assert "--output" in text
     assert "--format" in text
-    assert "--threads" in text
     assert "--seed" in text
 
 
@@ -217,17 +216,6 @@ def test_reports_byte_identical(case, workdir, tmp_path):
     c2, b2 = run_to_file(tmp_path, argv, "b.out")
     assert c1 == c2 == EXIT_OK
     assert b1 == b2
-
-
-def test_threads_flag_does_not_change_bytes(workdir, tmp_path):
-    base = ["rellich", off(workdir, "cube"), "--vertex", "0", "--r-inner", "0.25",
-            "--r-outer", "0.5", "--samples", "10000", "--seed", "5", "--u", "x"]
-    _, b1 = run_to_file(tmp_path, base + ["--threads", "1"], "t1.out")
-    _, b2 = run_to_file(tmp_path, base + ["--threads", "8"], "t2.out")
-    # --threads is part of the recorded config, so compare result payloads
-    r1 = json.loads(b1)["result"]
-    r2 = json.loads(b2)["result"]
-    assert r1 == r2
 
 
 def test_json_floats_use_17_significant_digits(workdir, tmp_path):

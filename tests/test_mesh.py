@@ -5,6 +5,7 @@ from polymix import fixtures
 from polymix.mesh import (
     OffParseError,
     PolyhedralSurface,
+    Violation,
     parse_off,
     serialize_off,
     validate_surface,
@@ -118,6 +119,35 @@ def test_single_reversed_face_breaks_orientation(name, flip):
     assert any(v.kind == "orientation" for v in d.violations)
 
 
+def disjoint_cubes(k):
+    cube = fixtures.cube()
+    verts = np.vstack([cube.vertices + 5.0 * i for i in range(k)])
+    faces = [tuple(v + 8 * i for v in f) for i in range(k) for f in cube.faces]
+    return PolyhedralSurface(verts, faces)
+
+
+def reference_face_component_count(surface):
+    """Face DFS across shared edges: the loop version of the connectivity check."""
+    adj = {fi: set() for fi in range(len(surface.faces))}
+    for inc in surface.edge_incidence.values():
+        for fi, _ in inc:
+            for fj, _ in inc:
+                if fi != fj:
+                    adj[fi].add(fj)
+    unseen = set(range(len(surface.faces)))
+    comps = 0
+    while unseen:
+        comps += 1
+        stack = [unseen.pop()]
+        while stack:
+            fi = stack.pop()
+            for fj in adj[fi]:
+                if fj in unseen:
+                    unseen.remove(fj)
+                    stack.append(fj)
+    return comps
+
+
 def test_disconnected_surface_detected():
     a = fixtures.cube()
     b = fixtures.cube()
@@ -125,6 +155,27 @@ def test_disconnected_surface_detected():
     faces = list(a.faces) + [tuple(i + 8 for i in f) for f in b.faces]
     d = validate_surface(PolyhedralSurface(verts, faces))
     assert any(v.kind == "disconnected" for v in d.violations)
+
+
+def test_three_disjoint_cubes_report_three_components():
+    d = validate_surface(disjoint_cubes(3))
+    assert [v for v in d.violations if v.kind == "disconnected"] == [
+        Violation("disconnected", (3,))
+    ]
+    assert d.to_json_dict()["violations"] == [{"kind": "disconnected", "location": [3]}]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: disjoint_cubes(1), lambda: disjoint_cubes(2), lambda: disjoint_cubes(4),
+    fixtures.open_box, fixtures.two_tetrahedra_shared_vertex, fixtures.l_prism,
+    lambda: PolyhedralSurface(np.eye(3), [(0, 1, 2)]),
+])
+def test_component_count_equals_dfs_reference(build):
+    surface = build()
+    count = reference_face_component_count(surface)
+    reported = [v.location for v in validate_surface(surface).violations
+                if v.kind == "disconnected"]
+    assert reported == ([] if count == 1 else [(count,)])
 
 
 def test_nonplanar_face_detected(cube):

@@ -11,10 +11,12 @@ from polymix.partition import (
     TAU_ANGLE,
     GeneratorSpec,
     Partition,
+    QuotientGraph,
     enumerate_admissible,
     is_monochromatic,
     quotient_graph,
     search_both_monochromatic,
+    side_angles,
     validate_partition,
 )
 
@@ -204,6 +206,69 @@ def test_quotient_admissibility_oracle(l_prism):
         )
         from_classes.add(labels)
     assert from_classes == brute_force_admissible(l_prism, "interior")
+
+
+def reference_quotient_graph(surface, side, tau=TAU_ANGLE):
+    """Union-find over the blocked edges: the loop version of quotient_graph."""
+    nf = len(surface.faces)
+    parent = list(range(nf))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    angles = side_angles(surface, side)
+    threshold = math.pi - tau
+    topo = [(inc[0][0], inc[1][0])
+            for inc in (surface.edge_incidence[e] for e in surface.edge_list)]
+    for eid, (f0, f1) in enumerate(topo):
+        if angles[eid] >= threshold:
+            ra, rb = find(f0), find(f1)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for f in range(nf):
+        groups.setdefault(find(f), []).append(f)
+    classes = tuple(tuple(groups[r]) for r in sorted(groups, key=lambda r: min(groups[r])))
+    face_class = [0] * nf
+    for ci, members in enumerate(classes):
+        for f in members:
+            face_class[f] = ci
+    adjacency = set()
+    for eid, (f0, f1) in enumerate(topo):
+        if angles[eid] < threshold:
+            ci, cj = face_class[f0], face_class[f1]
+            if ci != cj:
+                adjacency.add((min(ci, cj), max(ci, cj)))
+    return QuotientGraph(
+        side=side,
+        classes=classes,
+        face_class=tuple(face_class),
+        class_adjacency=tuple(sorted(adjacency)),
+    )
+
+
+REFERENCE_MESHES = (
+    [(name, lambda name=name: fixtures.builtin(name)) for name in sorted(fixtures.BUILTIN)]
+    + [("hull-%d" % seed, lambda seed=seed: fixtures.generate_hull(seed, n_points=6 + seed % 5))
+       for seed in range(10)]
+    + [("notched-box-%d" % k, lambda k=k: fixtures.notched_box(k)) for k in range(3, 5)]
+    + [("star-%d" % seed,
+        lambda seed=seed: fixtures.generate_star_sphere(seed, amplitude=0.05 + 0.05 * seed))
+       for seed in range(6)]
+)
+
+
+@pytest.mark.parametrize("name,build", REFERENCE_MESHES, ids=[m[0] for m in REFERENCE_MESHES])
+def test_quotient_graph_equals_union_find_reference(name, build):
+    surface = build()
+    for side in ("interior", "exterior"):
+        q = quotient_graph(surface, side)
+        assert q == reference_quotient_graph(surface, side)
+        assert all(type(f) is int for c in q.classes for f in c)
+        assert all(type(c) is int for c in q.face_class)
 
 
 # ----------------------------------------------------------------------

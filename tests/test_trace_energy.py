@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from polymix import fixtures
 from polymix.mesh import PolyhedralSurface, parse_off
@@ -18,6 +19,7 @@ from polymix.trace_energy import (
     refine,
     refinement_study,
     solve_constrained,
+    _free_components_without_anchor,
 )
 
 
@@ -149,6 +151,84 @@ def test_unanchored_component_pinned():
     assert res.energy == pytest.approx(0.0, abs=1e-15)
     assert res.pinned_components == 1
     assert res.constrained_count == 0
+
+
+def test_disjoint_cubes_one_dirichlet_face_pins_the_other_cube():
+    cube = fixtures.cube()
+    verts = np.vstack([cube.vertices, cube.vertices + 5.0])
+    faces = list(cube.faces) + [tuple(v + 8 for v in f) for f in cube.faces]
+    two = PolyhedralSurface(verts, faces)
+    part = Partition(labels=("D",) + ("N",) * 11, side="interior")
+    res = minimal_extension_energy(refine(two, 1), part, TraceData.coordinate("x"))
+    assert res.pinned_components == 1
+    assert res.constrained_count > 0
+
+
+def reference_free_components_without_anchor(matrix, free_mask):
+    """Python DFS over the stored entries: the loop version."""
+    n = matrix.shape[0]
+    indptr, indices = matrix.indptr, matrix.indices
+    comp = -np.ones(n, dtype=np.int64)
+    unanchored = []
+    next_comp = 0
+    for start in range(n):
+        if not free_mask[start] or comp[start] >= 0:
+            continue
+        stack = [start]
+        comp[start] = next_comp
+        members = []
+        anchored = False
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            for j in indices[indptr[i]:indptr[i + 1]]:
+                if free_mask[j]:
+                    if comp[j] < 0:
+                        comp[j] = next_comp
+                        stack.append(j)
+                else:
+                    anchored = True
+        if not anchored:
+            unanchored.append(sorted(members))
+        next_comp += 1
+    return unanchored
+
+
+@pytest.mark.parametrize("closure", [True, False], ids=["closed", "free"])
+@pytest.mark.parametrize("level", range(6))
+def test_free_components_equal_dfs_reference(pyramid, level, closure):
+    rs = refine(pyramid, level)
+    stiff = cotan_stiffness(rs.vertices, rs.triangles)
+    idx, _ = constrained_vertices(rs, PYRAMID_PART, PYRAMID_STEP, closure=closure)
+    free_mask = np.ones(rs.vertex_count, dtype=bool)
+    free_mask[idx] = False
+    got = _free_components_without_anchor(stiff, free_mask)
+    assert [c.tolist() for c in got] == reference_free_components_without_anchor(
+        stiff, free_mask)
+
+
+def test_free_components_unpinned_cube_equal_dfs_reference(cube):
+    rs = refine(cube, 2)
+    stiff = cotan_stiffness(rs.vertices, rs.triangles)
+    free_mask = np.ones(rs.vertex_count, dtype=bool)
+    got = _free_components_without_anchor(stiff, free_mask)
+    assert [c.tolist() for c in got] == reference_free_components_without_anchor(
+        stiff, free_mask) == [list(range(rs.vertex_count))]
+
+
+@pytest.mark.parametrize("anchor", [False, True])
+def test_free_components_count_stored_zeros_as_edges(anchor):
+    # 0 - 1 joined by a stored zero; with `anchor`, 1 - 2 too and 2 is pinned
+    rows, cols = [0, 1, 3], [1, 0, 3]
+    if anchor:
+        rows, cols = rows + [1, 2], cols + [2, 1]
+    data = [0.0, 0.0, 1.0] + [0.0] * (len(rows) - 3)
+    matrix = sparse.coo_matrix((data, (rows, cols)), shape=(4, 4)).tocsr()
+    assert matrix.nnz == len(rows)
+    free_mask = np.array([True, True, False, True])
+    got = [c.tolist() for c in _free_components_without_anchor(matrix, free_mask)]
+    assert got == reference_free_components_without_anchor(matrix, free_mask)
+    assert got == ([[3]] if anchor else [[0, 1], [3]])
 
 
 # ----------------------------------------------------------------------
