@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import fixtures, partition, rellich, reporting, sector, trace_energy
-from .geometry import ArchRegion, angles_csv_rows
+from .geometry import ArchRegion, GeometryError, angles_csv_rows
 from .mesh import MeshError, OffParseError, read_off, validate_surface, write_off
 from .partition import (
     GeneratorSpec,
@@ -375,12 +375,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples=None):
+    def common(p, samples=None, seeded=False):
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="report format (default json)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="root RNG seed (recorded; used by sampling subcommands)")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="root RNG seed")
         if samples is not None:
             p.add_argument("--samples", type=int, default=samples,
                            help="Monte Carlo sample count (default %d)" % samples)
@@ -431,7 +431,7 @@ def build_parser():
     p.add_argument("--budget", type=int, required=True, help="meshes to examine")
     p.add_argument("--min-size", type=int, default=0, help="family size parameter lower bound")
     p.add_argument("--max-size", type=int, default=0, help="family size parameter upper bound")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("rellich", help="Monte Carlo check of the vertex-arch identity")
@@ -444,7 +444,7 @@ def build_parser():
                    help="catalog degree cap when --u all (default 2)")
     p.add_argument("--estimate", action="store_true",
                    help="include the one-sided estimate report")
-    common(p, samples=100_000)
+    common(p, samples=100_000, seeded=True)
     p.set_defaults(func=cmd_rellich)
 
     p = sub.add_parser("sector-blowup", help="truncated-energy blow-up of the sector solution")
@@ -490,7 +490,7 @@ def main(argv=None):
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except (MeshError, ValueError) as exc:
+    except (MeshError, GeometryError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
 

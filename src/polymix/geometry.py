@@ -3,7 +3,9 @@ Monte Carlo sampling of vertex cones, cone bases, and arches.
 
 Angles are measured inside the solid: an edge of a convex solid has
 interior angle < pi, a reflex (notch) edge has interior angle > pi, and
-interior + exterior = 2*pi per edge.  Sampling is rejection-based with
+interior + exterior = 2*pi per edge.  Each angle comes from the edge's
+own geometry (two face normals and the edge direction), never from a
+global inside test.  Sampling is rejection-based with
 deterministic seeding; every batch reports an unbiased measure estimate
 with its Monte Carlo standard error.
 """
@@ -17,9 +19,10 @@ import numpy as np
 
 from .mesh import MeshError, PolyhedralSurface, plane_basis
 
-# Probe displacement for reflex-branch disambiguation, relative to the
-# local edge length.
-PROBE_REL_DISPLACEMENT = 1e-6
+# An edge whose face normals point apart with a cross-product component
+# below this is a knife edge: its interior angle is 0 or 2*pi, and the
+# sign of a rounding error would pick between them.
+KNIFE_EDGE_SINE_TOL = 1e-12
 
 # Boundary band for contains_point, relative to the bounding-box diagonal.
 BOUNDARY_REL_TOL = 1e-12
@@ -68,10 +71,13 @@ class DihedralAngle:
 def dihedral_angles(surface):
     """One :class:`DihedralAngle` per edge, in ``surface.edge_list`` order.
 
-    The angle between the two face normals fixes the pair
-    {pi - phi, pi + phi}; a probe point displaced from the edge midpoint
-    along the bisector of the two in-face directions picks the branch
-    (inside the solid -> pi - phi, outside -> pi + phi).  Cached per surface.
+    With ``faces = (fa, fb)``, where ``fa`` walks the edge ``a -> b``, unit
+    edge direction ``t`` from ``a`` to ``b`` and outward normals ``n1``, ``n2``:
+    ``interior = pi - atan2(sigma * (n1 x n2) . t, n1 . n2)``.  The sign
+    ``sigma`` of the enclosed volume makes the formula hold on inward-oriented
+    surfaces as well.  Knife edges (normals opposite to within
+    ``KNIFE_EDGE_SINE_TOL``) and surfaces enclosing no volume raise
+    :class:`DegenerateEdgeError`.  Cached per surface.
     """
     return surface.cached(_compute_dihedral_angles)
 
@@ -94,31 +100,24 @@ def interior_angle_table(surface):
 
 
 def _edge_dihedral(surface, edge, inc):
-    (fa, fwd_a), (fb, fwd_b) = inc
+    (fa, fwd_a), (fb, _) = inc
     if not fwd_a:
-        (fa, fwd_a), (fb, fwd_b) = (fb, fwd_b), (fa, fwd_a)
+        fa, fb = fb, fa
     a, b = edge
-    pa, pb = surface.vertices[a], surface.vertices[b]
-    t = pb - pa
-    elen = np.linalg.norm(t)
-    t = t / elen
+    t = surface.vertices[b] - surface.vertices[a]
+    t = t / np.linalg.norm(t)
     n1 = surface.face_normals[fa]
     n2 = surface.face_normals[fb]
-    u1 = np.cross(n1, t)    # into face fa, which walks a -> b
-    u2 = np.cross(n2, -t)   # into face fb, which walks b -> a
-    cosphi = float(np.clip(n1 @ n2, -1.0, 1.0))
-    phi = math.acos(cosphi)
-    bisector = u1 + u2
-    blen = np.linalg.norm(bisector)
-    if blen < 1e-9:
-        # normals collinear: the wedge is flat to within angle tolerance
-        interior = math.pi
-    else:
-        probe = 0.5 * (pa + pb) + (PROBE_REL_DISPLACEMENT * elen / blen) * bisector
-        side = contains_point(surface, probe)
-        if side == "boundary":
-            raise DegenerateEdgeError("ambiguous side test at edge %r" % (edge,))
-        interior = math.pi - phi if side == "inside" else math.pi + phi
+    # signed sine of the turn from n1 to n2 about t; an inward-oriented
+    # surface turns the other way
+    sigma = math.copysign(1.0, surface.signed_volume)
+    s = sigma * float(np.cross(n1, n2) @ t)
+    c = float(n1 @ n2)
+    if surface.signed_volume == 0.0 or (c < 0.0 and abs(s) < KNIFE_EDGE_SINE_TOL):
+        raise DegenerateEdgeError(
+            "edge %r: its faces fold onto each other or the surface encloses no volume"
+            % (edge,))
+    interior = math.pi - math.atan2(s, c)
     return DihedralAngle(edge=edge, faces=(fa, fb), interior_angle=interior)
 
 

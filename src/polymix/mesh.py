@@ -175,7 +175,8 @@ class PolyhedralSurface:
         """Unnormalized Newell normal per face (norm = 2 * area)."""
         out = np.zeros((len(self.faces), 3))
         for fi, face in enumerate(self.faces):
-            p = self.vertices[list(face)]
+            # relative to one corner, so the sum does not cancel far from the origin
+            p = self.vertices[list(face)] - self.vertices[face[0]]
             q = np.roll(p, -1, axis=0)
             out[fi] = np.cross(p, q).sum(axis=0)
         return out
@@ -473,11 +474,13 @@ def validate_surface(surface):
 
     closed = True
     oriented = True
+    open_ends = set()
     for edge in surface.edge_list:
         faces_here = inc[edge]
         if len(faces_here) != 2:
             violations.append(Violation("edge_face_count", (edge[0], edge[1], len(faces_here))))
             closed = False
+            open_ends.update(edge)
         else:
             (f0, fwd0), (f1, fwd1) = faces_here
             if fwd0 == fwd1:
@@ -486,25 +489,11 @@ def validate_surface(surface):
 
     # vertex links: only judged where the incident edges are already clean,
     # so an open boundary is not double-reported
+    link_pieces = _vertex_link_pieces(surface)
     for v in range(len(surface.vertices)):
-        vf = surface.vertex_faces[v]
-        if not vf:
+        if not surface.vertex_faces[v]:
             violations.append(Violation("isolated_vertex", (v,)))
-            continue
-        edges_at_v = set()
-        ok_edges = True
-        for fi in vf:
-            face = surface.faces[fi]
-            k = len(face)
-            i = face.index(v)
-            for w in (face[(i - 1) % k], face[(i + 1) % k]):
-                key = (v, w) if v < w else (w, v)
-                edges_at_v.add(key)
-                if len(inc[key]) != 2:
-                    ok_edges = False
-        if not ok_edges:
-            continue
-        if not _link_is_single_cycle(surface, v, edges_at_v):
+        elif v not in open_ends and link_pieces[v] != 1:
             violations.append(Violation("nonmanifold_vertex", (v,)))
 
     # face-adjacency connectivity (via shared edges)
@@ -541,34 +530,24 @@ def validate_surface(surface):
     )
 
 
-def _link_is_single_cycle(surface, v, edges_at_v):
-    # nodes: edges at v; each incident face joins its two edges at v
-    neighbors = {e: [] for e in edges_at_v}
-    for fi in surface.vertex_faces[v]:
-        face = surface.faces[fi]
-        k = len(face)
-        i = face.index(v)
-        wa, wb = face[(i - 1) % k], face[(i + 1) % k]
-        ea = (v, wa) if v < wa else (wa, v)
-        eb = (v, wb) if v < wb else (wb, v)
-        neighbors[ea].append(eb)
-        neighbors[eb].append(ea)
-    if any(len(nb) != 2 for nb in neighbors.values()):
-        return False
-    start = next(iter(edges_at_v))
-    seen = {start}
-    prev, cur = None, start
-    while True:
-        nxt = list(neighbors[cur])
-        if prev is not None:
-            nxt.remove(prev)  # drop one traversed side, duplicates allowed
-        if not nxt:
-            return False
-        step = nxt[0]
-        if step == start:
-            break
-        if step in seen:
-            return False
-        seen.add(step)
-        prev, cur = cur, step
-    return len(seen) == len(edges_at_v)
+def _vertex_link_pieces(surface):
+    """Per vertex, the number of connected pieces of its link.
+
+    Link nodes are (vertex, incident edge) pairs and each face corner joins
+    its two edges at that vertex.  Where every edge at the vertex has two
+    faces, every node has degree 2, so one piece means one cycle.
+    """
+    eidx = surface.edge_index
+
+    def node(v, w):  # numbered 2 * edge + (1 when v is the edge's larger end)
+        return 2 * eidx[(v, w) if v < w else (w, v)] + (v > w)
+
+    joined = [(node(v, face[i - 1]), node(v, face[(i + 1) % len(face)]))
+              for face in surface.faces for i, v in enumerate(face)]
+    rows, cols = np.array(joined, dtype=np.int64).reshape(-1, 2).T
+    n = 2 * len(surface.edge_list)
+    graph = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    count, labels = connected_components(graph, directed=False)
+    piece_vertex = np.empty(count, dtype=np.int64)
+    piece_vertex[labels] = np.array(surface.edge_list, dtype=np.int64).ravel()
+    return np.bincount(piece_vertex, minlength=len(surface.vertices))

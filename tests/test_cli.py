@@ -44,7 +44,7 @@ def test_every_subcommand_has_help(sub, capsys):
     text = capsys.readouterr().out
     assert "--output" in text
     assert "--format" in text
-    assert "--seed" in text
+    assert ("--seed" in text) == (sub in ("search", "rellich"))
 
 
 def test_fixtures_written(workdir):
@@ -184,6 +184,15 @@ def test_unknown_flag_exit_2(workdir, capsys):
 def test_unknown_subcommand_exit_2(capsys):
     assert main(["no-such-command"]) == EXIT_INPUT
     capsys.readouterr()
+
+
+def test_degenerate_edge_exit_2(tmp_path, capsys):
+    # a two-triangle "pillow": every edge is a knife edge, and the
+    # subcommands that skip mesh validation must still report it cleanly
+    pillow = tmp_path / "pillow.off"
+    pillow.write_text("OFF\n3 2 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 2 1\n")
+    assert main(["enumerate", str(pillow), "--side", "interior"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bad_alpha_exit_2(tmp_path):

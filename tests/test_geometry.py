@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.transform import Rotation
+
 from polymix import fixtures
 from polymix.geometry import (
     ArchRegion,
     ConeRegion,
+    DegenerateEdgeError,
     GeometryError,
     contains_point,
     contains_points,
@@ -17,6 +21,7 @@ from polymix.geometry import (
     separation_radius,
 )
 from polymix.mesh import PolyhedralSurface
+from polymix.partition import enumerate_admissible, quotient_graph
 
 
 def test_cube_all_edges_right_angle(cube):
@@ -76,6 +81,139 @@ def test_degenerate_knife_edge_reported():
     )
     with pytest.raises(DegenerateEdgeError):
         dihedral_angles(pillow)
+
+
+def test_slit_knife_edge_reported():
+    # a square prism with a slit cut in to (1, 1): the two slit walls are
+    # coplanar with opposite normals, so the angle at the slit's end is 0 or
+    # 2*pi by the sign of a rounding error, on a solid of volume 4
+    slit = fixtures._prism([(0, 0), (2, 0), (2, 2), (1, 2), (1, 1), (1, 2), (0, 2)], 1.0)
+    assert slit.signed_volume == pytest.approx(4.0)
+    with pytest.raises(DegenerateEdgeError):
+        dihedral_angles(slit)
+
+
+def test_zero_volume_surface_reported(cube):
+    # a cube beside an inside-out copy encloses exactly no volume, so no
+    # orientation can be read off it
+    verts = np.vstack([cube.vertices, cube.vertices + 5.0])
+    faces = list(cube.faces) + [tuple(v + 8 for v in reversed(f)) for f in cube.faces]
+    both = PolyhedralSurface(verts, faces)
+    assert both.signed_volume == 0.0
+    with pytest.raises(DegenerateEdgeError):
+        dihedral_angles(both)
+
+
+def probe_dihedral_angles(surface):
+    """Reference: acos of the normals' dot product, with the branch picked by
+    ray parity at a probe point just off the edge midpoint, on the bisector
+    of the two in-face directions (inside -> pi - phi, outside -> pi + phi).
+
+    Returns ``(faces, interior_angle)`` per edge in ``edge_list`` order.
+    """
+    out = []
+    for edge in surface.edge_list:
+        (fa, fwd_a), (fb, _) = surface.edge_incidence[edge]
+        if not fwd_a:
+            fa, fb = fb, fa
+        pa, pb = surface.vertices[edge[0]], surface.vertices[edge[1]]
+        t = pb - pa
+        elen = np.linalg.norm(t)
+        t = t / elen
+        n1, n2 = surface.face_normals[fa], surface.face_normals[fb]
+        phi = math.acos(float(np.clip(n1 @ n2, -1.0, 1.0)))
+        bisector = np.cross(n1, t) + np.cross(n2, -t)
+        blen = np.linalg.norm(bisector)
+        if blen < 1e-9:
+            interior = math.pi
+        else:
+            probe = 0.5 * (pa + pb) + (1e-6 * elen / blen) * bisector
+            side = contains_point(surface, probe)
+            assert side != "boundary"
+            interior = math.pi - phi if side == "inside" else math.pi + phi
+        out.append(((fa, fb), interior))
+    return out
+
+
+def reversed_copy(surface):
+    return PolyhedralSurface(surface.vertices, [tuple(reversed(f)) for f in surface.faces])
+
+
+PROBE_MESHES = (
+    [pytest.param(lambda name=name: fixtures.builtin(name), id=name)
+     for name in sorted(fixtures.BUILTIN)]
+    + [pytest.param(lambda seed=seed: fixtures.generate_hull(seed, n_points=10),
+                    id="hull-%d" % seed) for seed in range(4)]
+    + [pytest.param(lambda seed=seed: fixtures.generate_star_sphere(seed),
+                    id="star-%d" % seed) for seed in range(2)]
+    + [pytest.param(lambda k=k: fixtures.notched_box(k), id="notched-box-%d" % k)
+       for k in (3, 4)]
+)
+
+
+@pytest.mark.parametrize("build", PROBE_MESHES)
+@pytest.mark.parametrize("flip", [False, True], ids=["outward", "inward"])
+def test_local_angles_match_probe_reference(build, flip):
+    surface = reversed_copy(build()) if flip else build()
+    got = [(d.faces, d.interior_angle) for d in dihedral_angles(surface)]
+    ref = probe_dihedral_angles(surface)
+    assert [f for f, _ in got] == [f for f, _ in ref]
+    assert np.allclose([a for _, a in got], [a for _, a in ref], rtol=0.0, atol=1e-12)
+
+
+def ridge_prism(delta):
+    """Pentagonal prism whose vertical edge at (1, 1 + tan(delta/2)) has
+    interior angle pi - delta; that edge joins walls 2 and 3."""
+    return fixtures._prism([(0, 0), (2, 0), (2, 1), (1, 1 + math.tan(delta / 2)), (0, 1)], 1.0)
+
+
+@pytest.mark.parametrize("delta", [1e-8, 5e-9, 2e-9])
+def test_near_flat_ridge_resolved(delta):
+    surface = ridge_prism(delta)
+    (ridge,) = [d for d in dihedral_angles(surface) if set(d.faces) == {2, 3}]
+    assert abs(ridge.interior_angle - (math.pi - delta)) <= 1e-12
+    assert quotient_graph(surface, "interior").class_count == 7
+    assert enumerate_admissible(surface, "interior").count == 127
+
+
+def test_ridge_inside_angle_tolerance_stays_blocked():
+    # 5e-10 < TAU_ANGLE: the conservative rule still forbids a change there
+    surface = ridge_prism(5e-10)
+    assert quotient_graph(surface, "interior").class_count == 6
+    assert enumerate_admissible(surface, "interior").count == 63
+
+
+PROPERTY_MESHES = [fixtures.builtin(name) for name in sorted(fixtures.BUILTIN)] + [
+    fixtures.generate_hull(seed, n_points=10) for seed in range(3)
+]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    index=st.integers(0, len(PROPERTY_MESHES) - 1),
+    quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda q: sum(x * x for x in q) > 1e-2),
+    # the shift is applied before scaling, in units of the mesh: rounding the
+    # moved coordinates costs about eps * shift / mesh size in every angle
+    shift=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+    log_scale=st.floats(-3.0, 3.0),
+    reflect=st.booleans(),
+)
+def test_angles_and_classes_invariant_under_similarity(index, quaternion, shift, log_scale,
+                                                       reflect):
+    base = PROPERTY_MESHES[index]
+    rotation = Rotation.from_quat(quaternion).as_matrix()
+    if reflect:
+        # a reflection turns the faces inward, which the orientation sign corrects
+        rotation = rotation @ np.diag([1.0, 1.0, -1.0])
+    moved = PolyhedralSurface(10.0 ** log_scale * (base.vertices @ rotation.T + shift), base.faces)
+    assert (moved.signed_volume < 0) == reflect
+    before = [d.interior_angle for d in dihedral_angles(base)]
+    after = [d.interior_angle for d in dihedral_angles(moved)]
+    assert np.allclose(after, before, rtol=0.0, atol=1e-12)
+    for side in ("interior", "exterior"):
+        assert (quotient_graph(moved, side).class_count
+                == quotient_graph(base, side).class_count)
 
 
 # ----------------------------------------------------------------------

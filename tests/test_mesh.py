@@ -240,3 +240,80 @@ def test_diagnostics_json_shape(cube):
     assert set(d) == {"counts", "euler", "violations"}
     assert d["euler"] == 2
     assert d["violations"] == []
+
+
+def reference_nonmanifold_vertices(surface):
+    """Per-vertex link walk: the loop version of the link-cycle check.
+
+    Judged only at vertices whose incident edges all have two faces.
+    """
+    inc = surface.edge_incidence
+    bad = []
+    for v in range(len(surface.vertices)):
+        neighbors = {}
+        for fi in surface.vertex_faces[v]:
+            face = surface.faces[fi]
+            k = len(face)
+            i = face.index(v)
+            ea, eb = (tuple(sorted((v, w))) for w in (face[(i - 1) % k], face[(i + 1) % k]))
+            neighbors.setdefault(ea, []).append(eb)
+            neighbors.setdefault(eb, []).append(ea)
+        if not neighbors or any(len(inc[e]) != 2 for e in neighbors):
+            continue
+        if not _link_is_single_cycle(neighbors):
+            bad.append(v)
+    return bad
+
+
+def _link_is_single_cycle(neighbors):
+    if any(len(nb) != 2 for nb in neighbors.values()):
+        return False
+    start = next(iter(neighbors))
+    seen = {start}
+    prev, cur = None, start
+    while True:
+        nxt = list(neighbors[cur])
+        if prev is not None:
+            nxt.remove(prev)  # drop one traversed side, duplicates allowed
+        if not nxt:
+            return False
+        step = nxt[0]
+        if step == start:
+            break
+        if step in seen:
+            return False
+        seen.add(step)
+        prev, cur = cur, step
+    return len(seen) == len(neighbors)
+
+
+def cubes_sharing_vertex():
+    # the second cube is the first moved by (1, 1, 1): its vertex 0 is the
+    # first cube's vertex 6
+    cube = fixtures.cube()
+    verts = np.vstack([cube.vertices, cube.vertices[1:] + 1.0])
+    second = [tuple(6 if v == 0 else v + 7 for v in f) for f in cube.faces]
+    return PolyhedralSurface(verts, list(cube.faces) + second)
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda name=name: fixtures.builtin(name), id=name)
+      for name in sorted(fixtures.BUILTIN)),
+    pytest.param(fixtures.two_tetrahedra_shared_vertex, id="two-tetrahedra"),
+    pytest.param(fixtures.open_box, id="open-box"),
+    pytest.param(cubes_sharing_vertex, id="cubes-sharing-vertex"),
+    pytest.param(lambda: disjoint_cubes(2), id="disjoint-cubes"),
+    pytest.param(lambda: PolyhedralSurface(np.eye(3), [(0, 1, 2), (0, 2, 1)]), id="pillow"),
+    pytest.param(lambda: PolyhedralSurface(
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], [(0, 1, 2), (0, 3, 4)]),
+        id="open-bowtie"),
+    *(pytest.param(lambda seed=seed: fixtures.generate_hull(seed, n_points=10),
+                   id="hull-%d" % seed) for seed in range(4)),
+    *(pytest.param(lambda seed=seed: fixtures.generate_star_sphere(seed),
+                   id="star-%d" % seed) for seed in range(3)),
+])
+def test_link_verdicts_equal_walk_reference(build):
+    surface = build()
+    reported = [v.location[0] for v in validate_surface(surface).violations
+                if v.kind == "nonmanifold_vertex"]
+    assert reported == reference_nonmanifold_vertices(surface)
