@@ -196,7 +196,7 @@ def cmd_rellich(args):
         raise InputError("mesh fails validation; run 'polymix validate' for details")
     try:
         arch = ArchRegion(surface, args.vertex, args.r_inner, args.r_outer)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
     if args.u == "all":
         funcs = rellich.catalog(args.max_degree)

@@ -5,9 +5,12 @@ Angles are measured inside the solid: an edge of a convex solid has
 interior angle < pi, a reflex (notch) edge has interior angle > pi, and
 interior + exterior = 2*pi per edge.  Each angle comes from the edge's
 own geometry (two face normals and the edge direction), never from a
-global inside test.  Sampling is rejection-based with
-deterministic seeding; every batch reports an unbiased measure estimate
-with its Monte Carlo standard error.
+global inside test.  Containment is a winding number, exact up to
+rounding and free of ray directions: the generalized winding number over
+all triangles for :func:`contains_points`, and inside a vertex's
+separation ball a sum over that vertex's link only.  Sampling is
+rejection-based with deterministic seeding; every batch reports an
+unbiased measure estimate with its Monte Carlo standard error.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from .mesh import MeshError, PolyhedralSurface, plane_basis
 # sign of a rounding error would pick between them.
 KNIFE_EDGE_SINE_TOL = 1e-12
 
-# Boundary band for contains_point, relative to the bounding-box diagonal.
+# Boundary band for contains_point, relative to the bounding-box diagonal:
+# the winding number jumps across a face, so points this close are reported
+# as boundary rather than classified.
 BOUNDARY_REL_TOL = 1e-12
 
 # Cone and arch radii must stay below this fraction of the separation radius.
@@ -46,11 +51,6 @@ class DegenerateEdgeError(GeometryError):
 
 def _rng(*key):
     return np.random.default_rng(np.random.SeedSequence(tuple(int(k) for k in key)))
-
-
-# Fixed, deterministic ray directions for the parity test.
-_RAY_DIRECTIONS = _rng(0xD1CE).normal(size=(24, 3))
-_RAY_DIRECTIONS /= np.linalg.norm(_RAY_DIRECTIONS, axis=1)[:, None]
 
 
 # ----------------------------------------------------------------------
@@ -195,8 +195,8 @@ def _face_contains_projected(surface, fi, q):
 def contains_point(surface, point):
     """Classify a point as ``'inside'``, ``'outside'`` or ``'boundary'``.
 
-    Boundary means within ``1e-12 * bbox diagonal`` of some face; otherwise
-    ray parity decides.
+    Boundary means within ``BOUNDARY_REL_TOL * bbox diagonal`` of some face;
+    otherwise the winding number of :func:`contains_points` decides.
     """
     p = np.asarray(point, dtype=float)
     tol = BOUNDARY_REL_TOL * (surface.bbox_diagonal or 1.0)
@@ -207,68 +207,42 @@ def contains_point(surface, point):
 
 
 def contains_points(surface, points):
-    """Vectorized strict-inside test by ray parity (boundary not detected).
+    """Vectorized strict-inside test (boundary not detected).
 
-    Ambiguous hits (rays grazing edges or vertices) are retried along a
-    fixed list of deterministic directions.
+    Sums the signed solid angle of every triangle seen from the point (Van
+    Oosterom & Strackee): ``2 atan2(a.(b x c), |a||b||c| + (a.b)|c| +
+    (b.c)|a| + (c.a)|b|)`` with ``a, b, c`` the corners relative to the
+    point.  That generalized winding number is +-4*pi inside a closed surface
+    of either orientation and 0 outside, so ``|sum| > 2*pi`` decides.
     """
     pts = np.asarray(points, dtype=float)
     tris, _ = surface.triangles
-    tv = surface.vertices[tris]  # (T, 3, 3)
-    result = np.zeros(len(pts), dtype=bool)
-    undecided = np.arange(len(pts))
-    scale = surface.bbox_diagonal or 1.0
-    for direction in _RAY_DIRECTIONS:
-        if len(undecided) == 0:
-            break
-        parity, ok = _ray_crossings(pts[undecided], direction, tv, scale)
-        decided = undecided[ok]
-        result[decided] = parity[ok]
-        undecided = undecided[~ok]
-    # leftovers sit exactly on degenerate lines for every direction; call
-    # them outside (measure zero for sampling purposes)
-    return result
-
-
-def _ray_crossings(pts, direction, tv, scale):
-    eps_par = 1e-13
-    eps_t = 1e-12 * scale
-    n = len(pts)
-    crossings = np.zeros(n, dtype=np.int64)
-    ambiguous = np.zeros(n, dtype=bool)
-    d = direction
-    for t0, t1, t2 in tv:
-        e1 = t1 - t0
-        e2 = t2 - t0
-        pvec = np.cross(d, e2)
-        det = e1 @ pvec
-        if abs(det) < eps_par * scale * scale:
-            # ray parallel to this triangle: only matters if some point's
-            # ray lies in its plane; flag points close to the plane
-            nrm = np.cross(e1, e2)
-            h = np.abs((pts - t0) @ nrm)
-            ambiguous |= h < eps_t * max(np.linalg.norm(nrm), 1e-300)
-            continue
-        inv = 1.0 / det
-        tvec = pts - t0
-        u = (tvec @ pvec) * inv
-        qvec = np.cross(tvec, e1)
-        v = (qvec @ d) * inv
-        t_hit = (qvec @ e2) * inv
-        hit = (u > 0.0) & (u < 1.0) & (v > 0.0) & (u + v < 1.0) & (t_hit > eps_t)
-        graze = (
-            (np.abs(u) < 1e-12)
-            | (np.abs(v) < 1e-12)
-            | (np.abs(1.0 - u - v) < 1e-12)
-            | (np.abs(t_hit) <= eps_t)
-        ) & (u > -1e-12) & (v > -1e-12) & (u + v < 1.0 + 1e-12)
-        ambiguous |= graze
-        crossings += hit
-    return (crossings % 2).astype(bool), ~ambiguous
+    total = np.zeros(len(pts))
+    for corners in surface.vertices[tris]:
+        a, b, c = corners[:, None, :] - pts
+        la, lb, lc = (np.linalg.norm(x, axis=1) for x in (a, b, c))
+        det = np.einsum("ij,ij->i", a, np.cross(b, c))
+        den = (la * lb * lc + np.einsum("ij,ij->i", a, b) * lc
+               + np.einsum("ij,ij->i", b, c) * la + np.einsum("ij,ij->i", c, a) * lb)
+        total += 2.0 * np.arctan2(det, den)
+    return np.abs(total) > 2.0 * math.pi
 
 
 # ----------------------------------------------------------------------
 # cones and arches
+
+
+def _check_vertex_cone(surface, vertex):
+    """The vertex exists and the surface is oriented outward.
+
+    The inside tests of the samplers read the solid's side off the face
+    orientation, so an inside-out surface would sample the complement.
+    """
+    if not 0 <= vertex < len(surface.vertices):
+        raise ValueError("vertex %d out of range 0..%d" % (vertex, len(surface.vertices) - 1))
+    if surface.signed_volume <= 0.0:
+        raise ValueError("surface encloses signed volume %g; faces must be oriented outward"
+                         % surface.signed_volume)
 
 
 @dataclass(frozen=True)
@@ -282,6 +256,7 @@ class ConeRegion:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
+        _check_vertex_cone(self.surface, self.vertex)
         rho = separation_radius(self.surface, self.vertex)
         if self.radius > RADIUS_SAFETY_FACTOR * rho:
             raise ValueError(
@@ -302,6 +277,7 @@ class ArchRegion:
     def __post_init__(self):
         if not 0 < self.r_inner < self.r_outer:
             raise ValueError("need 0 < r_inner < r_outer")
+        _check_vertex_cone(self.surface, self.vertex)
         rho = separation_radius(self.surface, self.vertex)
         if self.r_outer > RADIUS_SAFETY_FACTOR * rho:
             raise ValueError(
@@ -319,8 +295,7 @@ class ArchRegion:
 
     @property
     def lateral_face_ids(self):
-        return tuple(sorted(f for f in range(len(self.surface.faces))
-                            if self.vertex in self.surface.faces[f]))
+        return self.surface.vertex_faces[self.vertex]
 
 
 @dataclass
@@ -371,26 +346,47 @@ class SampleBatch:
 
 
 def _inside_tester(surface, vertex):
-    """Inside test specialized to points within the separation ball.
+    """Inside test for points in the separation ball of `vertex`.
 
-    If every edge at the vertex is convex, the local cone is the
-    intersection of the incident face half-spaces, which is far cheaper
-    than ray parity and exact.
+    There the solid is the cone over the vertex link.  If every edge at the
+    vertex is convex, the cone is the intersection of the incident faces'
+    half-spaces.  Otherwise the link is traced from the face corners at the
+    vertex: each corner, from the next vertex round to the previous one,
+    splits at its in-plane bisector into two minor arcs a -> b (unit
+    directions from v), so straight and reflex corners need no special case.
+    For a point in direction w the signed solid angles (Van Oosterom &
+    Strackee) of the spherical triangles (-w, a, b) sum to 4*pi - Omega when
+    the point is inside and to -Omega when it is outside, where Omega in
+    (0, 4*pi) is the cone's solid angle; the sign of the sum decides.  Needs
+    an outward-oriented surface.
     """
-    angles = dihedral_angles(surface)
-    convex = True
-    for d in angles:
-        if vertex in d.edge and d.interior_angle >= math.pi:
-            convex = False
-            break
-    if not convex:
-        return lambda pts: contains_points(surface, pts)
     v = surface.vertices[vertex]
-    normals = np.array([surface.face_normals[f] for f in range(len(surface.faces))
-                        if vertex in surface.faces[f]])
+    fids = list(surface.vertex_faces[vertex])
+    corners = [(face[face.index(vertex) - 1], face[(face.index(vertex) + 1) % len(face)])
+               for face in (surface.faces[f] for f in fids)]
+    angles = dihedral_angles(surface)
+    # every edge at the vertex precedes it in exactly one face
+    if all(angles[surface.edge_index[tuple(sorted((vertex, prev)))]].interior_angle < math.pi
+           for prev, _ in corners):
+        normals = surface.face_normals[fids]
+        return lambda pts: np.all((pts - v) @ normals.T <= 0.0, axis=1)
+    prev, succ = (surface.vertices[list(ids)] - v for ids in zip(*corners))
+    prev /= np.linalg.norm(prev, axis=1)[:, None]
+    succ /= np.linalg.norm(succ, axis=1)[:, None]
+    # the corner turns counterclockwise about the outward normal from succ to
+    # prev; n x (succ - prev) bisects it for every corner angle in (0, 2*pi)
+    mid = np.cross(surface.face_normals[fids], succ - prev)
+    mid /= np.linalg.norm(mid, axis=1)[:, None]
+    a, b = np.vstack([succ, mid]), np.vstack([mid, prev])
+    # half solid angle of (-w, a, b): atan2(-w.(a x b), |w| (1 + a.b) - w.(a + b))
+    normal = np.cross(a, b).T
+    ends = (a + b).T
+    one_plus_cos = 1.0 + np.sum(a * b, axis=1)
 
     def tester(pts):
-        return np.all((pts - v) @ normals.T <= 0.0, axis=1)
+        w = pts - v
+        r = np.linalg.norm(w, axis=1)[:, None]
+        return np.arctan2(-(w @ normal), r * one_plus_cos - w @ ends).sum(axis=1) > 0.0
 
     return tester
 

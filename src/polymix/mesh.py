@@ -246,7 +246,7 @@ class PolyhedralSurface:
             for t in self.triangulate_face(fi):
                 tris.append(t)
                 prov.append(fi)
-        return np.array(tris, dtype=np.int64), np.array(prov, dtype=np.int64)
+        return np.array(tris, dtype=np.int64).reshape(-1, 3), np.array(prov, dtype=np.int64)
 
     @cached_property
     def signed_volume(self):
@@ -518,7 +518,7 @@ def validate_surface(surface):
             if dev > planar_tol:
                 violations.append(Violation("nonplanar_face", (fi, dev)))
 
-    if closed and oriented and surface.signed_volume <= 0.0:
+    if nf and closed and oriented and surface.signed_volume <= 0.0:
         violations.append(Violation("negative_volume", (surface.signed_volume,)))
 
     return MeshDiagnostics(

@@ -73,6 +73,16 @@ def test_validate_strict_fails_on_bad_mesh(tmp_path):
     assert main(["validate", str(bad), "--strict"]) == EXIT_VALIDATION
 
 
+def test_validate_faceless_mesh_reports_isolated_vertex(tmp_path):
+    lone = tmp_path / "lone.off"
+    lone.write_text("OFF\n1 0 0\n0 0 0\n")
+    code, body = run_to_file(tmp_path, ["validate", str(lone)])
+    assert code == EXIT_OK
+    assert json.loads(body)["result"]["violations"] == [
+        {"kind": "isolated_vertex", "location": [0]}]
+    assert main(["validate", str(lone), "--strict"]) == EXIT_VALIDATION
+
+
 def test_check_partition_example(workdir, tmp_path):
     part = tmp_path / "part.json"
     part.write_text(json.dumps({"side": "interior", "labels": ["N", "D", "D", "D", "D", "D"]}))
@@ -195,6 +205,14 @@ def test_degenerate_edge_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("vertex", ["-1", "8", "9"])
+def test_rellich_vertex_out_of_range_exit_2(workdir, tmp_path, capsys, vertex):
+    argv = ["rellich", off(workdir, "cube"), "--vertex", vertex, "--r-inner", "0.25",
+            "--r-outer", "0.5", "--samples", "100", "--output", str(tmp_path / "x.json")]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: vertex %s out of range 0..7\n" % vertex
+
+
 def test_bad_alpha_exit_2(tmp_path):
     assert main(["sector-blowup", "--alpha", "0.5pi",
                  "--output", str(tmp_path / "x.json")]) == EXIT_INPUT
@@ -215,6 +233,10 @@ DETERMINISM_CASES = [
                "--estimate"],
     lambda w: ["sector-blowup", "--alpha", "1.5pi"],
     lambda w: ["trace-energy", "--study", "pyramid-step", "--levels", "3"],
+    # the notch vertex, where the inside test is the link winding number
+    lambda w: ["rellich", off(w, "l-prism"), "--vertex", "3", "--r-inner", "0.2",
+               "--r-outer", "0.4", "--samples", "20000", "--seed", "5", "--u", "all",
+               "--estimate"],
 ]
 
 

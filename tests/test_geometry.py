@@ -12,6 +12,7 @@ from polymix.geometry import (
     ConeRegion,
     DegenerateEdgeError,
     GeometryError,
+    _inside_tester,
     contains_point,
     contains_points,
     dihedral_angles,
@@ -20,7 +21,7 @@ from polymix.geometry import (
     sample_lateral,
     separation_radius,
 )
-from polymix.mesh import PolyhedralSurface
+from polymix.mesh import PolyhedralSurface, validate_surface
 from polymix.partition import enumerate_admissible, quotient_graph
 
 
@@ -308,6 +309,231 @@ def test_contains_point_l_prism_notch(l_prism):
     assert contains_point(l_prism, (0.5, 0.5, 1.0)) == "inside"
 
 
+_RAY_DIRECTIONS = np.random.default_rng(np.random.SeedSequence((0xD1CE,))).normal(size=(24, 3))
+_RAY_DIRECTIONS /= np.linalg.norm(_RAY_DIRECTIONS, axis=1)[:, None]
+
+
+def ray_parity_contains_points(surface, points):
+    """Reference: strict inside test by ray parity over every triangle.
+
+    A point whose ray grazes an edge, a vertex or a triangle's plane is
+    retried along the next of 24 fixed directions; one that grazes on all of
+    them counts as outside.
+    """
+    pts = np.asarray(points, dtype=float)
+    tris, _ = surface.triangles
+    tv = surface.vertices[tris]
+    result = np.zeros(len(pts), dtype=bool)
+    undecided = np.arange(len(pts))
+    scale = surface.bbox_diagonal or 1.0
+    eps_t = 1e-12 * scale
+    for d in _RAY_DIRECTIONS:
+        if len(undecided) == 0:
+            break
+        p = pts[undecided]
+        crossings = np.zeros(len(p), dtype=np.int64)
+        ambiguous = np.zeros(len(p), dtype=bool)
+        for t0, t1, t2 in tv:
+            e1, e2 = t1 - t0, t2 - t0
+            pvec = np.cross(d, e2)
+            det = e1 @ pvec
+            if abs(det) < 1e-13 * scale * scale:
+                nrm = np.cross(e1, e2)
+                ambiguous |= np.abs((p - t0) @ nrm) < eps_t * max(np.linalg.norm(nrm), 1e-300)
+                continue
+            inv = 1.0 / det
+            tvec = p - t0
+            u = (tvec @ pvec) * inv
+            qvec = np.cross(tvec, e1)
+            v = (qvec @ d) * inv
+            t_hit = (qvec @ e2) * inv
+            crossings += (u > 0.0) & (u < 1.0) & (v > 0.0) & (u + v < 1.0) & (t_hit > eps_t)
+            ambiguous |= (
+                (np.abs(u) < 1e-12) | (np.abs(v) < 1e-12) | (np.abs(1.0 - u - v) < 1e-12)
+                | (np.abs(t_hit) <= eps_t)
+            ) & (u > -1e-12) & (v > -1e-12) & (u + v < 1.0 + 1e-12)
+        result[undecided[~ambiguous]] = (crossings % 2 == 1)[~ambiguous]
+        undecided = undecided[ambiguous]
+    return result
+
+
+def corner_notch_box():
+    """The cube [0, 2]^3 less the corner cube [1, 2]^3.  Vertex 11, the
+    notch's inner corner at (1, 1, 1), has solid angle 7*pi/2: its cone holds
+    both w and -w for many directions w."""
+    verts = np.array([
+        [0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0],
+        [0, 0, 2], [2, 0, 2], [2, 1, 2], [1, 1, 2], [1, 2, 2], [0, 2, 2],
+        [2, 1, 1], [1, 1, 1], [1, 2, 1], [2, 2, 1],
+    ], dtype=float)
+    faces = [(0, 3, 2, 1), (4, 5, 6, 7, 8, 9), (0, 1, 5, 4), (3, 0, 4, 9),
+             (1, 2, 13, 10, 6, 5), (2, 3, 9, 8, 12, 13), (10, 13, 12, 11),
+             (6, 10, 11, 7), (7, 11, 12, 8)]
+    return PolyhedralSurface(verts, faces)
+
+
+
+def in_box_less_box(pts, box, hole):
+    """Points inside the open box `box` and outside the open box `hole`."""
+    def inside(corners):
+        lo, hi = np.asarray(corners, dtype=float)
+        return np.all((pts > lo) & (pts < hi), axis=1)
+    return inside(box) & ~inside(hole)
+
+
+def split_top_l_prism():
+    """The l-prism with its top cut into [0, 2] x [0, 1] and [0, 1] x [1, 2].
+
+    Vertex 10 at (1, 1, 2), the top of the notch edge, is a straight corner
+    of the first rectangle, which is fanned from vertex 0 at (0, 1, 2): its
+    one triangle at vertex 10 has zero area.
+    """
+    verts = np.array([
+        [0, 1, 2], [0, 0, 0], [2, 0, 0], [2, 1, 0], [1, 1, 0], [1, 2, 0], [0, 2, 0],
+        [0, 0, 2], [2, 0, 2], [2, 1, 2], [1, 1, 2], [1, 2, 2], [0, 2, 2],
+    ], dtype=float)
+    faces = [(1, 6, 5, 4, 3, 2), (7, 8, 9, 10, 0), (0, 10, 11, 12), (1, 2, 8, 7),
+             (2, 3, 9, 8), (3, 4, 10, 9), (4, 5, 11, 10), (5, 6, 12, 11), (6, 1, 7, 0, 12)]
+    surface = PolyhedralSurface(verts, faces)
+    return surface, lambda p: in_box_less_box(p, [(0, 0, 0), (2, 2, 2)], [(1, 1, 0), (2, 2, 2)])
+
+
+def split_top_notched_box():
+    """Notched box 1 with its top cut into [0, 3] x [0, 1] and two unit squares.
+
+    Vertices 14 and 15 at (2, 1, 2) and (1, 1, 2), the tops of the notch
+    edges, are straight corners of the strip, which is fanned from vertex 0
+    at (0, 1, 2): each of its triangles at vertices 14 and 15 has zero area.
+    """
+    section = [(0, 0), (3, 0), (3, 2), (2, 2), (2, 1), (1, 1), (1, 2), (0, 2)]
+    verts = np.array([[0, 1, 2], [3, 1, 2]] + [[x, y, z] for z in (0, 2) for x, y in section],
+                     dtype=float)
+    faces = [(10, 11, 1, 14, 15, 0), (0, 15, 16, 17), (14, 1, 12, 13), (2, 9, 8, 7, 6, 5, 4, 3),
+             (2, 3, 11, 10), (3, 4, 12, 1, 11), (4, 5, 13, 12), (5, 6, 14, 13), (6, 7, 15, 14),
+             (7, 8, 16, 15), (8, 9, 17, 16), (9, 2, 10, 0, 17)]
+    surface = PolyhedralSurface(verts, faces)
+    return surface, lambda p: in_box_less_box(p, [(0, 0, 0), (3, 2, 2)], [(1, 1, 0), (2, 2, 2)])
+
+
+STRAIGHT_CORNER_MESHES = [
+    pytest.param(split_top_l_prism, [10], id="split-top-l-prism"),
+    pytest.param(split_top_notched_box, [14, 15], id="split-top-notched-box"),
+]
+
+CONTAINMENT_MESHES = (
+    [pytest.param(lambda name=name: fixtures.builtin(name), id=name)
+     for name in sorted(fixtures.BUILTIN)]
+    + [pytest.param(lambda: fixtures.notched_box(3), id="notched-box-3"),
+       pytest.param(corner_notch_box, id="corner-notch")]
+    + [pytest.param(lambda seed=seed: fixtures.generate_hull(seed, n_points=10),
+                    id="hull-%d" % seed) for seed in range(3)]
+    + [pytest.param(lambda seed=seed: fixtures.generate_star_sphere(seed),
+                    id="star-%d" % seed) for seed in range(3)]
+)
+
+
+def off_face_planes(surface, pts, rel=1e-6):
+    """Mask of points farther than ``rel * diagonal`` from every face plane."""
+    anchors = surface.vertices[[f[0] for f in surface.faces]]
+    h = np.einsum("pfk,fk->pf", pts[:, None, :] - anchors[None], surface.face_normals)
+    return np.abs(h).min(axis=1) > rel * surface.bbox_diagonal
+
+
+def ball_points(surface, vertex, rng, n):
+    """Uniform points within 0.8 separation radii of `vertex`, off the face planes."""
+    d = rng.normal(size=(n, 3))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    rho = 0.8 * separation_radius(surface, vertex) * np.cbrt(rng.uniform(size=(n, 1)))
+    pts = surface.vertices[vertex] + rho * d
+    return pts[off_face_planes(surface, pts)]
+
+
+@pytest.mark.parametrize("build", CONTAINMENT_MESHES)
+@pytest.mark.parametrize("flip", [False, True], ids=["outward", "inward"])
+def test_contains_points_matches_ray_parity(build, flip):
+    surface = reversed_copy(build()) if flip else build()
+    lo, hi = surface.vertices.min(axis=0), surface.vertices.max(axis=0)
+    pts = np.random.default_rng(2024).uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo),
+                                              size=(3000, 3))
+    pts = pts[off_face_planes(surface, pts)]
+    got = contains_points(surface, pts)
+    assert 0 < got.sum() < len(got)
+    assert np.array_equal(got, ray_parity_contains_points(surface, pts))
+
+
+@pytest.mark.parametrize("build", CONTAINMENT_MESHES)
+def test_vertex_inside_tester_matches_ray_parity(build):
+    surface = build()
+    rng = np.random.default_rng(7)
+    for vertex in range(len(surface.vertices)):
+        pts = ball_points(surface, vertex, rng, 400)
+        got = _inside_tester(surface, vertex)(pts)
+        assert np.array_equal(got, ray_parity_contains_points(surface, pts)), vertex
+
+
+
+@pytest.mark.parametrize("build, flat_vertices", STRAIGHT_CORNER_MESHES)
+def test_inside_tests_at_straight_face_corners(build, flat_vertices):
+    # a face corner of angle pi at a reflex vertex, covered by zero-area
+    # triangles only; ray parity over those triangles grazes on every ray,
+    # so the reference here is the solid's own box membership
+    surface, inside = build()
+    assert validate_surface(surface).ok
+    tris, _ = surface.triangles
+    for vertex in flat_vertices:
+        at = surface.vertices[tris[(tris == vertex).any(axis=1)]]
+        area = np.linalg.norm(np.cross(at[:, 1] - at[:, 0], at[:, 2] - at[:, 0]), axis=1)
+        assert np.any(area == 0.0), vertex
+    rng = np.random.default_rng(7)
+    for vertex in range(len(surface.vertices)):
+        pts = ball_points(surface, vertex, rng, 400)
+        assert np.array_equal(_inside_tester(surface, vertex)(pts), inside(pts)), vertex
+    pts = rng.uniform(-0.5, 3.5, size=(3000, 3))
+    pts = pts[off_face_planes(surface, pts)]
+    assert np.array_equal(contains_points(surface, pts), inside(pts))
+    assert np.array_equal(contains_points(reversed_copy(surface), pts), inside(pts))
+
+def reflex_vertices(surface):
+    return sorted({v for d in dihedral_angles(surface) if d.interior_angle > math.pi
+                   for v in d.edge})
+
+
+REFLEX_MESHES = [fixtures.l_prism(), corner_notch_box()] + [
+    fixtures.notched_box(k) for k in (1, 2, 3)] + [
+    split_top_l_prism()[0], split_top_notched_box()[0]]
+REFLEX_PROBES = [
+    [(v, ball_points(surface, v, np.random.default_rng(v), 200))
+     for v in reflex_vertices(surface)]
+    for surface in REFLEX_MESHES
+]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    index=st.integers(0, len(REFLEX_MESHES) - 1),
+    quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda q: sum(x * x for x in q) > 1e-2),
+    shift=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+    log_scale=st.floats(-3.0, 3.0),
+    reflect=st.booleans(),
+)
+def test_reflex_inside_decisions_invariant_under_similarity(index, quaternion, shift,
+                                                            log_scale, reflect):
+    base = REFLEX_MESHES[index]
+    rotation = Rotation.from_quat(quaternion).as_matrix()
+    faces = base.faces
+    if reflect:
+        # reversing the faces keeps the reflected solid outward-oriented
+        rotation = rotation @ np.diag([1.0, 1.0, -1.0])
+        faces = [tuple(reversed(f)) for f in faces]
+    scale = 10.0 ** log_scale
+    moved = PolyhedralSurface(scale * (base.vertices @ rotation.T + shift), faces)
+    for vertex, pts in REFLEX_PROBES[index]:
+        before = _inside_tester(base, vertex)(pts)
+        after = _inside_tester(moved, vertex)(scale * (pts @ rotation.T + shift))
+        assert np.array_equal(after, before), vertex
+
+
 # ----------------------------------------------------------------------
 # sampling
 
@@ -318,6 +544,25 @@ def test_cone_region_radius_guard(cube):
         ConeRegion(cube, 0, 0.95)
     with pytest.raises(ValueError):
         ArchRegion(cube, 0, 0.5, 0.25)
+
+
+@pytest.mark.parametrize("vertex", [-1, 8, 9])
+def test_regions_reject_vertex_out_of_range(cube, vertex):
+    with pytest.raises(ValueError, match="out of range"):
+        ConeRegion(cube, vertex, 0.25)
+    with pytest.raises(ValueError, match="out of range"):
+        ArchRegion(cube, vertex, 0.25, 0.5)
+
+
+@pytest.mark.parametrize("vertex", [0, 3])
+def test_regions_reject_inside_out_surface(l_prism, vertex):
+    # vertex 0 is convex, vertex 3 on the notch: both inside tests read the
+    # solid's side off the face orientation
+    inward = reversed_copy(l_prism)
+    with pytest.raises(ValueError, match="oriented outward"):
+        ConeRegion(inward, vertex, 0.2)
+    with pytest.raises(ValueError, match="oriented outward"):
+        ArchRegion(inward, vertex, 0.2, 0.4)
 
 
 def test_sample_base_octant_measure(cube):
@@ -381,13 +626,40 @@ def test_degenerate_thin_cone_errors():
 
 
 def test_sample_on_nonconvex_vertex(l_prism):
-    # vertex 3 sits on the reflex notch edge: the parity path must agree
-    # with the analytic L cross-section membership
+    # vertex 3 sits on the reflex notch edge: the link winding path must
+    # agree with the analytic L cross-section membership and, proposal for
+    # proposal, with the ray parity it replaced (same proposal count)
     arch = ArchRegion(l_prism, 3, 0.2, 0.4)
     batch = sample_arch(arch, 20_000, seed=9)
+    assert batch.n_proposals == 53132
     p = batch.points
     in_l = (p[:, 0] <= 1.0) | (p[:, 1] <= 1.0)
     assert bool(np.all(in_l))
     # solid angle at the notch vertex is 3/8 of the sphere
+    expected = (4.0 * math.pi / 3.0) * (0.4 ** 3 - 0.2 ** 3) * 3.0 / 8.0
+    assert abs(batch.measure_estimate - expected) <= 4.0 * batch.measure_stderr
+
+
+def test_sample_at_seven_octant_corner():
+    # the notch corner's cone covers 7 of 8 octants around (1, 1, 1)
+    surface = corner_notch_box()
+    assert validate_surface(surface).ok
+    arch = ArchRegion(surface, 11, 0.2, 0.4)
+    batch = sample_arch(arch, 20_000, seed=3)
+    q = batch.points - 1.0
+    assert not np.any(np.all(q > 0.0, axis=1))
+    expected = (4.0 * math.pi / 3.0) * (0.4 ** 3 - 0.2 ** 3) * 7.0 / 8.0
+    assert abs(batch.measure_estimate - expected) <= 4.0 * batch.measure_stderr
+
+
+def test_sample_at_straight_corner_notch():
+    # the split top's straight corner at the notch vertex must not lose the
+    # half-turn its zero-area triangle stands for
+    surface, inside = split_top_l_prism()
+    arch = ArchRegion(surface, 10, 0.2, 0.4)
+    batch = sample_arch(arch, 20_000, seed=9)
+    assert bool(np.all((batch.points[:, 0] <= 1.0) | (batch.points[:, 1] <= 1.0)))
+    assert bool(np.all(batch.points[:, 2] <= 2.0))
+    # three quarters of the half-space below the top
     expected = (4.0 * math.pi / 3.0) * (0.4 ** 3 - 0.2 ** 3) * 3.0 / 8.0
     assert abs(batch.measure_estimate - expected) <= 4.0 * batch.measure_stderr

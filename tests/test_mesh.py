@@ -202,6 +202,13 @@ def test_degenerate_face_detected():
     assert any(v.kind == "degenerate_face" for v in d.violations)
 
 
+def test_faceless_surface_reports_isolated_vertex():
+    # no faces: no volume to judge, and no cross product of an empty array
+    d = validate_surface(parse_off("OFF\n1 0 0\n0 0 0\n"))
+    assert d.violations == [Violation("isolated_vertex", (0,))]
+    assert (d.face_count, d.edge_count, d.euler_characteristic) == (0, 0, 1)
+
+
 def test_inward_orientation_gives_negative_volume(cube):
     inside_out = PolyhedralSurface(cube.vertices, [tuple(reversed(f)) for f in cube.faces])
     d = validate_surface(inside_out)
