@@ -110,17 +110,19 @@ class PolyhedralSurface:
         self.faces = tuple(clean)
         self._memo = {}
 
-    def cached(self, compute):
-        """``compute(self)``, computed on first use and kept for this surface.
+    def cached(self, compute, *args):
+        """``compute(self, *args)``, computed on first use and kept for this
+        surface and these (hashable) arguments.
 
         For per-surface data derived in modules that import this one; the
-        value must be immutable (a tuple, a read-only mapping, or an array
-        that is not writeable).
+        value must be immutable (a number, a tuple, a read-only mapping, or
+        an array that is not writeable).
         """
+        key = (compute, *args) if args else compute
         try:
-            return self._memo[compute]
+            return self._memo[key]
         except KeyError:
-            value = self._memo[compute] = compute(self)
+            value = self._memo[key] = compute(self, *args)
             return value
 
     # ------------------------------------------------------------------

@@ -206,8 +206,11 @@ def is_monochromatic(surface, side, tau=TAU_ANGLE):
     """True iff only the trivial (all-Dirichlet) partition is admissible.
 
     Returns (flag, witness): the witness is a nontrivial admissible
-    partition when the answer is False, else None.
+    partition when the answer is False, else None.  A surface without faces
+    has no partition to decide on and raises ValueError.
     """
+    if not surface.faces:
+        raise ValueError("surface has no faces")
     q = quotient_graph(surface, side, tau=tau)
     if q.class_count == 1:
         return True, None

@@ -13,8 +13,10 @@ one-sided estimate
     lhs <= int_{B(v,R)} |grad u|^2 + 2 int_{B(v,r)} (W . grad u)^2
            + 2 int_{lateral} |du/dnu| |grad_t u| ds.
 
-Both sides are integrated by rejection Monte Carlo on shared sample
-batches; harmonic polynomials up to degree 3 supply the test functions.
+Both sides are integrated by Monte Carlo on shared sample batches, drawn
+directly with exact region measures where the geometry module can (see
+its docstring) and by rejection elsewhere; harmonic polynomials up to
+degree 3 supply the test functions.
 The 1/|X| volume weight is bounded on the arch (|X| >= r), so plain
 sampling needs no singularity handling.
 """

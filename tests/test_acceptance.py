@@ -2,7 +2,7 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines on a passing run.  The Monte Carlo criterion (4) draws 1e7 samples
-per region and takes a few minutes; everything else is fast.
+per region and takes about a minute and a half; everything else is fast.
 """
 
 import itertools

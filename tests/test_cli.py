@@ -111,6 +111,15 @@ def test_monochromatic_cube_exterior(workdir, tmp_path):
     assert doc["result"]["witness"] is None
 
 
+@pytest.mark.parametrize("text", ["OFF\n1 0 0\n0 0 0\n", "OFF\n0 0 0\n"],
+                         ids=["lone-vertex", "empty"])
+def test_monochromatic_faceless_mesh_exit_2(tmp_path, capsys, text):
+    mesh = tmp_path / "faceless.off"
+    mesh.write_text(text)
+    assert main(["monochromatic", str(mesh), "--side", "interior"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_enumerate_counts(workdir, tmp_path):
     code, body = run_to_file(
         tmp_path, ["enumerate", off(workdir, "l-prism"), "--side", "interior"]

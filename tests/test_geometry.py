@@ -10,12 +10,19 @@ from polymix import fixtures
 from polymix.geometry import (
     ArchRegion,
     ConeRegion,
+    MIN_ACCEPTANCE,
     DegenerateEdgeError,
     GeometryError,
+    _CHUNK,
+    _collect_rejection,
     _inside_tester,
+    _point_segment_distance,
+    _rng,
     contains_point,
     contains_points,
     dihedral_angles,
+    is_convex_vertex,
+    point_face_distance,
     sample_arch,
     sample_base,
     sample_lateral,
@@ -278,6 +285,30 @@ def test_separation_radius_tetrahedron(tetrahedron):
 
 def test_separation_radius_shipped_pyramid(pyramid):
     assert separation_radius(pyramid, 0) == pytest.approx(1.0, abs=1e-12)
+
+
+def loop_separation_radius(surface, vertex):
+    """Reference: the per-entity loop over vertices, edges and faces."""
+    p = surface.vertices[vertex]
+    others = np.delete(np.arange(len(surface.vertices)), vertex)
+    best = float(np.linalg.norm(surface.vertices[others] - p, axis=1).min())
+    for (a, b) in surface.edge_list:
+        if vertex in (a, b):
+            continue
+        best = min(best, _point_segment_distance(p, surface.vertices[a], surface.vertices[b]))
+    for fi, face in enumerate(surface.faces):
+        if vertex in face:
+            continue
+        best = min(best, point_face_distance(surface, p, fi))
+    return best
+
+
+@pytest.mark.parametrize("build", PROBE_MESHES)
+def test_separation_radius_matches_loop_reference(build):
+    surface = build()
+    for vertex in range(len(surface.vertices)):
+        assert separation_radius(surface, vertex) == pytest.approx(
+            loop_separation_radius(surface, vertex), rel=1e-15, abs=0.0), vertex
 
 
 # ----------------------------------------------------------------------
@@ -569,22 +600,24 @@ def test_sample_base_octant_measure(cube):
     cone = ConeRegion(cube, 0, 0.5)
     batch = sample_base(cone, 100_000, seed=11)
     expected = math.pi / 8.0  # octant share of the r=0.5 sphere: 4*pi*r^2/8
-    assert abs(batch.measure_estimate - expected) <= 3.0 * batch.measure_stderr
-    assert batch.measure_stderr < 0.01 * expected
+    assert batch.measure_estimate == pytest.approx(expected, rel=1e-12)
+    assert batch.measure_stderr == 0.0 and batch.acceptance == 1.0
 
 
 def test_sample_arch_octant_volume(cube):
     arch = ArchRegion(cube, 0, 0.25, 0.5)
     batch = sample_arch(arch, 100_000, seed=12)
     expected = (4.0 * math.pi / 3.0) * (0.5 ** 3 - 0.25 ** 3) / 8.0
-    assert abs(batch.measure_estimate - expected) <= 3.0 * batch.measure_stderr
+    assert batch.measure_estimate == pytest.approx(expected, rel=1e-12)
+    assert batch.measure_stderr == 0.0 and batch.acceptance == 1.0
 
 
 def test_sample_lateral_quarter_annuli(cube):
     arch = ArchRegion(cube, 0, 0.25, 0.5)
     batch = sample_lateral(arch, 100_000, seed=13)
     expected = 3.0 * (math.pi / 4.0) * (0.5 ** 2 - 0.25 ** 2)
-    assert abs(batch.measure_estimate - expected) <= 3.0 * batch.measure_stderr
+    assert batch.measure_estimate == pytest.approx(expected, rel=1e-12)
+    assert batch.measure_stderr == 0.0 and batch.acceptance == 1.0
     assert batch.face_ids is not None and batch.normals is not None
 
 
@@ -599,8 +632,9 @@ def test_sampling_deterministic(cube):
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
-def test_stderr_shrinks_at_root_n_rate(cube, seed):
-    cone = ConeRegion(cube, 0, 0.5)
+def test_stderr_shrinks_at_root_n_rate(l_prism, seed):
+    # the notch vertex is reflex, so its base is still sampled by rejection
+    cone = ConeRegion(l_prism, 3, 0.5)
     se1 = sample_base(cone, 20_000, seed=seed).measure_stderr
     se2 = sample_base(cone, 40_000, seed=seed).measure_stderr
     assert 0.6 <= se2 / se1 <= 0.8
@@ -613,16 +647,49 @@ def test_weights_sum_to_measure(cube):
     assert len(batch.points) == 20_000
 
 
-def test_degenerate_thin_cone_errors():
-    # a needle: near-zero solid angle at the apex vertex
+def needle():
+    """A thin convex cone: near-zero solid angle at the apex vertex 0."""
     verts = np.array(
         [[0, 0, 0], [1, 0, 1], [0, 1e-5, 1], [-1, 0, 1], [0, -1e-5, 1]], dtype=float
     )
     faces = [(0, 2, 1), (0, 3, 2), (0, 4, 3), (0, 1, 4), (1, 2, 3, 4)]
-    needle = PolyhedralSurface(verts, faces)
-    arch = ArchRegion(needle, 0, 0.25, 0.5)
+    return PolyhedralSurface(verts, faces)
+
+
+def girard_solid_angle(surface, vertex):
+    """Solid angle of a convex vertex cone: its link is a spherical polygon
+    whose corner angles are the interior angles of the edges at the vertex,
+    so its area is their sum less (k - 2) pi."""
+    angles = [d.interior_angle for d in dihedral_angles(surface) if vertex in d.edge]
+    return math.fsum(angles) - (len(angles) - 2) * math.pi
+
+
+def test_degenerate_thin_cone_sampled_exactly():
+    # the needle is convex, so its arch is sampled directly: no proposal is
+    # wasted however thin the cone
+    surface = needle()
+    arch = ArchRegion(surface, 0, 0.25, 0.5)
+    batch = sample_arch(arch, 50_000, seed=1)
+    omega = girard_solid_angle(surface, 0)
+    assert 1e-6 < omega < 1e-4
+    assert batch.measure_estimate == pytest.approx(omega * (0.5 ** 3 - 0.25 ** 3) / 3.0,
+                                                   rel=1e-9)
+    assert batch.n_proposals == 50_000
+    assert_in_halfspaces(surface, 0, batch.points, 0.5)
+
+
+def test_rejection_aborts_below_min_acceptance():
+    # one proposal in 20,000 accepted: the sampler gives up once it has made
+    # 64 proposals per wanted point
+    def gen(shard):
+        return np.zeros((1 << 18, 3)), None
+
+    def accept(pts):
+        return np.arange(len(pts)) % 20_000 == 0
+
+    assert 1.0 / 20_000 < MIN_ACCEPTANCE
     with pytest.raises(GeometryError, match="acceptance ratio"):
-        sample_arch(arch, 50_000, seed=1)
+        _collect_rejection("arch-volume", 1, 1.0, 50_000, gen, accept)
 
 
 def test_sample_on_nonconvex_vertex(l_prism):
@@ -663,3 +730,191 @@ def test_sample_at_straight_corner_notch():
     # three quarters of the half-space below the top
     expected = (4.0 * math.pi / 3.0) * (0.4 ** 3 - 0.2 ** 3) * 3.0 / 8.0
     assert abs(batch.measure_estimate - expected) <= 4.0 * batch.measure_stderr
+
+
+# ----------------------------------------------------------------------
+# direct samplers against the rejection reference
+
+
+def rejection_sample_base(cone, n, seed):
+    """Reference: uniform points on the whole sphere, kept when inside."""
+    surface, v, r = cone.surface, cone.surface.vertices[cone.vertex], cone.radius
+    inside = _inside_tester(surface, cone.vertex)
+
+    def gen(shard):
+        d = _rng(seed, shard).normal(size=(min(_CHUNK, max(4 * n, 1024)), 3))
+        return v + r * d / np.linalg.norm(d, axis=1)[:, None], None
+
+    return _collect_rejection("base-sphere", seed, 4.0 * math.pi * r * r, n, gen, inside)
+
+
+def rejection_sample_arch(arch, n, seed):
+    """Reference: uniform points in the whole shell, kept when inside."""
+    v = arch.surface.vertices[arch.vertex]
+    r3, R3 = arch.r_inner ** 3, arch.r_outer ** 3
+
+    def gen(shard):
+        g = _rng(seed, shard)
+        m = min(_CHUNK, max(4 * n, 1024))
+        d = g.normal(size=(m, 3))
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        return v + np.cbrt(r3 + g.uniform(size=m) * (R3 - r3))[:, None] * d, None
+
+    return _collect_rejection("arch-volume", seed, 4.0 * math.pi / 3.0 * (R3 - r3), n, gen,
+                              _inside_tester(arch.surface, arch.vertex))
+
+
+def rejection_sample_lateral(arch, n, seed):
+    """Reference: area-weighted points on the triangles of the faces at the
+    vertex, kept when inside the shell."""
+    surface = arch.surface
+    v = surface.vertices[arch.vertex]
+    tri_face = [fi for fi in arch.lateral_face_ids for _ in surface.triangulate_face(fi)]
+    tris = np.array([surface.vertices[list(t)] for fi in arch.lateral_face_ids
+                     for t in surface.triangulate_face(fi)])
+    areas = 0.5 * np.linalg.norm(np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]),
+                                 axis=1)
+
+    def gen(shard):
+        g = _rng(seed, shard)
+        m = min(_CHUNK, max(4 * n, 1024))
+        pick = g.choice(len(tris), size=m, p=areas / areas.sum())
+        s = np.sqrt(g.uniform(size=m))[:, None]
+        t = g.uniform(size=m)[:, None]
+        a = tris[pick, 0]
+        return (a + s * ((tris[pick, 1] - a) + t * (tris[pick, 2] - tris[pick, 1])),
+                np.asarray(tri_face)[pick])
+
+    def accept(pts):
+        rr = np.linalg.norm(pts - v, axis=1)
+        return (rr >= arch.r_inner) & (rr <= arch.r_outer)
+
+    batch = _collect_rejection("lateral-surface", seed, float(areas.sum()), n, gen, accept)
+    batch.normals = surface.face_normals[batch.face_ids]
+    return batch
+
+
+def assert_in_halfspaces(surface, vertex, pts, r_outer):
+    """Every point lies in the half-space of every face at the vertex, up to
+    1e-12 * r_outer."""
+    normals = surface.face_normals[list(surface.vertex_faces[vertex])]
+    assert ((pts - surface.vertices[vertex]) @ normals.T).max() <= 1e-12 * r_outer
+
+
+def assert_same_means(x, y, sigmas=4.0):
+    """Column means of two independent samples agree within `sigmas` standard errors."""
+    se = np.sqrt(x.var(axis=0) / len(x) + y.var(axis=0) / len(y))
+    assert np.all(np.abs(x.mean(axis=0) - y.mean(axis=0)) <= sigmas * se)
+
+
+def radius_and_direction(batch, vertex_point):
+    x = batch.points - vertex_point
+    r = np.linalg.norm(x, axis=1)
+    return np.column_stack([r, x / r[:, None]])
+
+
+def convex_arches():
+    """Cube vertex 0, the pyramid apex, and vertices 0-2 of hulls 3, 7 and 11."""
+    out = [pytest.param(fixtures.cube(), 0, 0.25, 0.5, id="cube-v0"),
+           pytest.param(fixtures.square_pyramid(), 0, 0.25, 0.5, id="pyramid-apex")]
+    for seed in (3, 7, 11):
+        hull = fixtures.generate_hull(seed)
+        for vertex in range(3):
+            rho = separation_radius(hull, vertex)
+            out.append(pytest.param(hull, vertex, 0.4 * rho, 0.8 * rho,
+                                    id="hull-%d-v%d" % (seed, vertex)))
+    return out
+
+
+@pytest.mark.parametrize("surface, vertex, r_inner, r_outer", convex_arches())
+def test_direct_samplers_match_rejection_reference(surface, vertex, r_inner, r_outer):
+    assert is_convex_vertex(surface, vertex)
+    arch = ArchRegion(surface, vertex, r_inner, r_outer)
+    v = surface.vertices[vertex]
+    n = 20_000
+    omega = girard_solid_angle(surface, vertex)
+    pairs = [
+        (sample_arch(arch, n, 1), rejection_sample_arch(arch, n, 2),
+         omega * (r_outer ** 3 - r_inner ** 3) / 3.0),
+        (sample_base(arch.inner_base, n, 3), rejection_sample_base(arch.inner_base, n, 4),
+         omega * r_inner ** 2),
+        (sample_lateral(arch, n, 5), rejection_sample_lateral(arch, n, 6), None),
+    ]
+    for direct, reference, exact in pairs:
+        assert direct.n_proposals == n and direct.measure_stderr == 0.0
+        if exact is not None:
+            assert direct.measure_estimate == pytest.approx(exact, rel=1e-12)
+        assert (abs(direct.measure_estimate - reference.measure_estimate)
+                <= 4.0 * reference.measure_stderr), direct.tag
+        assert_same_means(radius_and_direction(direct, v), radius_and_direction(reference, v))
+    for batch in (pairs[0][0], pairs[1][0]):
+        assert_in_halfspaces(surface, vertex, batch.points, r_outer)
+
+
+LATERAL_ARCHES = [
+    pytest.param(fixtures.cube(), 0, id="cube-v0"),
+    pytest.param(fixtures.square_pyramid(), 0, id="pyramid-apex"),
+    pytest.param(fixtures.l_prism(), 3, id="lprism-notch"),
+    pytest.param(needle(), 0, id="needle"),
+    pytest.param(split_top_l_prism()[0], 10, id="split-top-straight-corner"),
+    pytest.param(fixtures.notched_box(2), 5, id="notched-box-2-v5"),
+]
+
+
+@pytest.mark.parametrize("surface, vertex", LATERAL_ARCHES)
+def test_lateral_points_on_their_faces_inside_the_shell(surface, vertex):
+    # reflex and straight face corners included: each face is its corner wedge
+    rho = separation_radius(surface, vertex)
+    arch = ArchRegion(surface, vertex, 0.3 * rho, 0.8 * rho)
+    batch = sample_lateral(arch, 20_000, 8)
+    reference = rejection_sample_lateral(arch, 20_000, 9)
+    assert (abs(batch.measure_estimate - reference.measure_estimate)
+            <= 4.0 * reference.measure_stderr)
+    v = surface.vertices[vertex]
+    assert_same_means(radius_and_direction(batch, v), radius_and_direction(reference, v))
+    tol = 1e-12 * arch.r_outer
+    x = batch.points - v
+    r = np.linalg.norm(x, axis=1)
+    assert r.min() >= arch.r_inner - tol and r.max() <= arch.r_outer + tol
+    assert set(batch.face_ids.tolist()) == set(surface.vertex_faces[vertex])
+    assert np.array_equal(batch.normals, surface.face_normals[batch.face_ids])
+    assert np.abs(np.einsum("ij,ij->i", x, batch.normals)).max() <= tol
+    for p, f in zip(batch.points[:300], batch.face_ids[:300]):
+        assert point_face_distance(surface, p, f) <= tol
+
+
+SIMILARITY_MESHES = PROPERTY_MESHES + [needle(), fixtures.notched_box(1)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    index=st.integers(0, len(SIMILARITY_MESHES) - 1),
+    vertex_pick=st.integers(0, 1 << 16),
+    quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda q: sum(x * x for x in q) > 1e-2),
+    shift=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+    log_scale=st.floats(-3.0, 3.0),
+    reflect=st.booleans(),
+)
+def test_exact_measures_invariant_under_similarity(index, vertex_pick, quaternion, shift,
+                                                   log_scale, reflect):
+    base = SIMILARITY_MESHES[index]
+    vertex = vertex_pick % len(base.vertices)
+    rotation = Rotation.from_quat(quaternion).as_matrix()
+    faces = base.faces
+    if reflect:
+        # reversing the faces keeps the reflected solid outward-oriented
+        rotation = rotation @ np.diag([1.0, 1.0, -1.0])
+        faces = [tuple(reversed(f)) for f in faces]
+    s = 10.0 ** log_scale
+    moved = PolyhedralSurface(s * (base.vertices @ rotation.T + shift), faces)
+    rho = separation_radius(base, vertex)
+    before = ArchRegion(base, vertex, 0.3 * rho, 0.6 * rho)
+    after = ArchRegion(moved, vertex, 0.3 * rho * s, 0.6 * rho * s)
+    samplers = [(sample_lateral, 2)]
+    if is_convex_vertex(base, vertex):
+        assert is_convex_vertex(moved, vertex)
+        samplers += [(sample_arch, 3), (lambda a, n, seed: sample_base(a.outer_base, n, seed), 2)]
+    for sampler, power in samplers:
+        want = sampler(before, 8, 1).measure_estimate * s ** power
+        assert sampler(after, 8, 1).measure_estimate == pytest.approx(want, rel=1e-10)
