@@ -43,13 +43,24 @@ def parse_angle(text):
     return float(s)
 
 
-def _read_mesh(path):
+def _parse_mesh(path):
     try:
         return read_off(path)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
     except OffParseError as exc:
         raise InputError("bad OFF input %s: %s" % (path, exc)) from exc
+
+
+def _read_mesh(path):
+    """Parse and validate a mesh; every pipeline assumes a valid surface."""
+    surface = _parse_mesh(path)
+    violations = validate_surface(surface).violations
+    if violations:
+        kinds = sorted({v.kind for v in violations})
+        raise InputError("mesh %s fails validation (%s); run 'polymix validate' for details"
+                         % (path, ", ".join(kinds)))
+    return surface
 
 
 def _read_partition(path, side_override=None):
@@ -91,7 +102,7 @@ def _config_dict(args, **extra):
 
 
 def cmd_validate(args):
-    surface = _read_mesh(args.mesh)
+    surface = _parse_mesh(args.mesh)
     diag = validate_surface(surface)
     cfg = _config_dict(args, mesh=args.mesh)
     result = diag.to_json_dict()
@@ -103,9 +114,6 @@ def cmd_validate(args):
 
 def cmd_angles(args):
     surface = _read_mesh(args.mesh)
-    diag = validate_surface(surface)
-    if not diag.ok:
-        raise InputError("mesh fails validation; run 'polymix validate' for details")
     cfg = _config_dict(args, mesh=args.mesh)
     rows = angles_csv_rows(surface)
     if args.format == "csv":
@@ -191,9 +199,6 @@ def cmd_search(args):
 
 def cmd_rellich(args):
     surface = _read_mesh(args.mesh)
-    diag = validate_surface(surface)
-    if not diag.ok:
-        raise InputError("mesh fails validation; run 'polymix validate' for details")
     try:
         arch = ArchRegion(surface, args.vertex, args.r_inner, args.r_outer)
     except ValueError as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .mesh import PolyhedralSurface
+from .mesh import PolyhedralSurface, midpoint_subdivide
 
 
 def cube(edge=1.0):
@@ -177,34 +177,20 @@ _OCTAHEDRON_FACES = [
 def generate_star_sphere(seed, subdivisions=1, amplitude=0.25):
     """Radially perturbed triangulated sphere, star-shaped from the origin.
 
-    Starts from an octahedron, subdivides `subdivisions` times (midpoints
-    projected to the unit sphere), then scales each vertex radius by a
-    uniform factor in [1 - amplitude, 1 + amplitude].
+    Starts from an octahedron and applies :func:`midpoint_subdivide`
+    `subdivisions` times, projecting each new midpoint to the unit sphere,
+    then scales each vertex radius by a uniform factor in
+    [1 - amplitude, 1 + amplitude].
     """
     if not 0 <= amplitude < 1:
         raise ValueError("amplitude must be in [0, 1)")
-    verts = [tuple(p) for p in _OCTAHEDRON_VERTS]
-    faces = list(_OCTAHEDRON_FACES)
+    v, faces = _OCTAHEDRON_VERTS, _OCTAHEDRON_FACES
     for _ in range(int(subdivisions)):
-        midpoint = {}
-        index = {p: i for i, p in enumerate(verts)}
-
-        def mid(i, j):
-            key = (i, j) if i < j else (j, i)
-            if key not in midpoint:
-                p = np.asarray(verts[i]) + np.asarray(verts[j])
-                p = tuple(p / np.linalg.norm(p))
-                index[p] = len(verts)
-                verts.append(p)
-                midpoint[key] = index[p]
-            return midpoint[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-        faces = new_faces
-    v = np.asarray(verts, dtype=float)
+        old = len(v)
+        v, faces = midpoint_subdivide(v, faces)
+        p = v[old:]
+        # rounds as np.linalg.norm of each 3-vector; norm(axis=1) may not
+        v[old:] = p / np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0]
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x57)))
     radii = 1.0 + amplitude * (2.0 * rng.uniform(size=len(v)) - 1.0)
     return PolyhedralSurface(v * radii[:, None], faces)

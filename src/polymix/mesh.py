@@ -207,9 +207,10 @@ class PolyhedralSurface:
     def triangulate_face(self, fi, root_offset=0):
         """Triangulate one face into vertex-index triples.
 
-        Convex faces get a fan from the lowest-index vertex (rotatable via
-        ``root_offset``); nonconvex faces are ear-clipped, which stays inside
-        the polygon.
+        Strictly convex faces get a fan from the lowest-index vertex
+        (rotatable via ``root_offset``); other faces, including convex ones
+        with a straight corner, are ear-clipped, which stays inside the
+        polygon and never clips a straight corner into a zero-area triangle.
         """
         face = self.faces[fi]
         k = len(face)
@@ -235,26 +236,48 @@ class PolyhedralSurface:
         rel = p - p[0]
         return np.column_stack([rel @ u, rel @ w])
 
-    @cached_property
-    def triangles(self):
+    def triangulate(self, root_offset=0):
         """(T, 3) triangle index array covering all faces, plus provenance.
 
         Returns the pair (triangles, tri_face) where ``tri_face[t]`` is the
-        source face of triangle t.
+        source face of triangle t; ``root_offset`` as in :meth:`triangulate_face`.
         """
-        tris = []
-        prov = []
-        for fi in range(len(self.faces)):
-            for t in self.triangulate_face(fi):
-                tris.append(t)
-                prov.append(fi)
-        return np.array(tris, dtype=np.int64).reshape(-1, 3), np.array(prov, dtype=np.int64)
+        per_face = [self.triangulate_face(fi, root_offset) for fi in range(len(self.faces))]
+        tris = np.array([t for ts in per_face for t in ts], dtype=np.int64).reshape(-1, 3)
+        return tris, np.repeat(np.arange(len(per_face)), [len(ts) for ts in per_face])
+
+    @cached_property
+    def triangles(self):
+        """:meth:`triangulate` at root offset 0."""
+        return self.triangulate()
 
     @cached_property
     def signed_volume(self):
         tris, _ = self.triangles
         p = self.vertices[tris]
         return float(np.einsum("ij,ij->i", p[:, 0], np.cross(p[:, 1], p[:, 2])).sum() / 6.0)
+
+
+def midpoint_subdivide(vertices, triangles):
+    """One uniform midpoint refinement: every triangle becomes four.
+
+    Returns ``(vertices, triangles)``.  The old vertices keep their rows;
+    each edge midpoint is appended once, numbered by first use over the
+    triangles' (ab, bc, ca) edges in triangle order.  Triangle
+    ``(a, b, c)`` becomes ``(a, ab, ca), (ab, b, bc), (ca, bc, c),
+    (ab, bc, ca)`` in place, so the children of a triangle stay adjacent.
+    """
+    v = np.asarray(vertices, dtype=float)
+    t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    ends = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    key = ends.min(axis=1) * len(v) + ends.max(axis=1)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct edges in order of first use
+    ab, bc, ca = (len(v) + np.argsort(order)[inverse]).reshape(-1, 3).T
+    a, b, c = t.T
+    children = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
+    new = ends[first[order]]
+    return np.vstack([v, 0.5 * (v[new[:, 0]] + v[new[:, 1]])]), children
 
 
 def plane_basis(n):
@@ -282,7 +305,7 @@ def _polygon_is_convex(pts2):
     tol = 1e-12 * scale
     if n < 4:
         return True
-    return bool(np.all(cross >= -tol))
+    return bool(np.all(cross > tol))
 
 
 def _ear_clip(pts2, start=0):
@@ -469,7 +492,8 @@ def validate_surface(surface):
 
     Kinds reported: ``edge_face_count``, ``orientation``,
     ``nonmanifold_vertex``, ``isolated_vertex``, ``disconnected``,
-    ``nonplanar_face``, ``degenerate_face``, ``negative_volume``.
+    ``nonplanar_face``, ``degenerate_face``, ``negative_volume``, and
+    ``empty_surface`` (no faces and not even an isolated vertex).
     """
     violations = []
     inc = surface.edge_incidence
@@ -500,6 +524,8 @@ def validate_surface(surface):
 
     # face-adjacency connectivity (via shared edges)
     nf = len(surface.faces)
+    if not nf and not len(surface.vertices):
+        violations.append(Violation("empty_surface", ()))
     if nf:
         joined = [(faces[0], f) for faces in surface.edge_faces for f in faces[1:]]
         rows, cols = np.array(joined, dtype=np.int64).reshape(-1, 2).T

@@ -1,9 +1,12 @@
 """Discrete extension seminorm: minimize piecewise-linear surface Dirichlet
 energy over all extensions of boundary data given on the Dirichlet faces.
 
-The surface is fan/ear triangulated, uniformly midpoint-refined L times,
-and the cotangent-weight quadratic form is minimized over the free
-vertices with conjugate gradients.  By default every vertex of the closed
+The surface is fan/ear triangulated and refined L times by the array
+kernel :func:`polymix.mesh.midpoint_subdivide`; which base faces touch each
+refined vertex is one sparse (vertices x faces) incidence matrix, so the
+Dirichlet vertices come from one matrix-vector product.  The
+cotangent-weight quadratic form is minimized over the free vertices with
+conjugate gradients.  By default every vertex of the closed
 Dirichlet region is pinned to the data (any finite-energy extension that
 matches f on an open face matches it on the closure); the relaxed variant
 that leaves shared Dirichlet/Neumann edge vertices free is available via
@@ -23,7 +26,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import cg
 
-from .mesh import PolyhedralSurface
+from .mesh import PolyhedralSurface, midpoint_subdivide
 
 SOLVER_RTOL = 1e-10
 
@@ -39,9 +42,10 @@ class EnergySolveError(RuntimeError):
 class RefinedSurface:
     """Triangulated, L-times midpoint-refined surface with provenance.
 
-    ``vertex_faces[i]`` is the frozenset of base faces whose closed facet
-    contains refined vertex i (derived from triangle provenance, so edge
-    and corner vertices carry every touching face).
+    ``tri_face[t]`` is the base face of refined triangle t.  ``vertex_faces``
+    is the boolean (V, F) CSR incidence built from it, indices sorted in
+    each row: row i marks the base faces whose closed facet contains
+    refined vertex i, so edge and corner vertices carry every touching face.
     """
 
     base: PolyhedralSurface
@@ -50,7 +54,7 @@ class RefinedSurface:
     vertices: np.ndarray
     triangles: np.ndarray
     tri_face: np.ndarray
-    vertex_faces: tuple
+    vertex_faces: sparse.csr_matrix
 
     @property
     def vertex_count(self):
@@ -61,47 +65,23 @@ def refine(base, level, fan_offset=0):
     """Fan/ear triangulate every face, then refine `level` times."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    verts = [tuple(p) for p in np.asarray(base.vertices, dtype=float)]
-    tris = []
-    tri_face = []
-    for fi in range(len(base.faces)):
-        for t in base.triangulate_face(fi, root_offset=fan_offset):
-            tris.append(t)
-            tri_face.append(fi)
-
+    verts = np.asarray(base.vertices, dtype=float)
+    tris, tri_face = base.triangulate(fan_offset)
     for _ in range(int(level)):
-        midpoint = {}
-
-        def mid(i, j):
-            key = (i, j) if i < j else (j, i)
-            if key not in midpoint:
-                p = 0.5 * (np.asarray(verts[i]) + np.asarray(verts[j]))
-                midpoint[key] = len(verts)
-                verts.append(tuple(p))
-            return midpoint[key]
-
-        new_tris = []
-        new_face = []
-        for (a, b, c), fi in zip(tris, tri_face):
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_tris += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-            new_face += [fi] * 4
-        tris = new_tris
-        tri_face = new_face
-
-    vertex_faces = [set() for _ in verts]
-    for (a, b, c), fi in zip(tris, tri_face):
-        vertex_faces[a].add(fi)
-        vertex_faces[b].add(fi)
-        vertex_faces[c].add(fi)
+        verts, tris = midpoint_subdivide(verts, tris)
+    tri_face = np.repeat(tri_face, 4 ** int(level))
+    incidence = sparse.csr_matrix(
+        (np.ones(tris.size, dtype=bool), (tris.ravel(), np.repeat(tri_face, 3))),
+        shape=(len(verts), len(base.faces)),
+    )
     return RefinedSurface(
         base=base,
         level=int(level),
         fan_offset=int(fan_offset),
-        vertices=np.asarray(verts, dtype=float),
-        triangles=np.asarray(tris, dtype=np.int64),
-        tri_face=np.asarray(tri_face, dtype=np.int64),
-        vertex_faces=tuple(frozenset(s) for s in vertex_faces),
+        vertices=verts,
+        triangles=tris,
+        tri_face=tri_face,
+        vertex_faces=incidence,
     )
 
 
@@ -134,15 +114,6 @@ class TraceData:
         items = tuple(sorted((int(f), float(v)) for f, v in dict(mapping).items()))
         return cls(kind="face_constants", constants=items)
 
-    def value_for(self, point, d_faces_here):
-        if self.kind == "coordinate":
-            return float(point[("x", "y", "z").index(self.axis)])
-        table = dict(self.constants)
-        for f in sorted(d_faces_here):
-            if f in table:
-                return table[f]
-        raise ValueError("no constant supplied for Dirichlet faces %r" % (sorted(d_faces_here),))
-
 
 def constrained_vertices(refined, partition, data, closure=True):
     """Indices and values of the vertices pinned by the Dirichlet data.
@@ -159,17 +130,26 @@ def constrained_vertices(refined, partition, data, closure=True):
     labels = partition.labels
     if len(labels) != len(refined.base.faces):
         raise ValueError("partition does not match the base surface")
-    idx = []
-    vals = []
-    for i, prov in enumerate(refined.vertex_faces):
-        if not prov:
-            continue
-        d_here = frozenset(f for f in prov if labels[f] == "D")
-        pinned = bool(d_here) if closure else (d_here == prov)
-        if pinned:
-            idx.append(i)
-            vals.append(data.value_for(refined.vertices[i], d_here))
-    return np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=float)
+    incidence = refined.vertex_faces
+    is_d = np.array([label == "D" for label in labels], dtype=bool)
+    d_count = incidence @ is_d.astype(np.int64)
+    faces_here = incidence.getnnz(axis=1)
+    pinned = d_count > 0 if closure else (d_count == faces_here) & (faces_here > 0)
+    idx = np.flatnonzero(pinned)
+    if data.kind == "coordinate":
+        return idx, refined.vertices[idx, ("x", "y", "z").index(data.axis)]
+    # each pinned vertex takes the constant of its least-index D face that has one
+    table = dict(data.constants)
+    supplied = np.flatnonzero([l == "D" and f in table for f, l in enumerate(labels)])
+    rows = incidence[idx][:, supplied]
+    rows.sort_indices()  # the least supplied face comes first in each row
+    bare = np.flatnonzero(np.diff(rows.indptr) == 0)
+    if len(bare):
+        faces = incidence[idx[bare[0]]].indices
+        raise ValueError("no constant supplied for Dirichlet faces %r"
+                         % (faces[is_d[faces]].tolist(),))
+    values = np.array([table[f] for f in supplied.tolist()], dtype=float)
+    return idx, values[rows.indices[rows.indptr[:-1]]]
 
 
 # ----------------------------------------------------------------------

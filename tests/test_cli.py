@@ -171,6 +171,26 @@ def test_trace_energy_study(tmp_path):
     assert body.decode().strip().endswith("CONVERGENT")
 
 
+def test_trace_energy_at_straight_face_corner(tmp_path):
+    # a straight face corner once fanned into a zero-area triangle, whose
+    # infinite cotangent weight sent conjugate gradients to NaN
+    from polymix.mesh import serialize_off
+    from test_geometry import split_top_l_prism
+
+    surface, _ = split_top_l_prism()
+    mesh = tmp_path / "split.off"
+    mesh.write_text(serialize_off(surface))
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({"side": "interior", "labels": ["D"] + ["N"] * 8}))
+    for fan_offset in range(4):
+        code, body = run_to_file(tmp_path, ["trace-energy", str(mesh), str(part),
+                                            "--data", "coordinate:x", "--levels", "2",
+                                            "--fan-offset", str(fan_offset)])
+        assert code == EXIT_OK
+        energies = json.loads(body)["result"]["energies"]
+        assert len(energies) == 3 and all(math.isfinite(e) for e in energies)
+
+
 def test_search_subcommand(tmp_path):
     code, body = run_to_file(
         tmp_path, ["search", "--family", "hulls", "--budget", "5", "--seed", "1"]
@@ -206,8 +226,7 @@ def test_unknown_subcommand_exit_2(capsys):
 
 
 def test_degenerate_edge_exit_2(tmp_path, capsys):
-    # a two-triangle "pillow": every edge is a knife edge, and the
-    # subcommands that skip mesh validation must still report it cleanly
+    # a two-triangle "pillow": every edge is a knife edge, reported cleanly
     pillow = tmp_path / "pillow.off"
     pillow.write_text("OFF\n3 2 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 0 2 1\n")
     assert main(["enumerate", str(pillow), "--side", "interior"]) == EXIT_INPUT
@@ -225,6 +244,38 @@ def test_rellich_vertex_out_of_range_exit_2(workdir, tmp_path, capsys, vertex):
 def test_bad_alpha_exit_2(tmp_path):
     assert main(["sector-blowup", "--alpha", "0.5pi",
                  "--output", str(tmp_path / "x.json")]) == EXIT_INPUT
+
+
+LONE_VERTEX_OFF = "OFF\n1 0 0\n0 0 0\n"
+EMPTY_OFF = "OFF\n0 0 0\n"
+
+
+@pytest.mark.parametrize("text, argv", [
+    (LONE_VERTEX_OFF, ["enumerate", "{mesh}", "--side", "interior"]),
+    (EMPTY_OFF, ["angles", "{mesh}"]),
+    (EMPTY_OFF, ["enumerate", "{mesh}", "--side", "interior"]),
+    (EMPTY_OFF, ["check-partition", "{mesh}", "{partition}"]),
+], ids=["enumerate-lone-vertex", "angles-empty", "enumerate-empty", "check-partition-empty"])
+def test_invalid_mesh_exit_2(tmp_path, capsys, text, argv):
+    mesh = tmp_path / "bad.off"
+    mesh.write_text(text)
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({"side": "interior", "labels": []}))
+    argv = [a.format(mesh=mesh, partition=part) for a in argv]
+    assert main(argv + ["--output", str(tmp_path / "r.json")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "fails validation" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_validate_strict_fails_on_empty_mesh(tmp_path):
+    empty = tmp_path / "empty.off"
+    empty.write_text(EMPTY_OFF)
+    code, body = run_to_file(tmp_path, ["validate", str(empty)])
+    assert code == EXIT_OK
+    assert json.loads(body)["result"]["violations"] == [
+        {"kind": "empty_surface", "location": []}]
+    assert main(["validate", str(empty), "--strict"]) == EXIT_VALIDATION
 
 
 # ----------------------------------------------------------------------

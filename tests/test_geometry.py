@@ -416,8 +416,7 @@ def split_top_l_prism():
     """The l-prism with its top cut into [0, 2] x [0, 1] and [0, 1] x [1, 2].
 
     Vertex 10 at (1, 1, 2), the top of the notch edge, is a straight corner
-    of the first rectangle, which is fanned from vertex 0 at (0, 1, 2): its
-    one triangle at vertex 10 has zero area.
+    of the first rectangle.
     """
     verts = np.array([
         [0, 1, 2], [0, 0, 0], [2, 0, 0], [2, 1, 0], [1, 1, 0], [1, 2, 0], [0, 2, 0],
@@ -433,8 +432,7 @@ def split_top_notched_box():
     """Notched box 1 with its top cut into [0, 3] x [0, 1] and two unit squares.
 
     Vertices 14 and 15 at (2, 1, 2) and (1, 1, 2), the tops of the notch
-    edges, are straight corners of the strip, which is fanned from vertex 0
-    at (0, 1, 2): each of its triangles at vertices 14 and 15 has zero area.
+    edges, are straight corners of the strip.
     """
     section = [(0, 0), (3, 0), (3, 2), (2, 2), (2, 1), (1, 1), (1, 2), (0, 2)]
     verts = np.array([[0, 1, 2], [3, 1, 2]] + [[x, y, z] for z in (0, 2) for x, y in section],
@@ -505,16 +503,16 @@ def test_vertex_inside_tester_matches_ray_parity(build):
 
 @pytest.mark.parametrize("build, flat_vertices", STRAIGHT_CORNER_MESHES)
 def test_inside_tests_at_straight_face_corners(build, flat_vertices):
-    # a face corner of angle pi at a reflex vertex, covered by zero-area
-    # triangles only; ray parity over those triangles grazes on every ray,
-    # so the reference here is the solid's own box membership
+    # a face corner of angle pi at a reflex vertex; triangulation ear-clips
+    # such faces, so no zero-area triangle stands for the corner.  The
+    # reference here is the solid's own box membership
     surface, inside = build()
     assert validate_surface(surface).ok
     tris, _ = surface.triangles
     for vertex in flat_vertices:
         at = surface.vertices[tris[(tris == vertex).any(axis=1)]]
         area = np.linalg.norm(np.cross(at[:, 1] - at[:, 0], at[:, 2] - at[:, 0]), axis=1)
-        assert np.any(area == 0.0), vertex
+        assert np.all(area > 0.0), vertex
     rng = np.random.default_rng(7)
     for vertex in range(len(surface.vertices)):
         pts = ball_points(surface, vertex, rng, 400)
@@ -720,8 +718,8 @@ def test_sample_at_seven_octant_corner():
 
 
 def test_sample_at_straight_corner_notch():
-    # the split top's straight corner at the notch vertex must not lose the
-    # half-turn its zero-area triangle stands for
+    # the split top's straight corner at the notch vertex is a half-turn of
+    # the link that the sampler must not lose
     surface, inside = split_top_l_prism()
     arch = ArchRegion(surface, 10, 0.2, 0.4)
     batch = sample_arch(arch, 20_000, seed=9)

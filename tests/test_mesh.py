@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polymix import fixtures
 from polymix.mesh import (
     OffParseError,
     PolyhedralSurface,
     Violation,
+    midpoint_subdivide,
     parse_off,
     serialize_off,
     validate_surface,
@@ -209,6 +211,12 @@ def test_faceless_surface_reports_isolated_vertex():
     assert (d.face_count, d.edge_count, d.euler_characteristic) == (0, 0, 1)
 
 
+def test_empty_surface_reported():
+    d = validate_surface(parse_off("OFF\n0 0 0\n"))
+    assert d.violations == [Violation("empty_surface", ())]
+    assert not d.ok
+
+
 def test_inward_orientation_gives_negative_volume(cube):
     inside_out = PolyhedralSurface(cube.vertices, [tuple(reversed(f)) for f in cube.faces])
     d = validate_surface(inside_out)
@@ -324,3 +332,61 @@ def test_link_verdicts_equal_walk_reference(build):
     reported = [v.location[0] for v in validate_surface(surface).violations
                 if v.kind == "nonmanifold_vertex"]
     assert reported == reference_nonmanifold_vertices(surface)
+
+
+# ----------------------------------------------------------------------
+# midpoint subdivision
+
+
+def reference_star_sphere(seed, subdivisions=1, amplitude=0.25):
+    """Reference: the dict walk over midpoints, each projected to the sphere."""
+    verts = [tuple(p) for p in fixtures._OCTAHEDRON_VERTS]
+    faces = list(fixtures._OCTAHEDRON_FACES)
+    for _ in range(int(subdivisions)):
+        midpoint = {}
+
+        def mid(i, j):
+            key = (i, j) if i < j else (j, i)
+            if key not in midpoint:
+                p = np.asarray(verts[i]) + np.asarray(verts[j])
+                midpoint[key] = len(verts)
+                verts.append(tuple(p / np.linalg.norm(p)))
+            return midpoint[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            new_faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+        faces = new_faces
+    v = np.asarray(verts, dtype=float)
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x57)))
+    radii = 1.0 + amplitude * (2.0 * rng.uniform(size=len(v)) - 1.0)
+    return v * radii[:, None], faces
+
+
+@pytest.mark.parametrize("subdivisions", [1, 2, 3])
+def test_star_sphere_equals_dict_walk_reference(subdivisions):
+    for seed in range(20):
+        surface = fixtures.generate_star_sphere(seed, subdivisions)
+        verts, faces = reference_star_sphere(seed, subdivisions)
+        assert np.array_equal(surface.vertices, verts), seed
+        assert surface.faces == tuple(faces), seed
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n_points=st.integers(4, 24))
+def test_midpoint_subdivide_on_hulls(seed, n_points):
+    hull = fixtures.generate_hull(seed, n_points)
+    tris = np.array(hull.faces, dtype=np.int64)
+    nv, ne = len(hull.vertices), len(hull.edge_list)
+    verts, children = midpoint_subdivide(hull.vertices, tris)
+    assert verts.shape == (nv + ne, 3) and children.shape == (4 * len(tris), 3)
+    assert np.array_equal(verts[:nv], hull.vertices)
+    # the middle child of (a, b, c) is (ab, bc, ca)
+    mids = children[3::4]
+    assert sorted(set(mids.ravel().tolist())) == list(range(nv, nv + ne))
+    for k, (i, j) in enumerate([(0, 1), (1, 2), (2, 0)]):
+        assert np.array_equal(verts[mids[:, k]], 0.5 * (verts[tris[:, i]] + verts[tris[:, j]]))
+    d = validate_surface(PolyhedralSurface(verts, children))
+    assert d.ok
+    assert d.euler_characteristic == validate_surface(hull).euler_characteristic

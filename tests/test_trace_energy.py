@@ -43,16 +43,15 @@ def test_refine_counts_grow_four_to_one(cube):
     assert len(r2.triangles) == 16 * len(r0.triangles)
     # all refined vertices stay on their provenance face plane (cube: axis
     # aligned planes make this easy to check)
-    for i, prov in enumerate(r2.vertex_faces):
-        for f in prov:
-            normal = cube.face_normals[f]
-            anchor = cube.vertices[cube.faces[f][0]]
-            assert abs(float((r2.vertices[i] - anchor) @ normal)) < 1e-12
+    rows, faces = r2.vertex_faces.nonzero()
+    anchors = cube.vertices[[cube.faces[f][0] for f in faces]]
+    offsets = np.einsum("ij,ij->i", r2.vertices[rows] - anchors, cube.face_normals[faces])
+    assert len(rows) > 0 and np.abs(offsets).max() < 1e-12
 
 
 def test_refined_provenance_marks_shared_edges(cube):
     rs = refine(cube, 1)
-    sizes = sorted({len(p) for p in rs.vertex_faces})
+    sizes = sorted(set(rs.vertex_faces.getnnz(axis=1).tolist()))
     assert sizes == [1, 2, 3]  # face interior, edge, corner vertices
 
 
@@ -65,7 +64,135 @@ def test_constrained_set_closure_vs_free(cube):
     assert set(idx_free) < set(idx_closed)
     # free convention keeps the face-boundary ring unconstrained
     for i in idx_free:
-        assert rs.vertex_faces[i] == frozenset({0})
+        assert rs.vertex_faces[i].indices.tolist() == [0]
+
+
+def reference_refine(base, level, fan_offset=0):
+    """Reference: the dict walk over midpoints.
+
+    Returns vertices, triangles, tri_face and, per refined vertex, the
+    frozenset of base faces of the triangles that touch it.
+    """
+    verts = [tuple(p) for p in np.asarray(base.vertices, dtype=float)]
+    tris = []
+    tri_face = []
+    for fi in range(len(base.faces)):
+        for t in base.triangulate_face(fi, root_offset=fan_offset):
+            tris.append(t)
+            tri_face.append(fi)
+
+    for _ in range(int(level)):
+        midpoint = {}
+
+        def mid(i, j):
+            key = (i, j) if i < j else (j, i)
+            if key not in midpoint:
+                p = 0.5 * (np.asarray(verts[i]) + np.asarray(verts[j]))
+                midpoint[key] = len(verts)
+                verts.append(tuple(p))
+            return midpoint[key]
+
+        new_tris = []
+        new_face = []
+        for (a, b, c), fi in zip(tris, tri_face):
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            new_tris += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+            new_face += [fi] * 4
+        tris = new_tris
+        tri_face = new_face
+
+    vertex_faces = [set() for _ in verts]
+    for (a, b, c), fi in zip(tris, tri_face):
+        vertex_faces[a].add(fi)
+        vertex_faces[b].add(fi)
+        vertex_faces[c].add(fi)
+    return (np.asarray(verts, dtype=float), np.asarray(tris, dtype=np.int64),
+            np.asarray(tri_face, dtype=np.int64), tuple(frozenset(s) for s in vertex_faces))
+
+
+def incidence_rows(refined):
+    inc = refined.vertex_faces
+    assert inc.dtype == bool and inc.has_canonical_format
+    return tuple(frozenset(inc.indices[inc.indptr[i]:inc.indptr[i + 1]].tolist())
+                 for i in range(inc.shape[0]))
+
+
+@pytest.mark.parametrize("fan_offset", range(4))
+@pytest.mark.parametrize("name", sorted(fixtures.BUILTIN))
+def test_refine_equals_dict_walk_reference(name, fan_offset):
+    base = fixtures.builtin(name)
+    for level in range(6):
+        rs = refine(base, level, fan_offset=fan_offset)
+        verts, tris, tri_face, vertex_faces = reference_refine(base, level, fan_offset)
+        assert np.array_equal(rs.vertices, verts), level
+        assert np.array_equal(rs.triangles, tris), level
+        assert np.array_equal(rs.tri_face, tri_face), level
+        assert rs.vertex_faces.shape == (len(verts), len(base.faces))
+        assert incidence_rows(rs) == vertex_faces, level
+
+
+def reference_value_for(data, point, d_faces_here):
+    if data.kind == "coordinate":
+        return float(point[("x", "y", "z").index(data.axis)])
+    table = dict(data.constants)
+    for f in sorted(d_faces_here):
+        if f in table:
+            return table[f]
+    raise ValueError("no constant supplied for Dirichlet faces %r" % (sorted(d_faces_here),))
+
+
+def reference_constrained_vertices(vertices, vertex_faces, partition, data, closure=True):
+    """Reference: the per-vertex loop over frozenset provenance."""
+    labels = partition.labels
+    idx = []
+    vals = []
+    for i, prov in enumerate(vertex_faces):
+        if not prov:
+            continue
+        d_here = frozenset(f for f in prov if labels[f] == "D")
+        pinned = bool(d_here) if closure else (d_here == prov)
+        if pinned:
+            idx.append(i)
+            vals.append(reference_value_for(data, vertices[i], d_here))
+    return np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=float)
+
+
+def outcome(compute, *args, **kwargs):
+    """Pinned indices and values, or the message of the ValueError raised."""
+    try:
+        idx, vals = compute(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    assert idx.dtype == np.int64 and vals.dtype == np.float64
+    return idx.tolist(), vals.tolist()
+
+
+TRACE_CASES = [
+    pytest.param(fixtures.square_pyramid, PYRAMID_PART, PYRAMID_STEP, id="pyramid-step"),
+    pytest.param(fixtures.cube, cube_partition({0}), TraceData.coordinate("x"),
+                 id="cube-coordinate-x"),
+    pytest.param(fixtures.l_prism, Partition(labels=("D",) * 3 + ("N",) * 5, side="interior"),
+                 TraceData.face_constants({2: 0.5, 1: -1.0, 0: 3.0, 7: 2.0, 99: 1.0}),
+                 id="l-prism-constants"),
+    *(pytest.param(fixtures.square_pyramid, PYRAMID_PART, TraceData.face_constants(c),
+                   id="pyramid-no-constant-%d" % k)
+      for k, c in enumerate([{0: 1.0}, {2: 0.0}, {}, {1: 5.0, 3: 2.0}])),
+]
+
+
+@pytest.mark.parametrize("closure", [True, False], ids=["closed", "free"])
+@pytest.mark.parametrize("build, part, data", TRACE_CASES)
+def test_constrained_vertices_equal_loop_reference(build, part, data, closure):
+    base = build()
+    for level in range(6):
+        rs = refine(base, level)
+        verts, _, _, vertex_faces = reference_refine(base, level)
+        got = outcome(constrained_vertices, rs, part, data, closure=closure)
+        assert got == outcome(reference_constrained_vertices, verts, vertex_faces, part, data,
+                              closure=closure), level
+    # at level 5 every D face has vertices of its own, pinned in both modes
+    missing = any(f not in dict(data.constants or ()) for f in part.dirichlet_faces)
+    assert isinstance(got, str) == (data.kind == "face_constants" and missing)
 
 
 # ----------------------------------------------------------------------
