@@ -316,22 +316,26 @@ def cmd_trace_energy(args):
     else:
         if not (args.mesh and args.partition and args.data):
             raise InputError("need either --study or MESH PARTITION --data")
+        if args.levels is None:
+            raise InputError("MESH PARTITION --data needs --levels")
         surface = _read_mesh(args.mesh)
         part = _read_partition(args.partition)
         data = _parse_trace_data(args.data)
         levels = tuple(range(0, args.levels + 1))
     if args.levels is not None and args.study:
         levels = tuple(l for l in levels if l <= args.levels)
+    if not levels:
+        raise InputError("empty level selection: --levels %s selects no refinement level"
+                         % args.levels)
     closure = args.boundary == "closed"
     try:
         report = trace_energy.refinement_study(surface, part, data, levels,
                                                fan_offset=args.fan_offset,
                                                closure=closure)
         if args.export_extension:
-            rs = trace_energy.refine(surface, max(levels), fan_offset=args.fan_offset)
-            res = trace_energy.minimal_extension_energy(rs, part, data, closure=closure)
             with open(args.export_extension, "w", encoding="utf-8") as fh:
-                fh.write(trace_energy.export_off_with_scalars(rs, res.values))
+                fh.write(trace_energy.export_off_with_scalars(report.refined,
+                                                              report.extension.values))
     except (ValueError, trace_energy.EnergySolveError) as exc:
         raise InputError(str(exc)) from exc
     cfg = _config_dict(

@@ -187,7 +187,7 @@ def generate_star_sphere(seed, subdivisions=1, amplitude=0.25):
     v, faces = _OCTAHEDRON_VERTS, _OCTAHEDRON_FACES
     for _ in range(int(subdivisions)):
         old = len(v)
-        v, faces = midpoint_subdivide(v, faces)
+        v, faces, _ = midpoint_subdivide(v, faces)
         p = v[old:]
         # rounds as np.linalg.norm of each 3-vector; norm(axis=1) may not
         v[old:] = p / np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0]

@@ -261,9 +261,11 @@ class PolyhedralSurface:
 def midpoint_subdivide(vertices, triangles):
     """One uniform midpoint refinement: every triangle becomes four.
 
-    Returns ``(vertices, triangles)``.  The old vertices keep their rows;
-    each edge midpoint is appended once, numbered by first use over the
-    triangles' (ab, bc, ca) edges in triangle order.  Triangle
+    Returns ``(vertices, triangles, parents)``.  The old vertices keep
+    their rows; each edge midpoint is appended once, numbered by first use
+    over the triangles' (ab, bc, ca) edges in triangle order, and row k of
+    the (m, 2) array ``parents`` holds the ends of the edge whose midpoint
+    is new vertex ``len(vertices) + k``.  Triangle
     ``(a, b, c)`` becomes ``(a, ab, ca), (ab, b, bc), (ca, bc, c),
     (ab, bc, ca)`` in place, so the children of a triangle stay adjacent.
     """
@@ -277,7 +279,7 @@ def midpoint_subdivide(vertices, triangles):
     a, b, c = t.T
     children = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
     new = ends[first[order]]
-    return np.vstack([v, 0.5 * (v[new[:, 0]] + v[new[:, 1]])]), children
+    return np.vstack([v, 0.5 * (v[new[:, 0]] + v[new[:, 1]])]), children, new
 
 
 def plane_basis(n):

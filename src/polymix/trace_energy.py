@@ -2,11 +2,14 @@
 energy over all extensions of boundary data given on the Dirichlet faces.
 
 The surface is fan/ear triangulated and refined L times by the array
-kernel :func:`polymix.mesh.midpoint_subdivide`; which base faces touch each
-refined vertex is one sparse (vertices x faces) incidence matrix, so the
-Dirichlet vertices come from one matrix-vector product.  The
-cotangent-weight quadratic form is minimized over the free vertices with
-conjugate gradients.  By default every vertex of the closed
+kernel :func:`polymix.mesh.midpoint_subdivide`, which also hands back each
+level's parent edges; which base faces touch each refined vertex is one
+sparse (vertices x faces) incidence matrix, so the Dirichlet vertices come
+from one matrix-vector product.  The cotangent-weight quadratic form is
+minimized over the free vertices with conjugate gradients preconditioned
+by the additive multilevel (BPX) method over the nested midpoint levels,
+so iteration counts stay nearly flat as the levels grow (plain CG doubles
+them at every level).  By default every vertex of the closed
 Dirichlet region is pinned to the data (any finite-energy extension that
 matches f on an open face matches it on the closure); the relaxed variant
 that leaves shared Dirichlet/Neumann edge vertices free is available via
@@ -19,12 +22,12 @@ finite-energy extension).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .mesh import PolyhedralSurface, midpoint_subdivide
 
@@ -46,6 +49,10 @@ class RefinedSurface:
     is the boolean (V, F) CSR incidence built from it, indices sorted in
     each row: row i marks the base faces whose closed facet contains
     refined vertex i, so edge and corner vertices carry every touching face.
+    ``parents[l]`` is the (m, 2) array of edge ends from which refinement
+    step l + 1 appended its m midpoints; old vertices keep their indices,
+    so level l is the first ``vertex_count - sum(len(p) for p in
+    parents[l:])`` vertices.
     """
 
     base: PolyhedralSurface
@@ -55,6 +62,7 @@ class RefinedSurface:
     triangles: np.ndarray
     tri_face: np.ndarray
     vertex_faces: sparse.csr_matrix
+    parents: tuple
 
     @property
     def vertex_count(self):
@@ -67,8 +75,10 @@ def refine(base, level, fan_offset=0):
         raise ValueError("level must be >= 0")
     verts = np.asarray(base.vertices, dtype=float)
     tris, tri_face = base.triangulate(fan_offset)
+    parents = ()
     for _ in range(int(level)):
-        verts, tris = midpoint_subdivide(verts, tris)
+        verts, tris, new = midpoint_subdivide(verts, tris)
+        parents += (new,)
     tri_face = np.repeat(tri_face, 4 ** int(level))
     incidence = sparse.csr_matrix(
         (np.ones(tris.size, dtype=bool), (tris.ravel(), np.repeat(tri_face, 3))),
@@ -82,6 +92,7 @@ def refine(base, level, fan_offset=0):
         triangles=tris,
         tri_face=tri_face,
         vertex_faces=incidence,
+        parents=parents,
     )
 
 
@@ -187,11 +198,11 @@ def cotan_stiffness(vertices, triangles):
     w2 = 0.5 * cot2
     off = np.concatenate([-w0, -w0, -w1, -w1, -w2, -w2])
     n = len(v)
-    k = sparse.coo_matrix((off, (rows, cols)), shape=(n, n))
-    k = (k + k.T) * 0.5  # symmetrize exactly
-    k = k.tocsr()
-    k.setdiag(-np.asarray(k.sum(axis=1)).ravel())
-    return k.tocsr()
+    # the triplets come in symmetric pairs, so the duplicate sums that the
+    # CSR conversion makes are exact; exact zeros (right angles) are not stored
+    k = sparse.csr_matrix((off, (rows, cols)), shape=(n, n))
+    k.eliminate_zeros()
+    return (k + sparse.diags(-np.asarray(k.sum(axis=1)).ravel())).tocsr()
 
 
 def lumped_mass(vertices, triangles):
@@ -221,12 +232,54 @@ def _free_components_without_anchor(matrix, free_mask):
     return [free[comp == c] for c in np.flatnonzero(~anchored)]
 
 
-def solve_constrained(matrix, fixed_idx, fixed_vals, rtol=SOLVER_RTOL):
+def _multilevel_preconditioner(diagonal, free_mask, parents):
+    """Additive multilevel (BPX) preconditioner over nested midpoint levels.
+
+    Applies ``z = sum_l P_L..P_{l+1} D_l^{-1} P_{l+1}^T..P_L^T r`` on the
+    free vertices (Bramble, Pasciak & Xu 1990): the residual is restricted
+    once down the chain of prolongations (a new vertex averages its
+    parent edge's ends), then prolonged once back up, each level adding
+    its own Jacobi term.  Old vertices keep their indices, so level l is
+    the first n_l vertices: its diagonal and its free mask are the first
+    n_l entries of the finest ones (cotangent diagonals are level
+    independent, since midpoint children are similar to their parents).
+    With no parents this is Jacobi.
+    """
+    n = len(diagonal)
+    scale = np.divide(1.0, diagonal, out=np.zeros(n), where=free_mask)
+    ends = [np.ascontiguousarray(p.T) for p in parents]
+    sizes = n - np.cumsum([0] + [len(p) for p in reversed(parents)])[::-1]
+    if sizes[0] < 0:
+        raise ValueError("parents do not fit a matrix of order %d" % n)
+    free = np.flatnonzero(free_mask)
+
+    def apply(r_free):
+        r = np.zeros(n)
+        r[free] = r_free
+        restricted = [r]
+        for (a, b), m in zip(reversed(ends), sizes[-2::-1]):
+            half = 0.5 * restricted[-1][m:]
+            restricted.append(restricted[-1][:m] + np.bincount(a, half, m)
+                              + np.bincount(b, half, m))
+        z = scale[:sizes[0]] * restricted.pop()
+        for a, b in ends:
+            r_level = restricted.pop()
+            z = np.concatenate([z, 0.5 * (z[a] + z[b])]) + scale[:len(r_level)] * r_level
+        return z[free]
+
+    return LinearOperator((len(free), len(free)), matvec=apply, dtype=float)
+
+
+def solve_constrained(matrix, fixed_idx, fixed_vals, rtol=SOLVER_RTOL, parents=()):
     """Minimize u^T A u with some entries of u pinned; CG on the free block.
 
-    Returns (u, iterations, relative_residual, pinned_components): free
-    components that touch no pinned vertex have a constant nullspace and
-    are pinned to zero (equivalently, mean-subtracted).
+    CG is preconditioned by the additive multilevel method over
+    ``parents``, the refinement chain of :attr:`RefinedSurface.parents`
+    (Jacobi when it is empty), so iteration counts stay nearly flat as
+    the levels grow.  Returns (u, iterations, relative_residual,
+    pinned_components): free components that touch no pinned vertex have
+    a constant nullspace and are pinned to zero (equivalently,
+    mean-subtracted).
     """
     n = matrix.shape[0]
     u = np.zeros(n)
@@ -244,13 +297,15 @@ def solve_constrained(matrix, fixed_idx, fixed_vals, rtol=SOLVER_RTOL):
 
     a_ff = matrix[free][:, free].tocsr()
     b = -matrix[free][:, np.flatnonzero(~free_mask)] @ u[np.flatnonzero(~free_mask)]
+    precondition = _multilevel_preconditioner(matrix.diagonal(), free_mask, parents)
     iterations = 0
 
     def count(_):
         nonlocal iterations
         iterations += 1
 
-    x, info = cg(a_ff, b, rtol=rtol, atol=0.0, maxiter=20 * n + 200, callback=count)
+    x, info = cg(a_ff, b, rtol=rtol, atol=0.0, maxiter=20 * n + 200, M=precondition,
+                 callback=count)
     bnorm = float(np.linalg.norm(b))
     resid = float(np.linalg.norm(b - a_ff @ x)) / bnorm if bnorm > 0 else 0.0
     if info != 0:
@@ -279,7 +334,8 @@ def minimal_extension_energy(refined, partition, data, rtol=SOLVER_RTOL, closure
     """Least PL Dirichlet energy over extensions of the Dirichlet data."""
     stiff = cotan_stiffness(refined.vertices, refined.triangles)
     idx, vals = constrained_vertices(refined, partition, data, closure=closure)
-    u, iters, resid, pinned = solve_constrained(stiff, idx, vals, rtol=rtol)
+    u, iters, resid, pinned = solve_constrained(stiff, idx, vals, rtol=rtol,
+                                                parents=refined.parents)
     energy = float(u @ (stiff @ u))
     return ExtensionResult(
         energy=max(energy, 0.0),
@@ -306,7 +362,8 @@ def full_restriction_norm(refined, partition, data, rtol=SOLVER_RTOL, closure=Tr
     stiff = cotan_stiffness(refined.vertices, refined.triangles)
     mass = sparse.diags(lumped_mass(refined.vertices, refined.triangles)).tocsr()
     idx, vals = constrained_vertices(refined, partition, data, closure=closure)
-    u, iters, resid, _ = solve_constrained((stiff + mass).tocsr(), idx, vals, rtol=rtol)
+    u, iters, resid, _ = solve_constrained((stiff + mass).tocsr(), idx, vals, rtol=rtol,
+                                           parents=refined.parents)
     grad_part = float(u @ (stiff @ u))
     mass_part = float(u @ (mass @ u))
     return NormResult(
@@ -330,12 +387,21 @@ UNDECIDED = "UNDECIDED"
 
 @dataclass
 class EnergyReport:
+    """Per-level results of a refinement study.
+
+    ``refined`` and ``extension`` are the last studied level's refined
+    surface and minimal extension (None with no levels); they stay out of
+    the report bytes.
+    """
+
     levels: tuple
     energies: tuple
     vertex_counts: tuple
     iterations: tuple
     residuals: tuple
     classification: str
+    refined: RefinedSurface | None = field(default=None, repr=False, compare=False)
+    extension: ExtensionResult | None = field(default=None, repr=False, compare=False)
 
     def csv_rows(self):
         return [
@@ -378,6 +444,7 @@ def refinement_study(base, partition, data, levels, fan_offset=0, closure=True):
     counts = []
     iters = []
     resids = []
+    rs = res = None
     for level in levels:
         rs = refine(base, level, fan_offset=fan_offset)
         res = minimal_extension_energy(rs, partition, data, closure=closure)
@@ -392,6 +459,8 @@ def refinement_study(base, partition, data, levels, fan_offset=0, closure=True):
         iterations=tuple(iters),
         residuals=tuple(resids),
         classification=classify_energies(energies),
+        refined=rs,
+        extension=res,
     )
 
 
@@ -400,11 +469,9 @@ def export_off_with_scalars(refined, values):
     vals = np.asarray(values, dtype=float)
     if len(vals) != refined.vertex_count:
         raise ValueError("need one scalar per refined vertex")
-    lines = ["OFF"]
-    lines.append("%d %d 0" % (refined.vertex_count, len(refined.triangles)))
-    for p, s in zip(refined.vertices, vals):
-        lines.append("%s %s %s %s" % (repr(float(p[0])), repr(float(p[1])),
-                                      repr(float(p[2])), repr(float(s))))
-    for a, b, c in refined.triangles:
-        lines.append("3 %d %d %d" % (a, b, c))
-    return "\n".join(lines) + "\n"
+    n, t = refined.vertex_count, len(refined.triangles)
+    # one format call per block over Python scalars: repr is the float text
+    cells = tuple(np.column_stack([refined.vertices, vals]).ravel().tolist())
+    corners = tuple(np.asarray(refined.triangles).ravel().tolist())
+    return ("OFF\n%d %d 0\n" % (n, t) + ("%r %r %r %r\n" * n) % cells
+            + ("3 %d %d %d\n" * t) % corners)

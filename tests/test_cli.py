@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from polymix import fixtures, trace_energy
 from polymix.cli import EXIT_INPUT, EXIT_OK, EXIT_VALIDATION, build_parser, main, parse_angle
+from polymix.partition import Partition
 
 SUBCOMMANDS = [
     "validate", "angles", "check-partition", "enumerate", "monochromatic",
@@ -189,6 +191,44 @@ def test_trace_energy_at_straight_face_corner(tmp_path):
         assert code == EXIT_OK
         energies = json.loads(body)["result"]["energies"]
         assert len(energies) == 3 and all(math.isfinite(e) for e in energies)
+
+
+@pytest.mark.parametrize("export", [False, True], ids=["report", "export"])
+@pytest.mark.parametrize("argv", [
+    lambda w: ["trace-energy", "--study", "pyramid-step", "--levels", "0"],
+    lambda w: ["trace-energy", off(w, "cube"), w / "cube-part.json", "--data", "coordinate:x",
+               "--levels", "-1"],
+], ids=["study", "mesh"])
+def test_trace_energy_empty_level_selection_exit_2(workdir, tmp_path, capsys, argv, export):
+    (workdir / "cube-part.json").write_text(
+        json.dumps({"side": "interior", "labels": ["D"] + ["N"] * 5}))
+    extra = ["--export-extension", str(tmp_path / "x.off")] if export else []
+    assert main([str(a) for a in argv(workdir)] + extra) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: empty level selection: --levels ")
+    assert not (tmp_path / "x.off").exists()
+
+
+def test_trace_energy_mesh_needs_levels(workdir, capsys):
+    (workdir / "cube-part.json").write_text(
+        json.dumps({"side": "interior", "labels": ["D"] + ["N"] * 5}))
+    assert main(["trace-energy", off(workdir, "cube"), str(workdir / "cube-part.json"),
+                 "--data", "coordinate:x"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: MESH PARTITION --data needs --levels\n"
+
+
+def test_trace_energy_export_is_the_finest_solve(tmp_path):
+    part = Partition(labels=("D", "N", "D", "N", "N"), side="interior")
+    out = tmp_path / "ext.off"
+    code, body = run_to_file(tmp_path, ["trace-energy", "--study", "pyramid-step", "--levels",
+                                        "3", "--fan-offset", "1", "--export-extension",
+                                        str(out)])
+    assert code == EXIT_OK
+    rs = trace_energy.refine(fixtures.square_pyramid(), 3, fan_offset=1)
+    res = trace_energy.minimal_extension_energy(
+        rs, part, trace_energy.TraceData.face_constants({0: 1.0, 2: 0.0}))
+    assert out.read_text() == trace_energy.export_off_with_scalars(rs, res.values)
+    assert json.loads(body)["result"]["energies"][-1] == res.energy
 
 
 def test_search_subcommand(tmp_path):

@@ -379,9 +379,13 @@ def test_midpoint_subdivide_on_hulls(seed, n_points):
     hull = fixtures.generate_hull(seed, n_points)
     tris = np.array(hull.faces, dtype=np.int64)
     nv, ne = len(hull.vertices), len(hull.edge_list)
-    verts, children = midpoint_subdivide(hull.vertices, tris)
+    verts, children, parents = midpoint_subdivide(hull.vertices, tris)
     assert verts.shape == (nv + ne, 3) and children.shape == (4 * len(tris), 3)
     assert np.array_equal(verts[:nv], hull.vertices)
+    # new vertex nv + k is the midpoint of edge parents[k], bit for bit
+    assert parents.shape == (ne, 2) and parents.dtype == np.int64
+    assert np.array_equal(verts[nv:], 0.5 * (verts[parents[:, 0]] + verts[parents[:, 1]]))
+    assert {tuple(sorted(e)) for e in parents.tolist()} == set(hull.edge_list)
     # the middle child of (a, b, c) is (ab, bc, ca)
     mids = children[3::4]
     assert sorted(set(mids.ravel().tolist())) == list(range(nv, nv + ne))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import cg
 
 from polymix import fixtures
 from polymix.mesh import PolyhedralSurface, parse_off
@@ -8,6 +9,7 @@ from polymix.partition import Partition
 from polymix.trace_energy import (
     CONVERGENT,
     DIVERGENT,
+    SOLVER_RTOL,
     TraceData,
     classify_energies,
     constrained_vertices,
@@ -131,6 +133,35 @@ def test_refine_equals_dict_walk_reference(name, fan_offset):
         assert incidence_rows(rs) == vertex_faces, level
 
 
+@pytest.mark.parametrize("fan_offset", [0, 3])
+@pytest.mark.parametrize("name", sorted(fixtures.BUILTIN))
+def test_refine_parents_are_the_midpoint_edges(name, fan_offset):
+    base = fixtures.builtin(name)
+    for level in range(6):
+        rs = refine(base, level, fan_offset=fan_offset)
+        assert len(rs.parents) == level
+        # every refinement step appends the midpoints of its parent edges
+        verts, count = rs.vertices, len(rs.vertices)
+        for p in reversed(rs.parents):
+            count -= len(p)
+            assert np.array_equal(verts[count:count + len(p)],
+                                  0.5 * (verts[p[:, 0]] + verts[p[:, 1]]))
+        assert count == len(base.vertices)
+
+
+def test_study_keeps_the_finest_solve(pyramid):
+    rep = refinement_study(pyramid, PYRAMID_PART, PYRAMID_STEP, levels=range(1, 5),
+                           fan_offset=2)
+    rs = refine(pyramid, 4, fan_offset=2)
+    assert np.array_equal(rep.refined.vertices, rs.vertices)
+    assert np.array_equal(rep.refined.triangles, rs.triangles)
+    res = minimal_extension_energy(rs, PYRAMID_PART, PYRAMID_STEP)
+    assert rep.extension.energy == res.energy == rep.energies[-1]
+    assert np.array_equal(rep.extension.values, res.values)
+    empty = refinement_study(pyramid, PYRAMID_PART, PYRAMID_STEP, levels=[])
+    assert empty.levels == () and empty.refined is None and empty.extension is None
+
+
 def reference_value_for(data, point, d_faces_here):
     if data.kind == "coordinate":
         return float(point[("x", "y", "z").index(data.axis)])
@@ -214,6 +245,137 @@ def square_grid(n):
     return verts, np.asarray(tris, dtype=np.int64)
 
 
+def reference_cotan_stiffness(vertices, triangles):
+    """Reference: the COO assembly symmetrized by a transpose-add, diagonal set in place."""
+    v = np.asarray(vertices, dtype=float)
+    t = np.asarray(triangles, dtype=np.int64)
+    i0, i1, i2 = t[:, 0], t[:, 1], t[:, 2]
+    e0, e1, e2 = v[i2] - v[i1], v[i0] - v[i2], v[i1] - v[i0]
+
+    def cot(a, b):
+        dot = np.einsum("ij,ij->i", a, b)
+        return dot / np.maximum(np.linalg.norm(np.cross(a, b), axis=1), 1e-300)
+
+    w0, w1, w2 = 0.5 * cot(-e1, e2), 0.5 * cot(-e2, e0), 0.5 * cot(-e0, e1)
+    rows = np.concatenate([i1, i2, i2, i0, i0, i1])
+    cols = np.concatenate([i2, i1, i0, i2, i1, i0])
+    off = np.concatenate([-w0, -w0, -w1, -w1, -w2, -w2])
+    n = len(v)
+    k = sparse.coo_matrix((off, (rows, cols)), shape=(n, n))
+    k = ((k + k.T) * 0.5).tocsr()
+    k.setdiag(-np.asarray(k.sum(axis=1)).ravel())
+    return k.tocsr()
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.BUILTIN))
+def test_cotan_stiffness_equals_transpose_add_reference(name):
+    base = fixtures.builtin(name)
+    for level in range(6):
+        rs = refine(base, level)
+        got = cotan_stiffness(rs.vertices, rs.triangles)
+        want = reference_cotan_stiffness(rs.vertices, rs.triangles)
+        assert got.format == "csr" and got.shape == want.shape
+        got.sort_indices()
+        want.sort_indices()
+        assert np.array_equal(got.indptr, want.indptr), level
+        assert np.array_equal(got.indices, want.indices), level
+        assert np.array_equal(got.data, want.data), level
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.BUILTIN))
+def test_cotan_diagonal_is_level_independent(name):
+    # midpoint children are similar to their parent, so an old vertex keeps
+    # its diagonal: the identity the multilevel scaling relies on
+    base = fixtures.builtin(name)
+    coarse = None
+    for level in range(5):
+        rs = refine(base, level)
+        fine = cotan_stiffness(rs.vertices, rs.triangles).diagonal()
+        if coarse is not None:
+            old = fine[:len(coarse)]
+            assert np.all(np.abs(old - coarse) <= 1e-12 * np.abs(coarse)), level
+        coarse = fine
+
+
+def reference_solve_constrained(matrix, fixed_idx, fixed_vals, rtol=SOLVER_RTOL):
+    """Reference: unpreconditioned conjugate gradients on the free block."""
+    n = matrix.shape[0]
+    u = np.zeros(n)
+    free_mask = np.ones(n, dtype=bool)
+    free_mask[fixed_idx] = False
+    u[fixed_idx] = fixed_vals
+    for members in _free_components_without_anchor(matrix, free_mask):
+        free_mask[members] = False
+    free = np.flatnonzero(free_mask)
+    if len(free):
+        fixed = np.flatnonzero(~free_mask)
+        b = -matrix[free][:, fixed] @ u[fixed]
+        x, info = cg(matrix[free][:, free].tocsr(), b, rtol=rtol, atol=0.0,
+                     maxiter=20 * n + 200)
+        assert info == 0
+        u[free] = x
+    return u
+
+
+def assert_matches_reference(matrix, idx, vals, parents, energy_matrix=None):
+    """The multilevel solve agrees with plain CG: energy to 1e-9, values to 1e-7."""
+    energy_matrix = matrix if energy_matrix is None else energy_matrix
+    u, _, resid, _ = solve_constrained(matrix, idx, vals, parents=parents)
+    ref = reference_solve_constrained(matrix, idx, vals)
+    e, e_ref = float(u @ (energy_matrix @ u)), float(ref @ (energy_matrix @ ref))
+    assert abs(e - e_ref) <= 1e-9 * max(abs(e_ref), 1e-300) or max(e, e_ref) <= 1e-13
+    assert np.abs(u - ref).max() <= 1e-7
+    assert resid <= SOLVER_RTOL
+    return u
+
+
+@pytest.mark.parametrize("fan_offset", range(4))
+@pytest.mark.parametrize("closure", [True, False], ids=["closed", "free"])
+def test_multilevel_solve_equals_plain_cg_on_pyramid_step(pyramid, closure, fan_offset):
+    for level in range(7):
+        rs = refine(pyramid, level, fan_offset=fan_offset)
+        stiff = cotan_stiffness(rs.vertices, rs.triangles)
+        idx, vals = constrained_vertices(rs, PYRAMID_PART, PYRAMID_STEP, closure=closure)
+        assert_matches_reference(stiff, idx, vals, rs.parents)
+
+
+def test_multilevel_solve_equals_plain_cg_on_cube_smooth(cube):
+    part, data = cube_partition({0}), TraceData.coordinate("x")
+    for level in range(5):
+        rs = refine(cube, level)
+        stiff = cotan_stiffness(rs.vertices, rs.triangles)
+        idx, vals = constrained_vertices(rs, part, data)
+        assert_matches_reference(stiff, idx, vals, rs.parents)
+
+
+def test_multilevel_solve_equals_plain_cg_on_full_norm(cube):
+    # the mass term breaks the level independence of the diagonal; the
+    # preconditioner stays symmetric positive definite all the same
+    rs = refine(cube, 4)
+    stiff = cotan_stiffness(rs.vertices, rs.triangles)
+    both = (stiff + sparse.diags(lumped_mass(rs.vertices, rs.triangles))).tocsr()
+    idx, vals = constrained_vertices(rs, cube_partition({0}), TraceData.coordinate("x"))
+    u = assert_matches_reference(both, idx, vals, rs.parents)
+    res = full_restriction_norm(rs, cube_partition({0}), TraceData.coordinate("x"))
+    assert np.array_equal(res.values, u)
+
+
+def test_solve_rejects_parents_longer_than_the_matrix(pyramid):
+    coarse, fine = refine(pyramid, 1), refine(pyramid, 3)
+    stiff = cotan_stiffness(coarse.vertices, coarse.triangles)
+    with pytest.raises(ValueError, match="parents do not fit"):
+        solve_constrained(stiff, [0], [1.0], parents=fine.parents)
+
+
+@pytest.mark.parametrize("fan_offset", range(4))
+def test_multilevel_iterations_stay_flat_on_pyramid_step(pyramid, fan_offset):
+    rep = refinement_study(pyramid, PYRAMID_PART, PYRAMID_STEP, levels=range(5, 8),
+                           fan_offset=fan_offset)
+    # plain CG needs 147, 291 and 575 iterations at these levels
+    assert all(it <= 45 for it in rep.iterations), rep.iterations
+    assert max(rep.residuals) <= SOLVER_RTOL
+
+
 def test_flat_patch_linear_data_exact():
     verts, tris = square_grid(17)
     stiff = cotan_stiffness(verts, tris)
@@ -222,6 +384,7 @@ def test_flat_patch_linear_data_exact():
         [i * n + j for i in range(n) for j in range(n) if i in (0, n - 1) or j in (0, n - 1)]
     )
     u, iters, resid, pinned = solve_constrained(stiff, boundary, verts[boundary, 0])
+    assert_matches_reference(stiff, boundary, verts[boundary, 0], ())
     energy = float(u @ (stiff @ u))
     assert abs(energy - 1.0) <= 1e-10  # exact Dirichlet energy of x on the unit square
     assert np.abs(u - verts[:, 0]).max() <= 1e-8
@@ -275,6 +438,10 @@ def test_unanchored_component_pinned():
     rs = refine(cube, 1)
     part = Partition(labels=("N",) * 6, side="interior")
     res = minimal_extension_energy(rs, part, TraceData.face_constants({}))
+    stiff = cotan_stiffness(rs.vertices, rs.triangles)
+    empty = np.zeros(0, dtype=np.int64)
+    assert np.array_equal(assert_matches_reference(stiff, empty, np.zeros(0), rs.parents),
+                          res.values)
     assert res.energy == pytest.approx(0.0, abs=1e-15)
     assert res.pinned_components == 1
     assert res.constrained_count == 0
@@ -286,7 +453,11 @@ def test_disjoint_cubes_one_dirichlet_face_pins_the_other_cube():
     faces = list(cube.faces) + [tuple(v + 8 for v in f) for f in cube.faces]
     two = PolyhedralSurface(verts, faces)
     part = Partition(labels=("D",) + ("N",) * 11, side="interior")
-    res = minimal_extension_energy(refine(two, 1), part, TraceData.coordinate("x"))
+    rs = refine(two, 1)
+    res = minimal_extension_energy(rs, part, TraceData.coordinate("x"))
+    stiff = cotan_stiffness(rs.vertices, rs.triangles)
+    idx, vals = constrained_vertices(rs, part, TraceData.coordinate("x"))
+    assert np.array_equal(assert_matches_reference(stiff, idx, vals, rs.parents), res.values)
     assert res.pinned_components == 1
     assert res.constrained_count > 0
 
@@ -451,6 +622,30 @@ def test_export_off_with_scalars(cube):
     parse_off("\n".join([lines[0], lines[1]]
                         + [" ".join(l.split()[:3]) for l in lines[2:2 + rs.vertex_count]]
                         + lines[2 + rs.vertex_count:]))
+
+
+def reference_export_off_with_scalars(refined, values):
+    """Reference: one vertex line at a time, four reprs each."""
+    lines = ["OFF", "%d %d 0" % (refined.vertex_count, len(refined.triangles))]
+    for p, s in zip(refined.vertices, np.asarray(values, dtype=float)):
+        lines.append("%s %s %s %s" % (repr(float(p[0])), repr(float(p[1])),
+                                      repr(float(p[2])), repr(float(s))))
+    for a, b, c in refined.triangles:
+        lines.append("3 %d %d %d" % (a, b, c))
+    return "\n".join(lines) + "\n"
+
+
+def test_export_equals_per_vertex_reference(cube):
+    rep = refinement_study(cube, cube_partition({0}), TraceData.coordinate("x"),
+                           levels=range(5))
+    for level in range(5):
+        rs = refine(cube, level)
+        values = minimal_extension_energy(rs, cube_partition({0}),
+                                          TraceData.coordinate("x")).values
+        assert export_off_with_scalars(rs, values) == reference_export_off_with_scalars(
+            rs, values), level
+    assert export_off_with_scalars(rep.refined, rep.extension.values) == \
+        reference_export_off_with_scalars(rs, values)
 
 
 def test_face_constants_requires_coverage(pyramid):
