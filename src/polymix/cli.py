@@ -210,7 +210,9 @@ def cmd_rellich(args):
             funcs = (rellich.catalog_entry(args.u),)
         except KeyError as exc:
             raise InputError(str(exc)) from exc
-    identities, estimates = rellich.rellich_suite(arch, funcs, args.samples, args.seed)
+    batches = rellich.arch_batches(arch, args.samples, args.seed)
+    identities, estimates = rellich.rellich_suite(arch, funcs, args.samples, args.seed,
+                                                  batches=batches)
     cfg = _config_dict(
         args, mesh=args.mesh, vertex=args.vertex,
         r_inner=args.r_inner, r_outer=args.r_outer, u=args.u,
@@ -222,7 +224,8 @@ def cmd_rellich(args):
         rows = rellich.identity_csv_rows(args.mesh, identities)
         _emit(args, reporting.csv_report(header, rows, cfg))
     else:
-        result = {"identity": [r.to_json_dict() for r in identities]}
+        result = {"identity": [r.to_json_dict() for r in identities],
+                  "sampling": rellich.sampling_report(batches)}
         if args.estimate:
             result["estimate"] = [e.to_json_dict() for e in estimates]
         _emit(args, reporting.json_report(result, cfg))

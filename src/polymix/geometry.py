@@ -10,11 +10,12 @@ rounding and free of ray directions: the generalized winding number over
 all triangles for :func:`contains_points`, and inside a vertex's
 separation ball a sum over that vertex's link only.  Sampling is seeded
 and deterministic.  Lateral faces are sampled directly everywhere, and
-arches and cone bases directly at convex vertices: every draw is kept and
-the batch carries the region's exact measure.  At a vertex with a reflex
-edge arches and bases are sampled by rejection against the link winding
-test, and the batch reports an unbiased measure estimate with its Monte
-Carlo standard error.
+arches and cone bases directly wherever the vertex link has a kernel (a
+direction that sees every link arc positively oriented, as at every convex
+vertex and most reflex ones): every draw is kept and the batch carries the
+region's exact measure.  Links without a kernel fall back to rejection
+against the link winding test, and the batch reports an unbiased measure
+estimate with its Monte Carlo standard error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .mesh import MeshError, PolyhedralSurface, plane_basis
 
@@ -358,6 +360,7 @@ class SampleBatch:
     rng_seed: int
     n_proposals: int
     proposal_measure: float
+    method: str  # "direct" (exact measure) or "rejection" (estimated measure)
     face_ids: np.ndarray | None = None
     normals: np.ndarray | None = field(default=None, repr=False)
 
@@ -459,23 +462,21 @@ def _inside_tester(surface, vertex):
     return tester
 
 
-class _ConvexLink:
-    """Uniform directions in the cone of a convex vertex, drawn directly.
+class _LinkFan:
+    """Uniform directions in a vertex cone, drawn directly from a fan of its link.
 
-    The link is fanned from ``a``, the normalized sum of its arcs' starts,
-    which lies inside the cone, into the spherical triangles ``(a, b, c)``
-    over its arcs ``c -> b``, all positively oriented.  Each
-    triangle's solid angle comes from Van Oosterom & Strackee; a draw picks
-    a triangle with probability proportional to it and samples the
-    triangle by Arvo's area-preserving map ("Stratified sampling of
-    spherical triangles", SIGGRAPH 1995).  ``solid_angle`` is exact up to
-    rounding.
+    The link is fanned from ``apex``, a unit direction in its kernel, into
+    the spherical triangles ``(apex, b, c)`` over its arcs ``c -> b``, all
+    positively oriented, so the cone is exactly their union, even when its
+    solid angle exceeds 2*pi.  Each triangle's solid angle comes from Van
+    Oosterom & Strackee; a draw picks a triangle with probability
+    proportional to it and samples the triangle by Arvo's area-preserving
+    map ("Stratified sampling of spherical triangles", SIGGRAPH 1995).
+    ``solid_angle`` is exact up to rounding.
     """
 
-    def __init__(self, surface, vertex):
-        c, b = _link_arcs(surface, vertex)
-        a = c.sum(axis=0)
-        a = np.broadcast_to(a / np.linalg.norm(a), b.shape)
+    def __init__(self, apex, c, b):
+        a = np.broadcast_to(apex, b.shape)
         det = _dot(a, np.cross(b, c))
         self.omega = 2.0 * np.arctan2(det, 1.0 + _dot(a, b) + _dot(b, c) + _dot(c, a))
         self.solid_angle = float(self.omega.sum())
@@ -487,6 +488,9 @@ class _ConvexLink:
         self.alpha, self.sin_alpha_cos_ab = alpha, np.sin(alpha) * cos_ab
         self.towards_c = _unit(c - _dot(c, a)[:, None] * a).T.copy()
         self.a, self.b = a[0], b.T.copy()
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False  # shared through the surface cache
 
     def directions(self, rng, m):
         """``m`` unit directions, one per row."""
@@ -511,6 +515,42 @@ class _ConvexLink:
         return (b - drop * b + tangent).T
 
 
+def _link_kernel(starts, ends):
+    """``(p, t)``: the direction ``p`` with ``|p|_inf <= 1`` that maximizes
+    the least margin ``t = min p . unit(e x s)`` over the link arcs
+    ``s -> e``, by linear programming (HiGHS).
+
+    The kernel of the link is the set of directions that see every arc
+    positively oriented; it is not empty exactly when ``t > 0``.
+    """
+    normals = _unit(np.cross(ends, starts))
+    res = linprog(np.array([0.0, 0.0, 0.0, -1.0]),
+                  A_ub=np.hstack([-normals, np.ones((len(normals), 1))]),
+                  b_ub=np.zeros(len(normals)),
+                  bounds=[(-1.0, 1.0)] * 3 + [(None, None)], method="highs")
+    return res.x[:3], -res.fun
+
+
+def _link_fan(surface, vertex):
+    """The link of `vertex` fanned from a point of its kernel
+    (:class:`_LinkFan`), or None when the kernel is empty.  Cached per
+    surface and vertex."""
+    return surface.cached(_compute_link_fan, int(vertex))
+
+
+def _compute_link_fan(surface, vertex):
+    c, b = _link_arcs(surface, vertex)
+    # the normalized sum of the arc starts lies in the kernel at every convex
+    # vertex, and there it saves the linear program
+    apex = c.sum(axis=0)
+    if not np.all(np.cross(b, c) @ apex > 0.0):
+        apex, margin = _link_kernel(c, b)
+        if margin <= 0.0:
+            return None
+    fan = _LinkFan(apex / np.linalg.norm(apex), c, b)
+    return fan if np.all(fan.omega > 0.0) else None
+
+
 def _collect_direct(tag, seed, measure, n, draw):
     """n points from ``draw(rng, m) -> (points, face_ids or None)`` in shards
     of at most ``_DIRECT_CHUNK`` points, each from its own generator; every
@@ -529,6 +569,7 @@ def _collect_direct(tag, seed, measure, n, draw):
         rng_seed=int(seed),
         n_proposals=n,
         proposal_measure=measure,
+        method="direct",
         face_ids=face_ids,
     )
 
@@ -572,6 +613,7 @@ def _collect_rejection(tag, seed, proposal_measure, n, gen_chunk, accept_fn):
         rng_seed=int(seed),
         n_proposals=total_proposals,
         proposal_measure=proposal_measure,
+        method="rejection",
         face_ids=face_ids,
     )
 
@@ -580,19 +622,20 @@ def sample_base(cone, n, seed):
     """Uniform points on the cone base, the part of the sphere
     |X - v| = radius inside the solid.
 
-    At a convex vertex the directions are drawn directly from the link
-    (:class:`_ConvexLink`) and the measure is exactly ``Omega r^2``.
-    Elsewhere uniform points on the whole sphere are kept when inside, and
-    the measure is estimated.
+    Where the vertex link has a kernel the directions are drawn directly
+    from its fan (:func:`_link_fan`) and the measure is exactly
+    ``Omega r^2``.  A link without a kernel falls back to rejection:
+    uniform points on the whole sphere are kept when inside, and the
+    measure is estimated.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     surface, v, r = cone.surface, cone.surface.vertices[cone.vertex], cone.radius
     n = int(n)
-    if is_convex_vertex(surface, cone.vertex):
-        link = _ConvexLink(surface, cone.vertex)
-        return _collect_direct("base-sphere", seed, link.solid_angle * r * r, n,
-                               lambda g, m: (v + r * link.directions(g, m), None))
+    fan = _link_fan(surface, cone.vertex)
+    if fan is not None:
+        return _collect_direct("base-sphere", seed, fan.solid_angle * r * r, n,
+                               lambda g, m: (v + r * fan.directions(g, m), None))
     inside = _inside_tester(surface, cone.vertex)
     area = 4.0 * math.pi * r * r
 
@@ -608,10 +651,11 @@ def sample_base(cone, n, seed):
 def sample_arch(arch, n, seed):
     """Uniform volume points in the arch, the solid within the shell.
 
-    Radii come from the inverse CDF ``cbrt(r^3 + u (R^3 - r^3))``.  At a
-    convex vertex the directions are drawn directly from the link and the
-    measure is exactly ``Omega (R^3 - r^3) / 3``; elsewhere uniform points
-    in the whole shell are kept when inside.
+    Radii come from the inverse CDF ``cbrt(r^3 + u (R^3 - r^3))``.  Where
+    the vertex link has a kernel the directions are drawn directly from its
+    fan and the measure is exactly ``Omega (R^3 - r^3) / 3``; a link
+    without a kernel falls back to rejection, and uniform points in the
+    whole shell are kept when inside.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -619,14 +663,14 @@ def sample_arch(arch, n, seed):
     v = surface.vertices[arch.vertex]
     r3, R3 = arch.r_inner ** 3, arch.r_outer ** 3
     n = int(n)
-    if is_convex_vertex(surface, arch.vertex):
-        link = _ConvexLink(surface, arch.vertex)
+    fan = _link_fan(surface, arch.vertex)
+    if fan is not None:
 
         def draw(g, m):
-            d = link.directions(g, m)
+            d = fan.directions(g, m)
             return v + np.cbrt(r3 + g.random(m) * (R3 - r3))[:, None] * d, None
 
-        return _collect_direct("arch-volume", seed, link.solid_angle * (R3 - r3) / 3.0, n, draw)
+        return _collect_direct("arch-volume", seed, fan.solid_angle * (R3 - r3) / 3.0, n, draw)
     inside = _inside_tester(surface, arch.vertex)
     volume = 4.0 * math.pi / 3.0 * (R3 - r3)
 

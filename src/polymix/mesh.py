@@ -24,6 +24,11 @@ PLANAR_REL_TOL = 1e-9
 # A face is degenerate when its area is below this fraction of diag**2.
 DEGENERATE_AREA_REL_TOL = 1e-14
 
+# OFF coordinates must be finite and at most this large in magnitude, so
+# that products of up to six coordinates (squared areas, volumes, squared
+# norms of cross products) stay finite in double precision.
+MAX_ABS_COORDINATE = 1e50
+
 
 class MeshError(Exception):
     """Structurally unusable mesh data."""
@@ -388,7 +393,8 @@ def parse_off(text):
     """Parse OFF text (a string or readable stream) into a surface.
 
     Accepts '#' comments and arbitrary whitespace.  Raises
-    :class:`OffParseError` with a line number on malformed input.
+    :class:`OffParseError` with a line number on malformed input, including
+    a coordinate that is not finite or exceeds ``MAX_ABS_COORDINATE``.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -425,9 +431,13 @@ def parse_off(text):
         for j in range(3):
             tok, ln = take("vertex %d" % i)
             try:
-                verts[i, j] = float(tok)
+                x = float(tok)
             except ValueError:
                 raise OffParseError("malformed vertex coordinate %r" % tok, ln) from None
+            if not abs(x) <= MAX_ABS_COORDINATE:
+                raise OffParseError("vertex coordinate %r is not finite or exceeds %g in magnitude"
+                                    % (tok, MAX_ABS_COORDINATE), ln)
+            verts[i, j] = x
 
     faces = []
     for i in range(nf):

@@ -14,9 +14,9 @@ one-sided estimate
            + 2 int_{lateral} |du/dnu| |grad_t u| ds.
 
 Both sides are integrated by Monte Carlo on shared sample batches, drawn
-directly with exact region measures where the geometry module can (see
-its docstring) and by rejection elsewhere; harmonic polynomials up to
-degree 3 supply the test functions.
+directly with exact region measures wherever the vertex link has a kernel
+(see the geometry module's docstring); links without a kernel fall back to
+rejection.  Harmonic polynomials up to degree 3 supply the test functions.
 The 1/|X| volume weight is bounded on the arch (|X| >= r), so plain
 sampling needs no singularity handling.
 """
@@ -207,8 +207,12 @@ class EstimateResult:
         }
 
 
-def _arch_batches(arch, n, seed):
-    """The four shared batches; seeds derive from (seed, region index)."""
+REGIONS = ("volume", "inner", "outer", "lateral")
+
+
+def arch_batches(arch, n, seed):
+    """The four shared batches, in the order of ``REGIONS``; seeds derive
+    from (seed, region index)."""
     volume = sample_arch(arch, n, seed)
     inner = sample_base(arch.inner_base, n, (int(seed) << 2) + 1)
     outer = sample_base(arch.outer_base, n, (int(seed) << 2) + 2)
@@ -216,12 +220,28 @@ def _arch_batches(arch, n, seed):
     return volume, inner, outer, lateral
 
 
-def rellich_suite(arch, test_functions, n, seed):
+def sampling_report(batches):
+    """Per region of the four batches: the sampling method, the proposals
+    drawn, and the measure with its standard error (0 for an exact one)."""
+    return {
+        region: {
+            "method": b.method,
+            "n_proposals": b.n_proposals,
+            "measure": b.proposal_measure * b.acceptance,
+            "measure_stderr": b.measure_stderr,
+        }
+        for region, b in zip(REGIONS, batches)
+    }
+
+
+def rellich_suite(arch, test_functions, n, seed, batches=None):
     """Identity and estimate reports for many u on shared sample batches.
 
     Coordinates are translated so the arch vertex sits at the origin
     before evaluating u, which makes results invariant under rigid
-    translation of the fixture.
+    translation of the fixture.  ``batches`` are the four batches of
+    ``arch_batches(arch, n, seed)`` when the caller has drawn them already,
+    to report on them as well; otherwise they are drawn here.
     """
     if not isinstance(arch, ArchRegion):
         raise TypeError("arch must be an ArchRegion")
@@ -234,7 +254,9 @@ def rellich_suite(arch, test_functions, n, seed):
         for u in test_functions
     }
 
-    volume, inner, outer, lateral = _arch_batches(arch, n, seed)
+    if batches is None:
+        batches = arch_batches(arch, n, seed)
+    volume, inner, outer, lateral = batches
     # per batch: (key, integrand) pairs; the integrands take the per-point
     # |X|, W . grad u, |grad u|^2 and, on the lateral faces, nu . grad u and
     # nu . W

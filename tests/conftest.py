@@ -1,6 +1,10 @@
+import math
+
+import numpy as np
 import pytest
 
 from polymix import fixtures
+from polymix.mesh import PolyhedralSurface
 
 
 @pytest.fixture(scope="session")
@@ -56,3 +60,29 @@ OFF
 3 0 1 4
 4 1 2 3 4
 """
+
+
+def u_pyramid():
+    """The cone from the apex (3/2, 2, 1), vertex 8, over the U-shaped base
+    [0, 3] x [0, 3] less [1, 2] x [1, 3] in the plane z = 0.
+
+    The apex link is the U seen from the apex, and the U has no kernel: the
+    inner wall of its left arm keeps a kernel point at x <= 1, that of its
+    right arm at x >= 2.  So the arch and bases at the apex are sampled by
+    rejection.
+    """
+    base = [(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)]
+    verts = np.array([(x, y, 0.0) for x, y in base] + [(1.5, 2.0, 1.0)])
+    faces = [tuple(range(7, -1, -1))] + [(i, (i + 1) % 8, 8) for i in range(8)]
+    return PolyhedralSurface(verts, faces)
+
+
+def u_pyramid_solid_angle():
+    """Solid angle of the U from the apex: the rectangle rule
+    ``sum +-atan(x y / (h sqrt(x^2 + y^2 + h^2)))`` over the corners of its
+    three rectangles, relative to the foot of the apex."""
+    def rectangle(x0, x1, y0, y1, h=1.0):
+        f = lambda x, y: math.atan(x * y / (h * math.sqrt(x * x + y * y + h * h)))
+        return f(x1, y1) - f(x0, y1) - f(x1, y0) + f(x0, y0)
+    rects = [(0, 1, 0, 3), (1, 2, 0, 1), (2, 3, 0, 3)]
+    return math.fsum(rectangle(x0 - 1.5, x1 - 1.5, y0 - 2.0, y1 - 2.0) for x0, x1, y0, y1 in rects)

@@ -1,12 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polymix import fixtures, trace_energy
 from polymix.cli import EXIT_INPUT, EXIT_OK, EXIT_VALIDATION, build_parser, main, parse_angle
+from polymix.geometry import ArchRegion
+from polymix.mesh import PolyhedralSurface, read_off, serialize_off, write_off
 from polymix.partition import Partition
+from polymix.rellich import arch_batches
+
+from conftest import u_pyramid
 
 SUBCOMMANDS = [
     "validate", "angles", "check-partition", "enumerate", "monochromatic",
@@ -18,6 +27,7 @@ SUBCOMMANDS = [
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")
     assert main(["fixtures", "--out-dir", str(d)]) == EXIT_OK
+    write_off(str(d / "u-pyramid.off"), u_pyramid())
     return d
 
 
@@ -163,6 +173,32 @@ def test_rellich_csv(workdir, tmp_path):
     lines = body.decode().splitlines()
     assert lines[2].startswith("fixture,vertex,r,R,u_name")
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("name, vertex, volume_method", [
+    ("l-prism", 3, "direct"),  # the notch: a reflex vertex whose link has a kernel
+    ("u-pyramid", 8, "rejection"),  # an apex whose link has none
+])
+def test_rellich_sampling_block(workdir, tmp_path, name, vertex, volume_method):
+    argv = ["rellich", off(workdir, name), "--vertex", str(vertex), "--r-inner", "0.2",
+            "--r-outer", "0.4", "--samples", "5000", "--seed", "4", "--u", "x"]
+    code, body = run_to_file(tmp_path, argv)
+    assert code == EXIT_OK
+    sampling = json.loads(body)["result"]["sampling"]
+    # the report reads the batches the suite integrates over, not a second draw
+    batches = arch_batches(ArchRegion(read_off(off(workdir, name)), vertex, 0.2, 0.4), 5000, 4)
+    assert list(sampling) == ["inner", "lateral", "outer", "volume"]
+    for region, batch in zip(("volume", "inner", "outer", "lateral"), batches):
+        entry = sampling[region]
+        method = "direct" if region == "lateral" else volume_method
+        assert entry["method"] == batch.method == method
+        assert entry["n_proposals"] == batch.n_proposals
+        assert entry["measure"] == pytest.approx(batch.measure_estimate, rel=1e-12)
+        assert entry["measure_stderr"] == batch.measure_stderr
+        if method == "direct":
+            assert entry["n_proposals"] == 5000 and entry["measure_stderr"] == 0.0
+        else:
+            assert entry["n_proposals"] > 5000 and entry["measure_stderr"] > 0.0
 
 
 def test_trace_energy_study(tmp_path):
@@ -318,6 +354,77 @@ def test_validate_strict_fails_on_empty_mesh(tmp_path):
     assert main(["validate", str(empty), "--strict"]) == EXIT_VALIDATION
 
 
+FUZZ_BASES = [fixtures.cube(), fixtures.square_pyramid(), fixtures.l_prism()]
+
+
+@st.composite
+def malformed_off(draw):
+    """OFF text of a fixture with one defect: no faces, a repeated vertex, a
+    zero-area face, an open edge, a truncated file, or a coordinate that is
+    not finite or too large to square."""
+    base = draw(st.sampled_from(FUZZ_BASES))
+    verts, faces = base.vertices.copy(), list(base.faces)
+    kind = draw(st.sampled_from(["no-faces", "repeated-vertex", "zero-area-face", "open-edge",
+                                 "truncated", "huge-coordinate"]))
+    if kind == "no-faces":
+        faces = []
+    elif kind == "repeated-vertex":
+        i, j = draw(st.lists(st.integers(0, len(verts) - 1), min_size=2, max_size=2,
+                             unique=True))
+        verts[i] = verts[j]
+    elif kind == "zero-area-face":
+        # move a corner onto the segment between its two neighbours
+        face = draw(st.sampled_from(faces))
+        k = draw(st.integers(0, len(face) - 1))
+        t = draw(st.floats(0.0, 1.0))
+        a, b = verts[face[k - 1]], verts[face[(k + 1) % len(face)]]
+        verts[face[k]] = a + t * (b - a)
+    elif kind == "open-edge":
+        del faces[draw(st.integers(0, len(faces) - 1))]
+    elif kind == "huge-coordinate":
+        i = draw(st.integers(0, len(verts) - 1))
+        verts[i, draw(st.integers(0, 2))] = draw(st.sampled_from(
+            [math.nan, math.inf, -math.inf, 1e308, -1e200, 1e51]))
+    text = serialize_off(PolyhedralSurface(verts, faces))
+    if kind == "truncated":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text, len(faces)
+
+
+FUZZ_ARGV = [
+    ["validate", "{mesh}", "--strict"],
+    ["angles", "{mesh}"],
+    ["check-partition", "{mesh}", "{partition}"],
+    ["enumerate", "{mesh}", "--side", "interior"],
+    ["monochromatic", "{mesh}", "--side", "exterior"],
+    ["rellich", "{mesh}", "--vertex", "0", "--r-inner", "0.05", "--r-outer", "0.1",
+     "--samples", "200", "--seed", "1", "--u", "x"],
+    ["trace-energy", "{mesh}", "{partition}", "--data", "coordinate:x", "--levels", "1"],
+]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=malformed_off())
+def test_malformed_off_never_raises(case):
+    # every subcommand that reads a mesh exits 0, 1 or 2, with an error line
+    # on exit 2, and lets no exception escape
+    text, n_faces = case
+    with tempfile.TemporaryDirectory() as tmp:
+        mesh, partition = os.path.join(tmp, "m.off"), os.path.join(tmp, "p.json")
+        with open(mesh, "w") as fh:
+            fh.write(text)
+        with open(partition, "w") as fh:
+            json.dump({"side": "interior", "labels": ["DN"[i % 2] for i in range(n_faces)]}, fh)
+        for argv in FUZZ_ARGV:
+            argv = [a.format(mesh=mesh, partition=partition) for a in argv]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv + ["--output", os.path.join(tmp, "r.out")])
+            assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_INPUT), argv
+            if code == EXIT_INPUT:
+                assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+
+
 # ----------------------------------------------------------------------
 # determinism: byte-identical reports for identical configs
 
@@ -335,6 +442,10 @@ DETERMINISM_CASES = [
     lambda w: ["trace-energy", "--study", "pyramid-step", "--levels", "3"],
     # the notch vertex, where the inside test is the link winding number
     lambda w: ["rellich", off(w, "l-prism"), "--vertex", "3", "--r-inner", "0.2",
+               "--r-outer", "0.4", "--samples", "20000", "--seed", "5", "--u", "all",
+               "--estimate"],
+    # an apex without a link kernel, sampled by rejection
+    lambda w: ["rellich", off(w, "u-pyramid"), "--vertex", "8", "--r-inner", "0.2",
                "--r-outer", "0.4", "--samples", "20000", "--seed", "5", "--u", "all",
                "--estimate"],
 ]

@@ -16,6 +16,9 @@ from polymix.geometry import (
     _CHUNK,
     _collect_rejection,
     _inside_tester,
+    _link_arcs,
+    _link_fan,
+    _link_kernel,
     _point_segment_distance,
     _rng,
     contains_point,
@@ -30,6 +33,8 @@ from polymix.geometry import (
 )
 from polymix.mesh import PolyhedralSurface, validate_surface
 from polymix.partition import enumerate_admissible, quotient_graph
+
+from conftest import u_pyramid, u_pyramid_solid_angle
 
 
 def test_cube_all_edges_right_angle(cube):
@@ -629,10 +634,30 @@ def test_sampling_deterministic(cube):
     assert not np.array_equal(a.points, c.points)
 
 
+def test_empty_kernel_falls_back_to_rejection():
+    surface = u_pyramid()
+    assert validate_surface(surface).ok
+    _, margin = _link_kernel(*_link_arcs(surface, 8))
+    assert margin <= 0.0 and _link_fan(surface, 8) is None
+    rho = separation_radius(surface, 8)
+    arch = ArchRegion(surface, 8, 0.3 * rho, 0.8 * rho)
+    n = 20_000
+    omega = u_pyramid_solid_angle()
+    for batch, exact in [
+        (sample_arch(arch, n, 1), omega * (arch.r_outer ** 3 - arch.r_inner ** 3) / 3.0),
+        (sample_base(arch.outer_base, n, 2), omega * arch.r_outer ** 2),
+    ]:
+        assert batch.method == "rejection" and batch.n_proposals > n
+        assert batch.measure_stderr > 0.0
+        assert abs(batch.measure_estimate - exact) <= 4.0 * batch.measure_stderr, batch.tag
+        assert np.all(_inside_tester(surface, 8)(batch.points))
+
+
 @pytest.mark.parametrize("seed", [3, 4, 5])
-def test_stderr_shrinks_at_root_n_rate(l_prism, seed):
-    # the notch vertex is reflex, so its base is still sampled by rejection
-    cone = ConeRegion(l_prism, 3, 0.5)
+def test_stderr_shrinks_at_root_n_rate(seed):
+    # the U-pyramid apex has no link kernel, so its base is still sampled by
+    # rejection
+    cone = ConeRegion(u_pyramid(), 8, 0.5)
     se1 = sample_base(cone, 20_000, seed=seed).measure_stderr
     se2 = sample_base(cone, 40_000, seed=seed).measure_stderr
     assert 0.6 <= se2 / se1 <= 0.8
@@ -691,18 +716,16 @@ def test_rejection_aborts_below_min_acceptance():
 
 
 def test_sample_on_nonconvex_vertex(l_prism):
-    # vertex 3 sits on the reflex notch edge: the link winding path must
-    # agree with the analytic L cross-section membership and, proposal for
-    # proposal, with the ray parity it replaced (same proposal count)
+    # vertex 3 sits on the reflex notch edge; its link has a kernel, so the
+    # arch is sampled directly with the exact measure, 3/8 of the shell
     arch = ArchRegion(l_prism, 3, 0.2, 0.4)
     batch = sample_arch(arch, 20_000, seed=9)
-    assert batch.n_proposals == 53132
+    assert batch.method == "direct" and batch.n_proposals == 20_000
     p = batch.points
     in_l = (p[:, 0] <= 1.0) | (p[:, 1] <= 1.0)
     assert bool(np.all(in_l))
-    # solid angle at the notch vertex is 3/8 of the sphere
     expected = (4.0 * math.pi / 3.0) * (0.4 ** 3 - 0.2 ** 3) * 3.0 / 8.0
-    assert abs(batch.measure_estimate - expected) <= 4.0 * batch.measure_stderr
+    assert batch.measure_estimate == pytest.approx(expected, rel=1e-12)
 
 
 def test_sample_at_seven_octant_corner():
@@ -714,7 +737,7 @@ def test_sample_at_seven_octant_corner():
     q = batch.points - 1.0
     assert not np.any(np.all(q > 0.0, axis=1))
     expected = (4.0 * math.pi / 3.0) * (0.4 ** 3 - 0.2 ** 3) * 7.0 / 8.0
-    assert abs(batch.measure_estimate - expected) <= 4.0 * batch.measure_stderr
+    assert batch.measure_estimate == pytest.approx(expected, rel=1e-12)
 
 
 def test_sample_at_straight_corner_notch():
@@ -727,7 +750,7 @@ def test_sample_at_straight_corner_notch():
     assert bool(np.all(batch.points[:, 2] <= 2.0))
     # three quarters of the half-space below the top
     expected = (4.0 * math.pi / 3.0) * (0.4 ** 3 - 0.2 ** 3) * 3.0 / 8.0
-    assert abs(batch.measure_estimate - expected) <= 4.0 * batch.measure_stderr
+    assert batch.measure_estimate == pytest.approx(expected, rel=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -879,6 +902,95 @@ def test_lateral_points_on_their_faces_inside_the_shell(surface, vertex):
     assert np.abs(np.einsum("ij,ij->i", x, batch.normals)).max() <= tol
     for p, f in zip(batch.points[:300], batch.face_ids[:300]):
         assert point_face_distance(surface, p, f) <= tol
+
+
+# ----------------------------------------------------------------------
+# kernel fans at reflex vertices
+
+
+REFLEX_SOLID_ANGLES = [
+    pytest.param(fixtures.l_prism(), 3, 1.5 * math.pi, id="lprism-notch"),
+    pytest.param(corner_notch_box(), 11, 3.5 * math.pi, id="corner-notch-inner"),
+    pytest.param(split_top_l_prism()[0], 10, 1.5 * math.pi, id="split-top-l-prism-v10"),
+    pytest.param(split_top_notched_box()[0], 14, 1.5 * math.pi, id="split-top-notched-box-v14"),
+    pytest.param(split_top_notched_box()[0], 15, 1.5 * math.pi, id="split-top-notched-box-v15"),
+]
+
+
+@pytest.mark.parametrize("surface, vertex, omega", REFLEX_SOLID_ANGLES)
+def test_reflex_fans_have_closed_form_measures(surface, vertex, omega):
+    assert not is_convex_vertex(surface, vertex)
+    fan = _link_fan(surface, vertex)
+    assert fan.solid_angle == pytest.approx(omega, rel=1e-12)
+    rho = separation_radius(surface, vertex)
+    arch = ArchRegion(surface, vertex, 0.3 * rho, 0.8 * rho)
+    direct = sample_arch(arch, 20_000, 1)
+    reference = rejection_sample_arch(arch, 20_000, 2)
+    assert direct.measure_estimate == pytest.approx(
+        omega * (arch.r_outer ** 3 - arch.r_inner ** 3) / 3.0, rel=1e-12)
+    assert (abs(direct.measure_estimate - reference.measure_estimate)
+            <= 4.0 * reference.measure_stderr)
+    v = surface.vertices[vertex]
+    assert_same_means(radius_and_direction(direct, v), radius_and_direction(reference, v))
+    base = sample_base(arch.outer_base, 20_000, 3)
+    assert base.measure_estimate == pytest.approx(omega * arch.r_outer ** 2, rel=1e-12)
+
+
+STAR_SPHERES = [fixtures.generate_star_sphere(seed, subdivisions)
+                for subdivisions in (1, 2) for seed in range(6)]
+
+
+@pytest.mark.parametrize(
+    "surface", REFLEX_MESHES + [fixtures.notched_box(4)] + STAR_SPHERES,
+    ids=["l-prism", "corner-notch", "notched-box-1", "notched-box-2", "notched-box-3",
+         "split-top-l-prism", "split-top-notched-box", "notched-box-4"]
+    + ["star-%d-sub%d" % (seed, sub) for sub in (1, 2) for seed in range(6)])
+def test_every_reflex_link_has_a_kernel_fan(surface):
+    # the fan's exact measure against the rejection estimate, and its
+    # points against the link winding test; some star spheres have no
+    # reflex vertex
+    for vertex in reflex_vertices(surface):
+        fan = _link_fan(surface, vertex)
+        assert fan is not None and np.all(fan.omega > 0.0), vertex
+        rho = separation_radius(surface, vertex)
+        cone = ConeRegion(surface, vertex, 0.8 * rho)
+        reference = rejection_sample_base(cone, 4000, vertex)
+        direct = sample_base(cone, 4000, vertex)
+        assert direct.method == "direct" and direct.n_proposals == 4000
+        assert direct.measure_estimate == pytest.approx(fan.solid_angle * cone.radius ** 2,
+                                                        rel=1e-12)
+        assert (abs(direct.measure_estimate - reference.measure_estimate)
+                <= 4.0 * reference.measure_stderr), vertex
+        arch = ArchRegion(surface, vertex, 0.3 * rho, 0.8 * rho)
+        assert np.all(_inside_tester(surface, vertex)(sample_arch(arch, 4000, vertex).points))
+
+
+FAN_MESHES = REFLEX_MESHES + [STAR_SPHERES[6]]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    index=st.integers(0, len(FAN_MESHES) - 1),
+    quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda q: sum(x * x for x in q) > 1e-2),
+    shift=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+    log_scale=st.floats(-3.0, 3.0),
+    reflect=st.booleans(),
+)
+def test_reflex_fan_solid_angles_invariant_under_similarity(index, quaternion, shift, log_scale,
+                                                            reflect):
+    # the apex may move (a linear program picks it), the solid angle may not
+    base = FAN_MESHES[index]
+    rotation = Rotation.from_quat(quaternion).as_matrix()
+    faces = base.faces
+    if reflect:
+        # reversing the faces keeps the reflected solid outward-oriented
+        rotation = rotation @ np.diag([1.0, 1.0, -1.0])
+        faces = [tuple(reversed(f)) for f in faces]
+    moved = PolyhedralSurface(10.0 ** log_scale * (base.vertices @ rotation.T + shift), faces)
+    for vertex in reflex_vertices(base):
+        assert (_link_fan(moved, vertex).solid_angle
+                == pytest.approx(_link_fan(base, vertex).solid_angle, rel=1e-10)), vertex
 
 
 SIMILARITY_MESHES = PROPERTY_MESHES + [needle(), fixtures.notched_box(1)]

@@ -53,6 +53,16 @@ def test_parse_face_too_short():
         parse_off(bad)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e308", "-1e51"])
+def test_parse_rejects_nonfinite_and_huge_coordinates(token):
+    # squaring such a coordinate overflows in the geometry
+    bad = CUBE_OFF.replace("1 1 1", "%s 1 1" % token)
+    with pytest.raises(OffParseError, match="not finite or exceeds") as info:
+        parse_off(bad)
+    assert info.value.line == 9
+    parse_off(CUBE_OFF.replace("1 1 1", "1e50 1 1"))
+
+
 def test_parse_duplicate_vertex_in_face():
     bad = CUBE_OFF.replace("4 0 3 2 1", "4 0 3 3 1")
     with pytest.raises(OffParseError, match="duplicate"):
