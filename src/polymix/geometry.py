@@ -9,7 +9,10 @@ global inside test.  Containment is a winding number, exact up to
 rounding and free of ray directions: the generalized winding number over
 all triangles for :func:`contains_points`, and inside a vertex's
 separation ball a sum over that vertex's link only.  Sampling is seeded
-and deterministic.  Lateral faces are sampled directly everywhere, and
+and deterministic, and drawn in shards, each from its own generator: a
+:class:`SampleStream` hands a sampler's shards out one at a time to a
+consumer that reduces as it goes, and ``sample_*`` gather the same shards
+into one :class:`SampleBatch`.  Lateral faces are sampled directly everywhere, and
 arches and cone bases directly wherever the vertex link has a kernel (a
 direction that sees every link arc positively oriented, as at every convex
 vertex and most reflex ones): every draw is kept and the batch carries the
@@ -20,7 +23,9 @@ estimate with its Monte Carlo standard error.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -386,14 +391,68 @@ class SampleBatch:
         mean times the exact measure.
         """
         values = np.asarray(values, dtype=float)
-        m = self.n_proposals
-        s = float(values.sum())
-        s2 = float((values * values).sum())
-        mean = s / m
-        var = max(s2 - m * mean * mean, 0.0) / max(m - 1, 1)
-        est = self.proposal_measure * mean
-        stderr = self.proposal_measure * math.sqrt(var / m)
-        return est, stderr
+        est, stderr = mc_estimate(values.sum(), (values * values).sum(),
+                                  self.n_proposals, self.proposal_measure)
+        return float(est), float(stderr)
+
+
+def mc_estimate(s, s2, n_proposals, proposal_measure):
+    """Integral estimate and standard error from the sum ``s`` and the sum of
+    squares ``s2`` of an integrand's values at the accepted points of
+    ``n_proposals`` uniform proposals over a region of ``proposal_measure``.
+    Works elementwise on arrays of sums."""
+    m = n_proposals
+    mean = s / m
+    var = np.maximum(s2 - m * mean * mean, 0.0) / max(m - 1, 1)
+    return proposal_measure * mean, proposal_measure * np.sqrt(var / m)
+
+
+@dataclass(frozen=True)
+class SampleStream:
+    """A sampler's draws shard by shard, before they are gathered into a batch.
+
+    Iterating yields ``(points, face_ids or None, proposals)`` per shard in
+    draw order: at most ``_DIRECT_CHUNK`` points from one generator for a
+    direct sampler, the accepted part of one proposal shard for rejection.
+    The proposals of all shards sum to the batch's ``n_proposals``, and
+    :meth:`collect` concatenates the shards into the sampler's batch, so a
+    consumer that walks the stream sees exactly the batch's points while
+    holding one shard at a time.  Each iteration draws afresh from the seed.
+    """
+
+    tag: str
+    rng_seed: int
+    n: int
+    proposal_measure: float
+    method: str  # as in SampleBatch
+    shards: Callable[[], Iterator[tuple]] = field(repr=False)
+
+    def __iter__(self):
+        return self.shards()
+
+    def collect(self):
+        """The whole stream as one :class:`SampleBatch`."""
+        points = np.empty((self.n, 3))
+        face_ids = None
+        start = proposals = 0
+        for pts, fids, m in self:
+            stop = start + len(pts)
+            points[start:stop] = pts
+            if fids is not None:
+                if face_ids is None:
+                    face_ids = np.empty(self.n, dtype=fids.dtype)
+                face_ids[start:stop] = fids
+            start, proposals = stop, proposals + m
+        return SampleBatch(
+            tag=self.tag,
+            points=points,
+            weights=np.full(self.n, self.proposal_measure * (self.n / proposals) / self.n),
+            rng_seed=self.rng_seed,
+            n_proposals=proposals,
+            proposal_measure=self.proposal_measure,
+            method=self.method,
+            face_ids=face_ids,
+        )
 
 
 def _vertex_corners(surface, vertex):
@@ -551,76 +610,55 @@ def _compute_link_fan(surface, vertex):
     return fan if np.all(fan.omega > 0.0) else None
 
 
-def _collect_direct(tag, seed, measure, n, draw):
+def _direct_stream(tag, seed, measure, n, draw):
     """n points from ``draw(rng, m) -> (points, face_ids or None)`` in shards
     of at most ``_DIRECT_CHUNK`` points, each from its own generator; every
     draw is kept, so the measure is exact and ``n_proposals == n``."""
-    points = np.empty((n, 3))
-    face_parts = []
-    for shard, start in enumerate(range(0, n, _DIRECT_CHUNK)):
-        stop = min(start + _DIRECT_CHUNK, n)
-        points[start:stop], aux = draw(_rng(seed, shard), stop - start)
-        face_parts.append(aux)
-    face_ids = None if face_parts[0] is None else np.concatenate(face_parts)
-    return SampleBatch(
-        tag=tag,
-        points=points,
-        weights=np.full(n, measure / n),
-        rng_seed=int(seed),
-        n_proposals=n,
-        proposal_measure=measure,
-        method="direct",
-        face_ids=face_ids,
-    )
+
+    def shards():
+        for shard, start in enumerate(range(0, n, _DIRECT_CHUNK)):
+            m = min(_DIRECT_CHUNK, n - start)
+            yield *draw(_rng(seed, shard), m), m
+
+    return SampleStream(tag, int(seed), n, measure, "direct", shards)
 
 
-def _collect_rejection(tag, seed, proposal_measure, n, gen_chunk, accept_fn):
-    """Draw fixed-size shards until n acceptances; inverse-binomial weights."""
-    accepted = []
-    face_parts = []
-    total_proposals = 0
-    count = 0
-    shard = 0
-    while count < n:
-        pts, aux = gen_chunk(shard)
-        keep = accept_fn(pts)
-        idx = np.flatnonzero(keep)
-        if count + len(idx) >= n:
-            need = n - count
-            last = idx[need - 1]
-            total_proposals += int(last) + 1
-            idx = idx[:need]
-        else:
-            total_proposals += len(pts)
-        if len(idx):
-            accepted.append(pts[idx])
-            if aux is not None:
-                face_parts.append(aux[idx])
-        count += len(idx)
-        shard += 1
-        if total_proposals >= max(2_000_000, 64 * n) and count / total_proposals < MIN_ACCEPTANCE:
-            raise GeometryError(
-                "acceptance ratio %.2e below %g; use a smaller shell (degenerate thin cone)"
-                % (count / total_proposals, MIN_ACCEPTANCE)
-            )
-    points = np.vstack(accepted) if accepted else np.empty((0, 3))
-    weights = np.full(n, proposal_measure * (n / total_proposals) / n)
-    face_ids = np.concatenate(face_parts) if face_parts else None
-    return SampleBatch(
-        tag=tag,
-        points=points,
-        weights=weights,
-        rng_seed=int(seed),
-        n_proposals=total_proposals,
-        proposal_measure=proposal_measure,
-        method="rejection",
-        face_ids=face_ids,
-    )
+def _rejection_stream(tag, seed, proposal_measure, n, gen_chunk, accept_fn):
+    """Fixed-size proposal shards ``gen_chunk(shard) -> (points, face_ids or
+    None)``, kept where ``accept_fn`` holds, until n acceptances."""
+
+    def shards():
+        proposals = count = 0
+        for shard in itertools.count():
+            pts, aux = gen_chunk(shard)
+            idx = np.flatnonzero(accept_fn(pts))
+            drawn = len(pts)
+            if count + len(idx) >= n:
+                idx = idx[:n - count]
+                drawn = int(idx[-1]) + 1
+            proposals += drawn
+            count += len(idx)
+            if proposals >= max(2_000_000, 64 * n) and count / proposals < MIN_ACCEPTANCE:
+                raise GeometryError(
+                    "acceptance ratio %.2e below %g; use a smaller shell (degenerate thin cone)"
+                    % (count / proposals, MIN_ACCEPTANCE)
+                )
+            yield pts[idx], None if aux is None else aux[idx], drawn
+            if count == n:
+                return
+
+    return SampleStream(tag, int(seed), n, proposal_measure, "rejection", shards)
 
 
-def sample_base(cone, n, seed):
+def _check_count(n):
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return int(n)
+
+
+def base_stream(cone, n, seed):
     """Uniform points on the cone base, the part of the sphere
-    |X - v| = radius inside the solid.
+    |X - v| = radius inside the solid, as a :class:`SampleStream`.
 
     Where the vertex link has a kernel the directions are drawn directly
     from its fan (:func:`_link_fan`) and the measure is exactly
@@ -628,14 +666,12 @@ def sample_base(cone, n, seed):
     uniform points on the whole sphere are kept when inside, and the
     measure is estimated.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _check_count(n)
     surface, v, r = cone.surface, cone.surface.vertices[cone.vertex], cone.radius
-    n = int(n)
     fan = _link_fan(surface, cone.vertex)
     if fan is not None:
-        return _collect_direct("base-sphere", seed, fan.solid_angle * r * r, n,
-                               lambda g, m: (v + r * fan.directions(g, m), None))
+        return _direct_stream("base-sphere", seed, fan.solid_angle * r * r, n,
+                              lambda g, m: (v + r * fan.directions(g, m), None))
     inside = _inside_tester(surface, cone.vertex)
     area = 4.0 * math.pi * r * r
 
@@ -645,11 +681,12 @@ def sample_base(cone, n, seed):
         d /= np.linalg.norm(d, axis=1)[:, None]
         return v + r * d, None
 
-    return _collect_rejection("base-sphere", seed, area, n, gen, inside)
+    return _rejection_stream("base-sphere", seed, area, n, gen, inside)
 
 
-def sample_arch(arch, n, seed):
-    """Uniform volume points in the arch, the solid within the shell.
+def arch_stream(arch, n, seed):
+    """Uniform volume points in the arch, the solid within the shell, as a
+    :class:`SampleStream`.
 
     Radii come from the inverse CDF ``cbrt(r^3 + u (R^3 - r^3))``.  Where
     the vertex link has a kernel the directions are drawn directly from its
@@ -657,12 +694,10 @@ def sample_arch(arch, n, seed):
     without a kernel falls back to rejection, and uniform points in the
     whole shell are kept when inside.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _check_count(n)
     surface = arch.surface
     v = surface.vertices[arch.vertex]
     r3, R3 = arch.r_inner ** 3, arch.r_outer ** 3
-    n = int(n)
     fan = _link_fan(surface, arch.vertex)
     if fan is not None:
 
@@ -670,7 +705,7 @@ def sample_arch(arch, n, seed):
             d = fan.directions(g, m)
             return v + np.cbrt(r3 + g.random(m) * (R3 - r3))[:, None] * d, None
 
-        return _collect_direct("arch-volume", seed, fan.solid_angle * (R3 - r3) / 3.0, n, draw)
+        return _direct_stream("arch-volume", seed, fan.solid_angle * (R3 - r3) / 3.0, n, draw)
     inside = _inside_tester(surface, arch.vertex)
     volume = 4.0 * math.pi / 3.0 * (R3 - r3)
 
@@ -682,23 +717,21 @@ def sample_arch(arch, n, seed):
         rho = np.cbrt(r3 + g.uniform(size=m) * (R3 - r3))
         return v + rho[:, None] * d, None
 
-    return _collect_rejection("arch-volume", seed, volume, n, gen, inside)
+    return _rejection_stream("arch-volume", seed, volume, n, gen, inside)
 
 
-def sample_lateral(arch, n, seed):
-    """Uniform points on the faces at the vertex within the shell.
+def lateral_stream(arch, n, seed):
+    """Uniform points on the faces at the vertex within the shell, as a
+    :class:`SampleStream` whose shards carry the source face of every point.
 
     Inside the separation ball each face at the vertex is its corner wedge
     of angle ``theta_f`` in (0, 2*pi), turning counterclockwise about the
     outward normal from the face's next vertex to its previous one.  A draw
     picks a face with probability proportional to ``theta_f`` and a point
     in polar form (``phi = theta_f u``, ``rho = sqrt(r^2 + u' (R^2 - r^2))``);
-    the measure is exactly ``sum theta_f (R^2 - r^2) / 2``.  The batch
-    records the source face of every point (``face_ids``) and the matching
-    outward unit normals (``normals``).
+    the measure is exactly ``sum theta_f (R^2 - r^2) / 2``.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _check_count(n)
     surface = arch.surface
     v = surface.vertices[arch.vertex]
     fids, _, prev, succ = _vertex_corners(surface, arch.vertex)
@@ -715,9 +748,25 @@ def sample_lateral(arch, n, seed):
         pts = v[:, None] + rho * (np.cos(phi) * succ[:, k] + np.sin(phi) * turned[:, k])
         return pts.T, fids[k]
 
-    batch = _collect_direct("lateral-surface", seed, float(theta.sum()) * (R2 - r2) / 2.0,
-                            int(n), draw)
-    batch.normals = surface.face_normals[batch.face_ids]
+    return _direct_stream("lateral-surface", seed, float(theta.sum()) * (R2 - r2) / 2.0, n, draw)
+
+
+def sample_base(cone, n, seed):
+    """All of :func:`base_stream` as one :class:`SampleBatch`."""
+    return base_stream(cone, n, seed).collect()
+
+
+def sample_arch(arch, n, seed):
+    """All of :func:`arch_stream` as one :class:`SampleBatch`."""
+    return arch_stream(arch, n, seed).collect()
+
+
+def sample_lateral(arch, n, seed):
+    """All of :func:`lateral_stream` as one :class:`SampleBatch`, with the
+    source face of every point (``face_ids``) and its outward unit normal
+    (``normals``)."""
+    batch = lateral_stream(arch, n, seed).collect()
+    batch.normals = arch.surface.face_normals[batch.face_ids]
     return batch
 
 

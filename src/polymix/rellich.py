@@ -13,12 +13,20 @@ one-sided estimate
     lhs <= int_{B(v,R)} |grad u|^2 + 2 int_{B(v,r)} (W . grad u)^2
            + 2 int_{lateral} |du/dnu| |grad_t u| ds.
 
-Both sides are integrated by Monte Carlo on shared sample batches, drawn
+Both sides are integrated by Monte Carlo on shared samples, drawn
 directly with exact region measures wherever the vertex link has a kernel
 (see the geometry module's docstring); links without a kernel fall back to
-rejection.  Harmonic polynomials up to degree 3 supply the test functions.
-The 1/|X| volume weight is bounded on the arch (|X| >= r), so plain
-sampling needs no singularity handling.
+rejection.  The 1/|X| volume weight is bounded on the arch (|X| >= r), so
+plain sampling needs no singularity handling.
+
+Homogeneous harmonic polynomials up to degree 3 supply the test functions,
+each an exact integer coefficient table over the monomials.  The suite
+streams the samplers' shards (at most 4096 points each) through one
+kernel: the monomial basis at the shard's points times each function's
+table gives its values and gradients, Euler's identity X . grad u =
+degree * u gives W . grad u without a dot product, and each integrand
+keeps only its running sum and sum of squares per function, added shard
+by shard in draw order.  No per-point array outgrows a shard.
 """
 
 from __future__ import annotations
@@ -28,88 +36,104 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArchRegion, sample_arch, sample_base, sample_lateral
+from .geometry import (
+    _DIRECT_CHUNK,
+    ArchRegion,
+    arch_stream,
+    base_stream,
+    lateral_stream,
+    mc_estimate,
+    sample_arch,
+    sample_base,
+    sample_lateral,
+)
+
+
+# the monomials x^a y^b z^c through degree 4, graded: those of degree d are
+# rows _DEGREE_START[d]:_DEGREE_START[d + 1] of a monomial basis
+_MONOMIALS = tuple((a, b, d - a - b) for d in range(5)
+                   for a in range(d, -1, -1) for b in range(d - a, -1, -1))
+_DEGREE_START = (0, 1, 4, 10, 20, 35)
+_INDEX = {e: k for k, e in enumerate(_MONOMIALS)}
+# each monomial past the first is a lower one times a coordinate: lower the
+# first nonzero exponent
+_AXIS = tuple(next(i for i in range(3) if e[i]) for e in _MONOMIALS[1:])
+_PARENT = tuple(_INDEX[tuple(x - (i == k) for i, x in enumerate(e))]
+                for e, k in zip(_MONOMIALS[1:], _AXIS))
+
+
+def _monomial_basis(coords, count):
+    """The first `count` monomials at the points ``coords`` (3, m), one row
+    each, in the order of ``_MONOMIALS``."""
+    basis = np.empty((count, coords.shape[1]))
+    basis[0] = 1.0
+    for k in range(1, count):
+        np.multiply(basis[_PARENT[k - 1]], coords[_AXIS[k - 1]], out=basis[k])
+    return basis
 
 
 class HarmonicTestFunction:
-    """Named harmonic polynomial with a hand-coded gradient."""
+    """Named homogeneous harmonic polynomial from its exact integer terms.
 
-    def __init__(self, name, degree, value_fn, grad_fn):
+    ``terms`` are ``(coefficient, a, b, c)`` for ``coefficient x^a y^b z^c``.
+    ``table`` holds integer coefficients over the monomial basis rows
+    ``columns`` in five rows: the value (degree d), the three gradient
+    components (degree d - 1) and ``|grad u|^2`` (degree 2d - 2).  Being
+    homogeneous, u satisfies Euler's identity ``X . grad u = d * u``.
+    """
+
+    def __init__(self, name, *terms):
+        degrees = {a + b + c for _, a, b, c in terms}
+        if len(degrees) != 1:
+            raise ValueError("%s: terms must share one degree" % name)
         self.name = name
-        self.degree = degree
-        self._value = value_fn
-        self._grad = grad_fn
+        self.degree = d = degrees.pop()
+        value = [(c, tuple(p)) for c, *p in terms]
+        gradient = [[(c * p[axis], tuple(x - (i == axis) for i, x in enumerate(p)))
+                     for c, p in value if p[axis]] for axis in range(3)]
+        square = [(c * c2, tuple(map(sum, zip(p, p2))))
+                  for g in gradient for c, p in g for c2, p2 in g]
+        lo = _DEGREE_START[max(d - 1, 0)]
+        self.columns = slice(lo, _DEGREE_START[max(d, 2 * d - 2) + 1])
+        table = np.zeros((5, self.columns.stop - lo))
+        for row, polynomial in enumerate([value] + gradient + [square]):
+            for c, p in polynomial:
+                table[row, _INDEX[p] - lo] += c
+        table.flags.writeable = False
+        self.table = table
 
     def __repr__(self):
         return "HarmonicTestFunction(%r)" % self.name
 
+    def _rows(self, pts, rows):
+        pts = np.asarray(pts, dtype=float)
+        basis = _monomial_basis(pts.reshape(-1, 3).T, self.columns.stop)[self.columns]
+        return (self.table[rows] @ basis).T.reshape(pts.shape[:-1] + (-1,))
+
     def value(self, pts):
-        x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-        return self._value(x, y, z) + np.zeros(np.shape(x))
+        return self._rows(pts, slice(0, 1))[..., 0]
 
     def gradient(self, pts):
-        x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-        gx, gy, gz = self._grad(x, y, z)
-        out = np.zeros(np.shape(x) + (3,))
-        out[..., 0] = gx
-        out[..., 1] = gy
-        out[..., 2] = gz
-        return out
+        return self._rows(pts, slice(1, 4))
 
 
 CATALOG = (
-    HarmonicTestFunction("1", 0, lambda x, y, z: 1.0, lambda x, y, z: (0.0, 0.0, 0.0)),
-    HarmonicTestFunction("x", 1, lambda x, y, z: x, lambda x, y, z: (1.0, 0.0, 0.0)),
-    HarmonicTestFunction("y", 1, lambda x, y, z: y, lambda x, y, z: (0.0, 1.0, 0.0)),
-    HarmonicTestFunction("z", 1, lambda x, y, z: z, lambda x, y, z: (0.0, 0.0, 1.0)),
-    HarmonicTestFunction("xy", 2, lambda x, y, z: x * y, lambda x, y, z: (y, x, 0.0)),
-    HarmonicTestFunction("yz", 2, lambda x, y, z: y * z, lambda x, y, z: (0.0, z, y)),
-    HarmonicTestFunction("zx", 2, lambda x, y, z: z * x, lambda x, y, z: (z, 0.0, x)),
-    HarmonicTestFunction(
-        "x^2-y^2", 2,
-        lambda x, y, z: x * x - y * y,
-        lambda x, y, z: (2 * x, -2 * y, 0.0),
-    ),
-    HarmonicTestFunction(
-        "2z^2-x^2-y^2", 2,
-        lambda x, y, z: 2 * z * z - x * x - y * y,
-        lambda x, y, z: (-2 * x, -2 * y, 4 * z),
-    ),
-    HarmonicTestFunction(
-        "x^3-3xy^2", 3,
-        lambda x, y, z: x ** 3 - 3 * x * y * y,
-        lambda x, y, z: (3 * x * x - 3 * y * y, -6 * x * y, 0.0),
-    ),
-    HarmonicTestFunction(
-        "3x^2y-y^3", 3,
-        lambda x, y, z: 3 * x * x * y - y ** 3,
-        lambda x, y, z: (6 * x * y, 3 * x * x - 3 * y * y, 0.0),
-    ),
-    HarmonicTestFunction(
-        "xyz", 3,
-        lambda x, y, z: x * y * z,
-        lambda x, y, z: (y * z, x * z, x * y),
-    ),
-    HarmonicTestFunction(
-        "z(x^2-y^2)", 3,
-        lambda x, y, z: z * (x * x - y * y),
-        lambda x, y, z: (2 * x * z, -2 * y * z, x * x - y * y),
-    ),
-    HarmonicTestFunction(
-        "x(4z^2-x^2-y^2)", 3,
-        lambda x, y, z: x * (4 * z * z - x * x - y * y),
-        lambda x, y, z: (4 * z * z - 3 * x * x - y * y, -2 * x * y, 8 * x * z),
-    ),
-    HarmonicTestFunction(
-        "y(4z^2-x^2-y^2)", 3,
-        lambda x, y, z: y * (4 * z * z - x * x - y * y),
-        lambda x, y, z: (-2 * x * y, 4 * z * z - x * x - 3 * y * y, 8 * y * z),
-    ),
-    HarmonicTestFunction(
-        "z(2z^2-3x^2-3y^2)", 3,
-        lambda x, y, z: z * (2 * z * z - 3 * x * x - 3 * y * y),
-        lambda x, y, z: (-6 * x * z, -6 * y * z, 6 * z * z - 3 * x * x - 3 * y * y),
-    ),
+    HarmonicTestFunction("1", (1, 0, 0, 0)),
+    HarmonicTestFunction("x", (1, 1, 0, 0)),
+    HarmonicTestFunction("y", (1, 0, 1, 0)),
+    HarmonicTestFunction("z", (1, 0, 0, 1)),
+    HarmonicTestFunction("xy", (1, 1, 1, 0)),
+    HarmonicTestFunction("yz", (1, 0, 1, 1)),
+    HarmonicTestFunction("zx", (1, 1, 0, 1)),
+    HarmonicTestFunction("x^2-y^2", (1, 2, 0, 0), (-1, 0, 2, 0)),
+    HarmonicTestFunction("2z^2-x^2-y^2", (2, 0, 0, 2), (-1, 2, 0, 0), (-1, 0, 2, 0)),
+    HarmonicTestFunction("x^3-3xy^2", (1, 3, 0, 0), (-3, 1, 2, 0)),
+    HarmonicTestFunction("3x^2y-y^3", (3, 2, 1, 0), (-1, 0, 3, 0)),
+    HarmonicTestFunction("xyz", (1, 1, 1, 1)),
+    HarmonicTestFunction("z(x^2-y^2)", (1, 2, 0, 1), (-1, 0, 2, 1)),
+    HarmonicTestFunction("x(4z^2-x^2-y^2)", (4, 1, 0, 2), (-1, 3, 0, 0), (-1, 1, 2, 0)),
+    HarmonicTestFunction("y(4z^2-x^2-y^2)", (4, 0, 1, 2), (-1, 2, 1, 0), (-1, 0, 3, 0)),
+    HarmonicTestFunction("z(2z^2-3x^2-3y^2)", (2, 0, 0, 3), (-3, 2, 0, 1), (-3, 0, 2, 1)),
 )
 
 
@@ -210,14 +234,22 @@ class EstimateResult:
 REGIONS = ("volume", "inner", "outer", "lateral")
 
 
+def _shared(arch, n, seed, volume, base, lateral):
+    """One draw per region, in the order of ``REGIONS``; seeds derive from
+    (seed, region index)."""
+    seed = int(seed)
+    return (volume(arch, n, seed), base(arch.inner_base, n, (seed << 2) + 1),
+            base(arch.outer_base, n, (seed << 2) + 2), lateral(arch, n, (seed << 2) + 3))
+
+
 def arch_batches(arch, n, seed):
-    """The four shared batches, in the order of ``REGIONS``; seeds derive
-    from (seed, region index)."""
-    volume = sample_arch(arch, n, seed)
-    inner = sample_base(arch.inner_base, n, (int(seed) << 2) + 1)
-    outer = sample_base(arch.outer_base, n, (int(seed) << 2) + 2)
-    lateral = sample_lateral(arch, n, (int(seed) << 2) + 3)
-    return volume, inner, outer, lateral
+    """The four shared batches, in the order of ``REGIONS``."""
+    return _shared(arch, n, seed, sample_arch, sample_base, sample_lateral)
+
+
+def arch_streams(arch, n, seed):
+    """The four shared streams that :func:`arch_batches` gathers."""
+    return _shared(arch, n, seed, arch_stream, base_stream, lateral_stream)
 
 
 def sampling_report(batches):
@@ -234,87 +266,129 @@ def sampling_report(batches):
     }
 
 
+# the rows of each function's table a region's integrands read; the lateral
+# estimate takes |grad u|^2 - (du/dnu)^2, which vanishes where grad u is
+# normal to the face, so there |grad u|^2 is summed from the same gradient
+# rows as du/dnu and cancels to the rounding of those rows alone
+_REGION_ROWS = {"volume": [0], "inner": [0, 4], "outer": [0, 4], "lateral": [0, 1, 2, 3]}
+
+
+def _region_tables(region, test_functions):
+    """Per function, the rows of its table the region reads, the value row
+    times the degree so that by Euler's identity the product's first row is
+    ``|X| W . grad u``; and the table's columns."""
+    tables = []
+    for u in test_functions:
+        table = u.table[_REGION_ROWS[region]]
+        table[0] *= u.degree
+        tables.append((table, u.columns))
+    return tables
+
+
+def _integrands(region, tables, pts, normals):
+    """The region's integrands at one shard of points relative to the
+    vertex, one (functions, points) array each: for the volume the lhs
+    integrand, for each boundary region the identity's then the estimate's.
+
+    Each function's rows are its own table times the monomial basis, so
+    they do not depend on the other functions.
+    """
+    x, y, z = coords = np.ascontiguousarray(pts.T)
+    r2 = x * x + y * y + z * z
+    r = np.sqrt(r2)
+    basis = _monomial_basis(coords, max(columns.stop for _, columns in tables))
+    rows = np.empty((len(_REGION_ROWS[region]), len(tables), len(r)))
+    for f, (table, columns) in enumerate(tables):
+        np.matmul(table, basis[columns], out=rows[:, f])
+    rwg = rows[0]  # |X| W . grad u
+    if region == "volume":
+        return (rwg * rwg * (2.0 / (r2 * r)),)
+    if region != "lateral":
+        g2 = rows[1]  # the table's |grad u|^2 row
+        twice_wg2 = rwg * rwg * (2.0 / r2)
+        if region == "inner":  # outward normal -W
+            return twice_wg2 - g2, twice_wg2
+        return g2 - twice_wg2, g2  # outer base, outward normal +W
+    # lateral faces: nu . W vanishes on faces through the vertex up to
+    # round-off but is kept in the integrand
+    g = rows[1:]
+    g2 = np.einsum("kfm,kfm->fm", g, g)
+    nu = np.ascontiguousarray(normals.T)
+    dn = np.einsum("km,kfm->fm", nu, g)
+    nuw = np.einsum("km,km->m", nu, coords) / r
+    dn2 = dn * dn
+    # the estimate's 2 |du/dnu| |grad_t u|, with |grad_t u|^2 = |grad u|^2 - dn^2
+    return (nuw * g2 - dn * rwg * (2.0 / r),
+            2.0 * np.sqrt(np.maximum(dn2 * (g2 - dn2), 0.0)))
+
+
+def _accumulate(sums, region, tables, v, pts, normals):
+    """Add the sums and sums of squares of the region's integrands over
+    ``pts``, one shard of at most ``_DIRECT_CHUNK`` points at a time moved
+    to put the vertex ``v`` at the origin, into ``sums`` (2, integrands,
+    functions)."""
+    for start in range(0, len(pts), _DIRECT_CHUNK):
+        stop = start + _DIRECT_CHUNK
+        values = _integrands(region, tables, pts[start:stop] - v,
+                             None if normals is None else normals[start:stop])
+        for i, x in enumerate(values):
+            sums[0, i] += x.sum(axis=1)
+            sums[1, i] += np.einsum("ij,ij->i", x, x)
+
+
 def rellich_suite(arch, test_functions, n, seed, batches=None):
-    """Identity and estimate reports for many u on shared sample batches.
+    """Identity and estimate reports for many u on shared samples.
 
     Coordinates are translated so the arch vertex sits at the origin
     before evaluating u, which makes results invariant under rigid
     translation of the fixture.  ``batches`` are the four batches of
     ``arch_batches(arch, n, seed)`` when the caller has drawn them already,
-    to report on them as well; otherwise they are drawn here.
+    to report on them as well.  Otherwise the suite walks the same points
+    shard by shard from ``arch_streams(arch, n, seed)`` and never holds a
+    whole batch.  Either way each integrand keeps only its running sum and
+    sum of squares per test function, added shard by shard in draw order.
     """
     if not isinstance(arch, ArchRegion):
         raise TypeError("arch must be an ArchRegion")
-    n = int(n)
+    test_functions = tuple(test_functions)
+    if not test_functions:
+        return [], []
     v = arch.surface.vertices[arch.vertex]
-    identities = {}
-    estimates = {}
-    acc = {
-        u.name: {"vertex": arch.vertex, "r_inner": arch.r_inner, "r_outer": arch.r_outer}
-        for u in test_functions
-    }
+    sources = arch_streams(arch, n, seed) if batches is None else batches
+    acc = {}
+    for region, source in zip(REGIONS, sources):
+        sums = np.zeros((2, 1 if region == "volume" else 2, len(test_functions)))
+        tables = _region_tables(region, test_functions)
+        if batches is None:
+            proposals = 0
+            for pts, face_ids, m in source:
+                normals = None if face_ids is None else arch.surface.face_normals[face_ids]
+                _accumulate(sums, region, tables, v, pts, normals)
+                proposals += m
+        else:
+            _accumulate(sums, region, tables, v, source.points, source.normals)
+            proposals = source.n_proposals
+        acc[region] = mc_estimate(sums[0], sums[1], proposals, source.proposal_measure)
 
-    if batches is None:
-        batches = arch_batches(arch, n, seed)
-    volume, inner, outer, lateral = batches
-    # per batch: (key, integrand) pairs; the integrands take the per-point
-    # |X|, W . grad u, |grad u|^2 and, on the lateral faces, nu . grad u and
-    # nu . W
-    regions = (
-        # volume side: 2 (W . grad u)^2 / |X|
-        (volume, (("lhs", lambda r, wg, **_: 2.0 * wg * wg / r),)),
-        # inner base, outward normal -W
-        (inner, (("inner_id", lambda wg, g2, **_: -g2 + 2.0 * wg * wg),
-                 ("inner_est", lambda wg, **_: 2.0 * wg * wg))),
-        # outer base, outward normal +W
-        (outer, (("outer_id", lambda wg, g2, **_: g2 - 2.0 * wg * wg),
-                 ("outer_est", lambda g2, **_: g2))),
-        # lateral faces: nu from face geometry; nu . W vanishes on faces
-        # through the vertex up to round-off but is kept in the integrand
-        (lateral, (("lat_id", lambda wg, g2, dn, nuw, **_: nuw * g2 - 2.0 * dn * wg),
-                   ("lat_est", lambda g2, dn, **_:
-                       2.0 * np.abs(dn) * np.sqrt(np.maximum(g2 - dn * dn, 0.0))))),
-    )
-    for batch, integrands in regions:
-        pts = batch.points - v
-        r = np.linalg.norm(pts, axis=1)
-        w = pts / r[:, None]
-        nu = batch.normals
-        nuw = None if nu is None else np.einsum("ij,ij->i", nu, w)
-        for u in test_functions:
-            g = u.gradient(pts)
-            wg = np.einsum("ij,ij->i", w, g)
-            g2 = np.einsum("ij,ij->i", g, g)
-            dn = None if nu is None else np.einsum("ij,ij->i", nu, g)
-            for key, integrand in integrands:
-                acc[u.name][key] = batch.integrate(
-                    integrand(r=r, wg=wg, g2=g2, dn=dn, nuw=nuw))
-
-    for u in test_functions:
-        a = acc[u.name]
-        rhs = a["inner_id"][0] + a["outer_id"][0] + a["lat_id"][0]
-        rhs_se = math.sqrt(a["inner_id"][1] ** 2 + a["outer_id"][1] ** 2 + a["lat_id"][1] ** 2)
-        identities[u.name] = RellichResult(
-            vertex=a["vertex"], r_inner=a["r_inner"], r_outer=a["r_outer"],
-            u_name=u.name,
-            lhs=a["lhs"][0], lhs_stderr=a["lhs"][1],
-            rhs=rhs, rhs_stderr=rhs_se,
-            rhs_inner=a["inner_id"][0], rhs_outer=a["outer_id"][0],
-            rhs_lateral=a["lat_id"][0],
-        )
+    (lhs, lhs_se), (inner, inner_se), (outer, outer_se), (lat, lat_se) = (
+        (est.tolist(), se.tolist()) for est, se in (acc[region] for region in REGIONS))
+    identities, estimates = [], []
+    for f, u in enumerate(test_functions):
+        common = dict(vertex=arch.vertex, r_inner=arch.r_inner, r_outer=arch.r_outer,
+                      u_name=u.name, lhs=lhs[0][f], lhs_stderr=lhs_se[0][f])
+        identities.append(RellichResult(
+            **common,
+            rhs=inner[0][f] + outer[0][f] + lat[0][f],
+            rhs_stderr=math.sqrt(inner_se[0][f] ** 2 + outer_se[0][f] ** 2 + lat_se[0][f] ** 2),
+            rhs_inner=inner[0][f], rhs_outer=outer[0][f], rhs_lateral=lat[0][f],
+        ))
         # the 2x factors already sit inside the inner and lateral integrands
-        rhs_e = a["outer_est"][0] + a["inner_est"][0] + a["lat_est"][0]
-        rhs_e_se = math.sqrt(
-            a["outer_est"][1] ** 2 + a["inner_est"][1] ** 2 + a["lat_est"][1] ** 2
-        )
-        estimates[u.name] = EstimateResult(
-            vertex=a["vertex"], r_inner=a["r_inner"], r_outer=a["r_outer"],
-            u_name=u.name,
-            lhs=a["lhs"][0], lhs_stderr=a["lhs"][1],
-            rhs=rhs_e, rhs_stderr=rhs_e_se,
-        )
-    ordered = [u.name for u in test_functions]
-    return [identities[k] for k in ordered], [estimates[k] for k in ordered]
+        estimates.append(EstimateResult(
+            **common,
+            rhs=outer[1][f] + inner[1][f] + lat[1][f],
+            rhs_stderr=math.sqrt(outer_se[1][f] ** 2 + inner_se[1][f] ** 2 + lat_se[1][f] ** 2),
+        ))
+    return identities, estimates
 
 
 def rellich_identity(arch, u, n, seed):

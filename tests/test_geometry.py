@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.spatial.distance import pdist
 from scipy.spatial.transform import Rotation
 
 from polymix import fixtures
@@ -14,13 +15,14 @@ from polymix.geometry import (
     DegenerateEdgeError,
     GeometryError,
     _CHUNK,
-    _collect_rejection,
     _inside_tester,
     _link_arcs,
     _link_fan,
     _link_kernel,
     _point_segment_distance,
+    _rejection_stream,
     _rng,
+    _vertex_corners,
     contains_point,
     contains_points,
     dihedral_angles,
@@ -712,7 +714,7 @@ def test_rejection_aborts_below_min_acceptance():
 
     assert 1.0 / 20_000 < MIN_ACCEPTANCE
     with pytest.raises(GeometryError, match="acceptance ratio"):
-        _collect_rejection("arch-volume", 1, 1.0, 50_000, gen, accept)
+        list(_rejection_stream("arch-volume", 1, 1.0, 50_000, gen, accept))
 
 
 def test_sample_on_nonconvex_vertex(l_prism):
@@ -766,7 +768,8 @@ def rejection_sample_base(cone, n, seed):
         d = _rng(seed, shard).normal(size=(min(_CHUNK, max(4 * n, 1024)), 3))
         return v + r * d / np.linalg.norm(d, axis=1)[:, None], None
 
-    return _collect_rejection("base-sphere", seed, 4.0 * math.pi * r * r, n, gen, inside)
+    return _rejection_stream("base-sphere", seed, 4.0 * math.pi * r * r, n, gen,
+                             inside).collect()
 
 
 def rejection_sample_arch(arch, n, seed):
@@ -781,8 +784,8 @@ def rejection_sample_arch(arch, n, seed):
         d /= np.linalg.norm(d, axis=1)[:, None]
         return v + np.cbrt(r3 + g.uniform(size=m) * (R3 - r3))[:, None] * d, None
 
-    return _collect_rejection("arch-volume", seed, 4.0 * math.pi / 3.0 * (R3 - r3), n, gen,
-                              _inside_tester(arch.surface, arch.vertex))
+    return _rejection_stream("arch-volume", seed, 4.0 * math.pi / 3.0 * (R3 - r3), n, gen,
+                             _inside_tester(arch.surface, arch.vertex)).collect()
 
 
 def rejection_sample_lateral(arch, n, seed):
@@ -810,7 +813,8 @@ def rejection_sample_lateral(arch, n, seed):
         rr = np.linalg.norm(pts - v, axis=1)
         return (rr >= arch.r_inner) & (rr <= arch.r_outer)
 
-    batch = _collect_rejection("lateral-surface", seed, float(areas.sum()), n, gen, accept)
+    batch = _rejection_stream("lateral-surface", seed, float(areas.sum()), n, gen,
+                              accept).collect()
     batch.normals = surface.face_normals[batch.face_ids]
     return batch
 
@@ -1006,6 +1010,8 @@ SIMILARITY_MESHES = PROPERTY_MESHES + [needle(), fixtures.notched_box(1)]
     log_scale=st.floats(-3.0, 3.0),
     reflect=st.booleans(),
 )
+@example(index=9, vertex_pick=0, quaternion=(1, 0, 0, 1), shift=(0, 0, 17), log_scale=3,
+         reflect=False)
 def test_exact_measures_invariant_under_similarity(index, vertex_pick, quaternion, shift,
                                                    log_scale, reflect):
     base = SIMILARITY_MESHES[index]
@@ -1021,10 +1027,33 @@ def test_exact_measures_invariant_under_similarity(index, vertex_pick, quaternio
     rho = separation_radius(base, vertex)
     before = ArchRegion(base, vertex, 0.3 * rho, 0.6 * rho)
     after = ArchRegion(moved, vertex, 0.3 * rho * s, 0.6 * rho * s)
-    samplers = [(sample_lateral, 2)]
+    # The moved coordinates are rounded, each by up to eps times its size,
+    # about eps s (|shift| + extent).  That turns a direction from the vertex
+    # to a neighbor, and a face normal, by up to about 2 eps (|shift| +
+    # extent) / feature, plus a few eps from normalizing it, where the feature
+    # is the shortest edge or the lowest face height at the vertex.  Turning
+    # the link arcs by `turn` moves the link boundary, of length P (the sum of
+    # the face angles at the vertex), by as much, so the solid angle Omega
+    # moves by at most P turn, and P by 2 turn per face.
+    fids, neighbors, _, _ = _vertex_corners(base, vertex)
+    verts = np.asarray(base.vertices)
+    neighbors = neighbors + [f[(f.index(vertex) + 1) % len(f)] for f in
+                             (base.faces[fi] for fi in fids)]
+    heights = [2.0 * base.face_areas[fi] / pdist(verts[list(base.faces[fi])]).max()
+               for fi in fids]
+    feature = min(np.linalg.norm(verts[neighbors] - verts[vertex], axis=1).min(), *heights)
+    extent = np.linalg.norm(verts, axis=1).max()
+    turn = np.finfo(float).eps * (2.0 * (np.linalg.norm(shift) + extent) / feature + 4.0)
+    r2, r3 = [(0.6 * rho) ** k - (0.3 * rho) ** k for k in (2, 3)]
+    perimeter = 2.0 * sample_lateral(before, 8, 1).measure_estimate / r2
+    samplers = [(sample_lateral, 2, 2.0 * len(fids) * turn / perimeter)]
     if is_convex_vertex(base, vertex):
         assert is_convex_vertex(moved, vertex)
-        samplers += [(sample_arch, 3), (lambda a, n, seed: sample_base(a.outer_base, n, seed), 2)]
-    for sampler, power in samplers:
+        omega = 3.0 * sample_arch(before, 8, 1).measure_estimate / r3
+        samplers += [(sample_arch, 3, perimeter * turn / omega),
+                     (lambda a, n, seed: sample_base(a.outer_base, n, seed), 2,
+                      perimeter * turn / omega)]
+    for sampler, power, rel in samplers:
         want = sampler(before, 8, 1).measure_estimate * s ** power
-        assert sampler(after, 8, 1).measure_estimate == pytest.approx(want, rel=1e-10)
+        got = sampler(after, 8, 1).measure_estimate
+        assert got == pytest.approx(want, rel=rel, abs=0.0)

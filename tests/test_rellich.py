@@ -1,17 +1,33 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from polymix import fixtures
-from polymix.geometry import ArchRegion
+from polymix.geometry import (
+    ArchRegion,
+    _DIRECT_CHUNK,
+    sample_arch,
+    sample_base,
+    sample_lateral,
+    separation_radius,
+)
 from polymix.mesh import PolyhedralSurface
 from polymix.rellich import (
     CATALOG,
+    REGIONS,
+    _monomial_basis,
+    arch_batches,
+    arch_streams,
     catalog,
     catalog_entry,
     rellich_estimate,
     rellich_identity,
     rellich_suite,
 )
+
+from conftest import u_pyramid
+from rellich_reference import REFERENCE_CATALOG, reference_rellich_suite
 
 N_UNIT = 200_000  # moderate count for unit tests; acceptance runs 1e7
 
@@ -155,3 +171,125 @@ def test_lateral_normal_component_vanishes(cube_arch):
     w = pts / np.linalg.norm(pts, axis=1)[:, None]
     nuw = np.einsum("ij,ij->i", batch.normals, w)
     assert np.abs(nuw).max() < 1e-12
+
+
+def test_tables_match_reference_lambdas():
+    # the coefficient tables against the hand-written value and gradient
+    # lambdas they replaced, relative to the size of the terms at the point
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(-2.0, 2.0, size=(500, 3))
+    assert [u.name for u in CATALOG] == [ref.name for ref in REFERENCE_CATALOG]
+    for u, ref in zip(CATALOG, REFERENCE_CATALOG):
+        assert u.degree == ref.degree
+        scale = np.linalg.norm(pts, axis=1) ** u.degree * np.abs(u.table[0]).sum()
+        np.testing.assert_allclose(u.value(pts), ref.value(pts), rtol=1e-14,
+                                   atol=1e-14 * scale.max(), err_msg=u.name)
+        gscale = np.abs(u.table[1:4]).sum() * np.linalg.norm(pts, axis=1).max() ** max(
+            u.degree - 1, 0)
+        np.testing.assert_allclose(u.gradient(pts), ref.gradient(pts), rtol=1e-14,
+                                   atol=1e-14 * gscale, err_msg=u.name)
+        g = ref.gradient(pts)
+        basis = _monomial_basis(np.ascontiguousarray(pts.T), u.columns.stop)[u.columns]
+        np.testing.assert_allclose(u.table[4] @ basis, (g * g).sum(axis=1),
+                                   rtol=1e-13, atol=1e-13 * gscale ** 2, err_msg=u.name)
+
+
+def test_euler_identity():
+    # X . grad u == degree * u for every homogeneous catalog entry: the
+    # closed form the suite uses for W . grad u
+    rng = np.random.default_rng(13)
+    pts = rng.uniform(-2.0, 2.0, size=(500, 3))
+    for u in CATALOG:
+        lhs = np.einsum("ij,ij->i", pts, u.gradient(pts))
+        scale = np.linalg.norm(pts, axis=1) ** u.degree * np.abs(u.table[0]).sum()
+        np.testing.assert_allclose(lhs, u.degree * u.value(pts), rtol=1e-13,
+                                   atol=1e-13 * scale.max(), err_msg=u.name)
+
+
+def _arch(surface, vertex):
+    rho = separation_radius(surface, vertex)
+    return ArchRegion(surface, vertex, 0.3 * rho, 0.6 * rho)
+
+
+EQUIVALENCE_ARCHES = [
+    pytest.param(fixtures.cube(), 0, id="cube-v0"),
+    pytest.param(fixtures.square_pyramid(), 0, id="pyramid-apex"),
+    pytest.param(fixtures.l_prism(), 3, id="l-prism-notch"),
+    pytest.param(fixtures.notched_box(1), 5, id="notched-box-1-v5"),
+    pytest.param(u_pyramid(), 8, id="u-pyramid-apex-rejection"),
+]
+
+
+@pytest.mark.parametrize("surface,vertex", EQUIVALENCE_ARCHES)
+def test_suite_matches_whole_array_reference(surface, vertex):
+    # the shard kernel against the whole-array suite it replaced, streamed
+    # and over given batches; n spans several shards and ends in a partial one
+    arch = _arch(surface, vertex)
+    n = 3 * _DIRECT_CHUNK + 1000
+    ref_ids, ref_ests = reference_rellich_suite(arch, REFERENCE_CATALOG, n, seed=5)
+    for batches in (None, arch_batches(arch, n, 5)):
+        ids, ests = rellich_suite(arch, catalog(3), n, seed=5, batches=batches)
+        for got, want in zip(ids + ests, ref_ids + ref_ests):
+            assert got.u_name == want.u_name
+            for key in ("lhs", "rhs", "rhs_inner", "rhs_outer", "rhs_lateral"):
+                if hasattr(want, key):
+                    assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12,
+                                                              abs=0.0), (got.u_name, key)
+            # a stderr comes from the sum of squares less m mean^2, which rounds
+            # to about eps times the integral's size squared when a part's
+            # integrand is constant (as |du/dnu| |grad_t u| is for u = x on the
+            # pyramid's lateral faces); both suites keep that rounding floor
+            size = max(abs(getattr(want, k, 0.0)) for k in
+                       ("lhs", "rhs", "rhs_inner", "rhs_outer", "rhs_lateral"))
+            for key in ("lhs_stderr", "rhs_stderr"):
+                a, b = getattr(got, key), getattr(want, key)
+                assert abs(a * a - b * b) <= 1e-12 * b * b + 4.0 * np.finfo(float).eps * size ** 2, (
+                    got.u_name, key, a, b)
+
+
+@pytest.mark.parametrize("surface,vertex", EQUIVALENCE_ARCHES)
+def test_streams_concatenate_to_the_batches(surface, vertex):
+    arch = _arch(surface, vertex)
+    n = 2 * _DIRECT_CHUNK + 7
+    batches = (sample_arch(arch, n, 3), sample_base(arch.inner_base, n, 13),
+               sample_base(arch.outer_base, n, 14), sample_lateral(arch, n, 15))
+    assert [b.rng_seed for b in arch_batches(arch, n, 3)] == [b.rng_seed for b in batches]
+    for region, stream, batch in zip(REGIONS, arch_streams(arch, n, 3), batches):
+        shards = list(stream)
+        assert all(len(pts) <= max(_DIRECT_CHUNK, 1 << 18) for pts, _, _ in shards)
+        assert np.array_equal(np.concatenate([pts for pts, _, _ in shards]), batch.points), region
+        assert sum(m for _, _, m in shards) == batch.n_proposals
+        assert stream.method == batch.method
+        assert stream.proposal_measure == batch.proposal_measure
+        if region == "lateral":
+            assert np.array_equal(np.concatenate([f for _, f, _ in shards]), batch.face_ids)
+        collected = stream.collect()
+        assert np.array_equal(collected.points, batch.points)
+        assert np.array_equal(collected.weights, batch.weights)
+
+
+def test_every_function_independent_of_companions():
+    # each function's product is its own, so its sums, and every number
+    # reported for it, are the same alone as inside the whole catalog
+    arch = ArchRegion(fixtures.l_prism(), 3, 0.25, 0.5)
+    ids, ests = rellich_suite(arch, catalog(3), 10_000, seed=21)
+    for res, est, u in zip(ids, ests, catalog(3)):
+        alone_id, alone_est = rellich_suite(arch, [u], 10_000, seed=21)
+        assert alone_id[0] == res and alone_est[0] == est, u.name
+
+
+def test_streamed_suite_memory_capped_at_one_shard(cube_arch):
+    # per-point arrays never exceed one shard, so quadrupling n must leave
+    # the traced allocation peak nearly where it was
+    rellich_suite(cube_arch, catalog(2), 1000, seed=4)  # fill caches first
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            rellich_suite(cube_arch, catalog(2), n, seed=4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1 << 16), peak(1 << 18)
+    assert large < 1.5 * small, (small, large)
