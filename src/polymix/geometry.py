@@ -5,31 +5,27 @@ Angles are measured inside the solid: an edge of a convex solid has
 interior angle < pi, a reflex (notch) edge has interior angle > pi, and
 interior + exterior = 2*pi per edge.  Each angle comes from the edge's
 own geometry (two face normals and the edge direction), never from a
-global inside test.  Containment is a winding number, exact up to
-rounding and free of ray directions: the generalized winding number over
-all triangles for :func:`contains_points`, and inside a vertex's
-separation ball a sum over that vertex's link only.  Sampling is seeded
-and deterministic, and drawn in shards, each from its own generator: a
-:class:`SampleStream` hands a sampler's shards out one at a time to a
-consumer that reduces as it goes, and ``sample_*`` gather the same shards
-into one :class:`SampleBatch`.  Lateral faces are sampled directly everywhere, and
-arches and cone bases directly wherever the vertex link has a kernel (a
-direction that sees every link arc positively oriented, as at every convex
-vertex and most reflex ones): every draw is kept and the batch carries the
-region's exact measure.  Links without a kernel fall back to rejection
-against the link winding test, and the batch reports an unbiased measure
-estimate with its Monte Carlo standard error.
+global inside test.  Containment is the generalized winding number over
+all triangles (:func:`contains_points`), exact up to rounding and free of
+ray directions.  Sampling is seeded and deterministic, and drawn in
+shards, each from its own generator: a :class:`SampleStream` hands a
+sampler's shards out one at a time to a consumer that reduces as it goes,
+and ``sample_*`` gather the same shards into one :class:`SampleBatch`.
+Every region is sampled directly: lateral faces as polar wedges, arches
+and cone bases through spherical triangles that tile the vertex cone, cut
+from its link by a sweep of meridians (:func:`_link_triangles`) at convex
+and reflex vertices alike, including cones with no kernel and cones in no
+open hemisphere.  Every draw is kept and the batch carries the region's
+exact measure.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .mesh import MeshError, PolyhedralSurface, plane_basis
 
@@ -46,12 +42,8 @@ BOUNDARY_REL_TOL = 1e-12
 # Cone and arch radii must stay below this fraction of the separation radius.
 RADIUS_SAFETY_FACTOR = 0.9
 
-# Rejection samplers abort below this acceptance ratio.
-MIN_ACCEPTANCE = 1e-4
-
-_CHUNK = 1 << 18  # proposals per internal shard of a rejection sampler
-# points per shard of a direct sampler: its temporaries then stay in the
-# processor caches, which halves the time per point against 1 << 18
+# points per shard of a sampler: its temporaries then stay in the processor
+# caches, which halves the time per point against 1 << 18
 _DIRECT_CHUNK = 1 << 12
 
 
@@ -288,8 +280,8 @@ def contains_points(surface, points):
 def _check_vertex_cone(surface, vertex):
     """The vertex exists and the surface is oriented outward.
 
-    The inside tests of the samplers read the solid's side off the face
-    orientation, so an inside-out surface would sample the complement.
+    The samplers read the solid's side off the face orientation, so an
+    inside-out surface would sample the complement.
     """
     if not 0 <= vertex < len(surface.vertices):
         raise ValueError("vertex %d out of range 0..%d" % (vertex, len(surface.vertices) - 1))
@@ -353,10 +345,14 @@ class ArchRegion:
 
 @dataclass
 class SampleBatch:
-    """Accepted sample points with per-point measure weights.
+    """Sample points with per-point measure weights.
 
-    ``sum(weights)`` estimates the region's measure; ``integrate`` turns
-    per-point values into an integral estimate with standard error.
+    ``sum(weights)`` is the region's measure; ``integrate`` turns per-point
+    values into an integral estimate with standard error.  The samplers here
+    all draw directly: ``method`` is ``"direct"``, ``n_proposals`` equals the
+    number of points and the measure is exact (stderr 0).  The proposal
+    fields also describe the points kept out of uniform proposals over a
+    larger region, as the rejection reference of the tests draws them.
     """
 
     tag: str
@@ -365,7 +361,7 @@ class SampleBatch:
     rng_seed: int
     n_proposals: int
     proposal_measure: float
-    method: str  # "direct" (exact measure) or "rejection" (estimated measure)
+    method: str  # "direct": every draw kept, exact measure
     face_ids: np.ndarray | None = None
     normals: np.ndarray | None = field(default=None, repr=False)
 
@@ -412,12 +408,12 @@ class SampleStream:
     """A sampler's draws shard by shard, before they are gathered into a batch.
 
     Iterating yields ``(points, face_ids or None, proposals)`` per shard in
-    draw order: at most ``_DIRECT_CHUNK`` points from one generator for a
-    direct sampler, the accepted part of one proposal shard for rejection.
-    The proposals of all shards sum to the batch's ``n_proposals``, and
-    :meth:`collect` concatenates the shards into the sampler's batch, so a
-    consumer that walks the stream sees exactly the batch's points while
-    holding one shard at a time.  Each iteration draws afresh from the seed.
+    draw order, at most ``_DIRECT_CHUNK`` points from one generator, each
+    point its own proposal.  The proposals of all shards sum to the batch's
+    ``n_proposals``, and :meth:`collect` concatenates the shards into the
+    sampler's batch, so a consumer that walks the stream sees exactly the
+    batch's points while holding one shard at a time.  Each iteration draws
+    afresh from the seed.
     """
 
     tag: str
@@ -466,76 +462,137 @@ def _vertex_corners(surface, vertex):
     return fids, [p for p, _ in ends], prev, succ
 
 
-def is_convex_vertex(surface, vertex):
-    """True when every edge at `vertex` has interior angle below pi.
-
-    Inside the separation ball the solid is then the convex cone cut out by
-    the half-spaces of the faces at the vertex.
-    """
-    angles = dihedral_angles(surface)
-    # every edge at the vertex precedes it in exactly one face
-    _, prev_ids, _, _ = _vertex_corners(surface, vertex)
-    return all(angles[surface.edge_index[tuple(sorted((vertex, prev)))]].interior_angle < math.pi
-               for prev in prev_ids)
-
-
 def _link_arcs(surface, vertex):
-    """The vertex link as minor arcs a -> b of unit directions from the vertex.
+    """The vertex link as minor arcs c -> b of unit directions from the vertex.
 
     Each face corner, from the face's next vertex round to its previous one
     (counterclockwise about the outward normal), splits at its in-plane
     bisector ``n x (succ - prev)`` into two arcs, so straight and reflex
-    corners need no special case.
+    corners need no special case.  The cone lies on the side
+    ``x . (b x c) > 0`` of every arc.
     """
     fids, _, prev, succ = _vertex_corners(surface, vertex)
     mid = _unit(np.cross(surface.face_normals[fids], succ - prev))
     return np.vstack([succ, mid]), np.vstack([mid, prev])
 
 
-def _inside_tester(surface, vertex):
-    """Inside test for points in the separation ball of `vertex`.
+def _spiral(n):
+    """``n`` nearly uniform unit vectors on a golden-angle spiral."""
+    z = 1.0 - (2.0 * np.arange(n) + 1.0) / n
+    turn = np.arange(n) * math.pi * (3.0 - math.sqrt(5.0))
+    s = np.sqrt(1.0 - z * z)
+    return np.column_stack([s * np.cos(turn), s * np.sin(turn), z])
 
-    There the solid is the cone over the vertex link.  At a convex vertex
-    the cone is the intersection of the incident faces' half-spaces.
-    Otherwise, for a point in direction w, the signed solid angles (Van
-    Oosterom & Strackee) of the spherical triangles (-w, a, b) over the link
-    arcs a -> b sum to 4*pi - Omega when the point is inside and to -Omega
-    when it is outside, where Omega in (0, 4*pi) is the cone's solid angle;
-    the sign of the sum decides.  Needs an outward-oriented surface.
+
+_POLES = _spiral(64)
+
+
+def _link_pole(c, normals):
+    """The pole of the meridian sweep in :func:`_link_triangles`.
+
+    The normalized sum of the arc starts wherever it sees every arc
+    positively oriented (the sweep then gives the fan from it), otherwise
+    the spiral direction, in a frame of the first arc, farthest from the
+    nearest arc's great circle.  Either turns with the link.
     """
-    v = surface.vertices[vertex]
-    if is_convex_vertex(surface, vertex):
-        normals = surface.face_normals[list(surface.vertex_faces[vertex])]
-        return lambda pts: np.all((pts - v) @ normals.T <= 0.0, axis=1)
-    a, b = _link_arcs(surface, vertex)
-    # half solid angle of (-w, a, b): atan2(-w.(a x b), |w| (1 + a.b) - w.(a + b))
-    normal = np.cross(a, b).T
-    ends = (a + b).T
-    one_plus_cos = 1.0 + np.sum(a * b, axis=1)
+    apex = c.sum(axis=0)
+    if np.all(normals @ apex > 0.0):
+        return apex / np.linalg.norm(apex)
+    n = _unit(normals)
+    poles = _POLES @ np.vstack([c[0], np.cross(n[0], c[0]), n[0]])
+    return poles[np.argmax(np.abs(poles @ n.T).min(axis=1))]
 
-    def tester(pts):
-        w = pts - v
-        r = np.linalg.norm(w, axis=1)[:, None]
-        return np.arctan2(-(w @ normal), r * one_plus_cos - w @ ends).sum(axis=1) > 0.0
 
-    return tester
+def _link_triangles(c, b):
+    """The cone over the link arcs ``c -> b`` cut into positively oriented
+    spherical triangles ``(a, b, c)``, returned as three (t, 3) arrays.
+
+    Meridians about a pole ``p`` (:func:`_link_pole`, off every arc's great
+    circle) through the arc endpoints cut the sphere into lunes.  No arc
+    ends inside a lune and arcs do not cross, so the arcs across a lune keep
+    their order along it, and the interval just below a crossing (towards
+    ``p``) is inside the cone exactly when ``p`` sees that arc positively.
+    With ``L`` and ``R`` an arc's crossings of the lune's left and right
+    meridian, the cone's part of the lune is a cap ``(p, L, R)`` below the
+    first arc, quadrilaterals between consecutive arcs, split in two, and an
+    antipodal cap ``(L, -p, R)`` above the last; a lune that no arc crosses
+    is inside whole when ``p`` is, as four triangles through its equator.
+    An arc crosses the meridians through its own endpoints at the endpoints
+    themselves.  Triangles come in arc order, and those of zero measure are
+    dropped: where ``p`` sees every arc positively, each arc crosses one
+    lune and the triangles are the fan ``(p, b, c)``.
+    """
+    k = len(c)
+    normals = np.cross(b, c)
+    p = _link_pole(c, normals)
+    below = normals @ p > 0.0  # inside below the arc, which turns clockwise about p
+    e1 = c[0] - (c[0] @ p) * p
+    e1 /= np.linalg.norm(e1)
+    frame = np.vstack([e1, np.cross(p, e1)])
+
+    def towards(azimuth):  # unit directions at right angles to p
+        return np.column_stack([np.cos(azimuth), np.sin(azimuth)]) @ frame
+
+    ends = np.vstack([c, b]) @ frame.T
+    bounds, index = np.unique(np.arctan2(ends[:, 1], ends[:, 0]), return_inverse=True)
+    nb = len(bounds)
+    # arc i covers the lunes first[i], ..., first[i] + count[i] - 1 (mod nb),
+    # where lune j lies between meridians j and j + 1
+    first = np.where(below, index[k:], index[:k])
+    count = (np.where(below, index[:k], index[k:]) - first) % nb
+    meridians = towards(bounds)
+    # each arc's great circle crosses each meridian's plane (normal p x meridian)
+    x = np.cross(normals[:, None, :], towards(bounds + 0.5 * math.pi))  # (arc, meridian, xyz)
+    x *= np.sign(np.einsum("kjx,jx->kj", x, meridians))[..., None]
+    x /= np.linalg.norm(x, axis=2)[..., None]
+    x[np.arange(k), index[:k]] = c
+    x[np.arange(k), index[k:]] = b
+    polar = np.arctan2(np.einsum("kjx,jx->kj", x, meridians), x @ p)
+
+    arc, lune = np.nonzero((np.arange(nb) - first[:, None]) % nb < count[:, None])
+    order = np.lexsort((polar[arc, lune] + polar[arc, (lune + 1) % nb], lune))
+    arc, lune = arc[order], lune[order]
+    L, R = x[arc, lune], x[arc, (lune + 1) % nb]
+    L0, R0 = np.roll(L, 1, axis=0), np.roll(R, 1, axis=0)  # the arc below, within a lune
+    P = np.broadcast_to(p, L.shape)
+    head = np.r_[True, lune[1:] != lune[:-1]]
+    inside = below[arc]
+    key = (arc * nb + lune) * 8  # arc order, then lune, then piece
+    pieces = [(key, head & inside, [P, L, R]),
+              (key + 1, np.r_[head[1:], True] & ~inside, [L, -P, R]),
+              (key + 2, ~head & inside, [L0, L, R]),
+              (key + 3, ~head & inside, [L0, R, R0])]
+    if inside[0]:  # p is inside, and so is every lune that no arc crosses
+        empty = np.setdiff1d(np.arange(nb), lune)
+        edge = bounds[empty]
+        width = (np.append(bounds[1:], bounds[0] + 2.0 * math.pi) - bounds)[empty]
+        W0, Wm, W1 = towards(edge), towards(edge + 0.5 * width), towards(edge + width)
+        Q = np.broadcast_to(p, W0.shape)
+        key, every = (k * nb + empty) * 8 + 4, np.ones(len(empty), dtype=bool)
+        pieces += [(key, every, [Q, W0, Wm]), (key + 1, every, [Q, Wm, W1]),
+                   (key + 2, every, [W0, -Q, Wm]), (key + 3, every, [Wm, -Q, W1])]
+    key = np.concatenate([key[keep] for key, keep, _ in pieces])
+    tri = np.concatenate([np.stack(corners, axis=1)[keep] for _, keep, corners in pieces])
+    a, b, c = tri[np.argsort(key, kind="stable")].transpose(1, 0, 2)
+    keep = ((_dot(a, np.cross(b, c)) > 0.0) & np.any(a != b, axis=1)
+            & np.any(b != c, axis=1) & np.any(c != a, axis=1))
+    return a[keep], b[keep], c[keep]
 
 
 class _LinkFan:
-    """Uniform directions in a vertex cone, drawn directly from a fan of its link.
+    """Uniform directions in a vertex cone, drawn directly from spherical
+    triangles ``(a, b, c)`` that tile it.
 
-    The link is fanned from ``apex``, a unit direction in its kernel, into
-    the spherical triangles ``(apex, b, c)`` over its arcs ``c -> b``, all
-    positively oriented, so the cone is exactly their union, even when its
-    solid angle exceeds 2*pi.  Each triangle's solid angle comes from Van
-    Oosterom & Strackee; a draw picks a triangle with probability
-    proportional to it and samples the triangle by Arvo's area-preserving
-    map ("Stratified sampling of spherical triangles", SIGGRAPH 1995).
-    ``solid_angle`` is exact up to rounding.
+    The triangles are rows of ``a``, ``b`` and ``c``, all positively
+    oriented, so the cone is exactly their union, even when its solid angle
+    exceeds 2*pi.  Each triangle's solid
+    angle comes from Van Oosterom & Strackee; a draw picks a triangle with
+    probability proportional to it and samples the triangle by Arvo's
+    area-preserving map ("Stratified sampling of spherical triangles",
+    SIGGRAPH 1995).  ``solid_angle`` is exact up to rounding.
     """
 
-    def __init__(self, apex, c, b):
-        a = np.broadcast_to(apex, b.shape)
+    def __init__(self, a, b, c):
         det = _dot(a, np.cross(b, c))
         self.omega = 2.0 * np.arctan2(det, 1.0 + _dot(a, b) + _dot(b, c) + _dot(c, a))
         self.solid_angle = float(self.omega.sum())
@@ -546,7 +603,7 @@ class _LinkFan:
         self.cos_alpha, self.sin_alpha = np.cos(alpha), np.sin(alpha)
         self.alpha, self.sin_alpha_cos_ab = alpha, np.sin(alpha) * cos_ab
         self.towards_c = _unit(c - _dot(c, a)[:, None] * a).T.copy()
-        self.a, self.b = a[0], b.T.copy()
+        self.a, self.b = a.T.copy(), b.T.copy()
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False  # shared through the surface cache
@@ -563,51 +620,26 @@ class _LinkFan:
         p, q = t - cos_alpha, s + self.sin_alpha_cos_ab[k]
         cos_ac = np.clip(((q * t - p * s) * cos_alpha - q) / ((q * s + p * t) * sin_alpha),
                          -1.0, 1.0)
-        c_hat = (np.sqrt((1.0 - cos_ac) * (1.0 + cos_ac)) * self.towards_c[:, k]
-                 + cos_ac * self.a[:, None])
+        # np.take gathers the columns several times faster than x[:, k]
+        c_hat = (np.sqrt((1.0 - cos_ac) * (1.0 + cos_ac)) * np.take(self.towards_c, k, axis=1)
+                 + cos_ac * np.take(self.a, k, axis=1))
         # then the point on the arc b-c_hat whose 1 - cos of its arc from b is
         # uniform in [0, 1 - b.c_hat], with 1 - b.c_hat = |b - c_hat|^2 / 2
-        b = self.b[:, k]
+        b = np.take(self.b, k, axis=1)
         drop = 0.5 * w * ((c_hat - b) ** 2).sum(axis=0)
         tangent = c_hat - (c_hat * b).sum(axis=0) * b
         tangent *= np.sqrt(drop * (2.0 - drop) / (tangent * tangent).sum(axis=0))
         return (b - drop * b + tangent).T
 
 
-def _link_kernel(starts, ends):
-    """``(p, t)``: the direction ``p`` with ``|p|_inf <= 1`` that maximizes
-    the least margin ``t = min p . unit(e x s)`` over the link arcs
-    ``s -> e``, by linear programming (HiGHS).
-
-    The kernel of the link is the set of directions that see every arc
-    positively oriented; it is not empty exactly when ``t > 0``.
-    """
-    normals = _unit(np.cross(ends, starts))
-    res = linprog(np.array([0.0, 0.0, 0.0, -1.0]),
-                  A_ub=np.hstack([-normals, np.ones((len(normals), 1))]),
-                  b_ub=np.zeros(len(normals)),
-                  bounds=[(-1.0, 1.0)] * 3 + [(None, None)], method="highs")
-    return res.x[:3], -res.fun
-
-
 def _link_fan(surface, vertex):
-    """The link of `vertex` fanned from a point of its kernel
-    (:class:`_LinkFan`), or None when the kernel is empty.  Cached per
-    surface and vertex."""
+    """The cone of `vertex` as a :class:`_LinkFan` over its
+    :func:`_link_triangles`.  Cached per surface and vertex."""
     return surface.cached(_compute_link_fan, int(vertex))
 
 
 def _compute_link_fan(surface, vertex):
-    c, b = _link_arcs(surface, vertex)
-    # the normalized sum of the arc starts lies in the kernel at every convex
-    # vertex, and there it saves the linear program
-    apex = c.sum(axis=0)
-    if not np.all(np.cross(b, c) @ apex > 0.0):
-        apex, margin = _link_kernel(c, b)
-        if margin <= 0.0:
-            return None
-    fan = _LinkFan(apex / np.linalg.norm(apex), c, b)
-    return fan if np.all(fan.omega > 0.0) else None
+    return _LinkFan(*_link_triangles(*_link_arcs(surface, vertex)))
 
 
 def _direct_stream(tag, seed, measure, n, draw):
@@ -623,33 +655,6 @@ def _direct_stream(tag, seed, measure, n, draw):
     return SampleStream(tag, int(seed), n, measure, "direct", shards)
 
 
-def _rejection_stream(tag, seed, proposal_measure, n, gen_chunk, accept_fn):
-    """Fixed-size proposal shards ``gen_chunk(shard) -> (points, face_ids or
-    None)``, kept where ``accept_fn`` holds, until n acceptances."""
-
-    def shards():
-        proposals = count = 0
-        for shard in itertools.count():
-            pts, aux = gen_chunk(shard)
-            idx = np.flatnonzero(accept_fn(pts))
-            drawn = len(pts)
-            if count + len(idx) >= n:
-                idx = idx[:n - count]
-                drawn = int(idx[-1]) + 1
-            proposals += drawn
-            count += len(idx)
-            if proposals >= max(2_000_000, 64 * n) and count / proposals < MIN_ACCEPTANCE:
-                raise GeometryError(
-                    "acceptance ratio %.2e below %g; use a smaller shell (degenerate thin cone)"
-                    % (count / proposals, MIN_ACCEPTANCE)
-                )
-            yield pts[idx], None if aux is None else aux[idx], drawn
-            if count == n:
-                return
-
-    return SampleStream(tag, int(seed), n, proposal_measure, "rejection", shards)
-
-
 def _check_count(n):
     if n < 1:
         raise ValueError("need n >= 1")
@@ -660,64 +665,34 @@ def base_stream(cone, n, seed):
     """Uniform points on the cone base, the part of the sphere
     |X - v| = radius inside the solid, as a :class:`SampleStream`.
 
-    Where the vertex link has a kernel the directions are drawn directly
-    from its fan (:func:`_link_fan`) and the measure is exactly
-    ``Omega r^2``.  A link without a kernel falls back to rejection:
-    uniform points on the whole sphere are kept when inside, and the
-    measure is estimated.
+    The directions are drawn directly from the triangles of the vertex
+    link (:func:`_link_fan`), and the measure is exactly ``Omega r^2``.
     """
     n = _check_count(n)
-    surface, v, r = cone.surface, cone.surface.vertices[cone.vertex], cone.radius
-    fan = _link_fan(surface, cone.vertex)
-    if fan is not None:
-        return _direct_stream("base-sphere", seed, fan.solid_angle * r * r, n,
-                              lambda g, m: (v + r * fan.directions(g, m), None))
-    inside = _inside_tester(surface, cone.vertex)
-    area = 4.0 * math.pi * r * r
-
-    def gen(shard):
-        g = _rng(seed, shard)
-        d = g.normal(size=(min(_CHUNK, max(4 * n, 1024)), 3))
-        d /= np.linalg.norm(d, axis=1)[:, None]
-        return v + r * d, None
-
-    return _rejection_stream("base-sphere", seed, area, n, gen, inside)
+    v, r = cone.surface.vertices[cone.vertex], cone.radius
+    fan = _link_fan(cone.surface, cone.vertex)
+    return _direct_stream("base-sphere", seed, fan.solid_angle * r * r, n,
+                          lambda g, m: (v + r * fan.directions(g, m), None))
 
 
 def arch_stream(arch, n, seed):
     """Uniform volume points in the arch, the solid within the shell, as a
     :class:`SampleStream`.
 
-    Radii come from the inverse CDF ``cbrt(r^3 + u (R^3 - r^3))``.  Where
-    the vertex link has a kernel the directions are drawn directly from its
-    fan and the measure is exactly ``Omega (R^3 - r^3) / 3``; a link
-    without a kernel falls back to rejection, and uniform points in the
-    whole shell are kept when inside.
+    The directions are drawn directly from the triangles of the vertex link
+    and the radii from the inverse CDF ``cbrt(r^3 + u (R^3 - r^3))``; the
+    measure is exactly ``Omega (R^3 - r^3) / 3``.
     """
     n = _check_count(n)
-    surface = arch.surface
-    v = surface.vertices[arch.vertex]
+    v = arch.surface.vertices[arch.vertex]
     r3, R3 = arch.r_inner ** 3, arch.r_outer ** 3
-    fan = _link_fan(surface, arch.vertex)
-    if fan is not None:
+    fan = _link_fan(arch.surface, arch.vertex)
 
-        def draw(g, m):
-            d = fan.directions(g, m)
-            return v + np.cbrt(r3 + g.random(m) * (R3 - r3))[:, None] * d, None
+    def draw(g, m):
+        d = fan.directions(g, m)
+        return v + np.cbrt(r3 + g.random(m) * (R3 - r3))[:, None] * d, None
 
-        return _direct_stream("arch-volume", seed, fan.solid_angle * (R3 - r3) / 3.0, n, draw)
-    inside = _inside_tester(surface, arch.vertex)
-    volume = 4.0 * math.pi / 3.0 * (R3 - r3)
-
-    def gen(shard):
-        g = _rng(seed, shard)
-        m = min(_CHUNK, max(4 * n, 1024))
-        d = g.normal(size=(m, 3))
-        d /= np.linalg.norm(d, axis=1)[:, None]
-        rho = np.cbrt(r3 + g.uniform(size=m) * (R3 - r3))
-        return v + rho[:, None] * d, None
-
-    return _rejection_stream("arch-volume", seed, volume, n, gen, inside)
+    return _direct_stream("arch-volume", seed, fan.solid_angle * (R3 - r3) / 3.0, n, draw)
 
 
 def lateral_stream(arch, n, seed):

@@ -14,10 +14,9 @@ one-sided estimate
            + 2 int_{lateral} |du/dnu| |grad_t u| ds.
 
 Both sides are integrated by Monte Carlo on shared samples, drawn
-directly with exact region measures wherever the vertex link has a kernel
-(see the geometry module's docstring); links without a kernel fall back to
-rejection.  The 1/|X| volume weight is bounded on the arch (|X| >= r), so
-plain sampling needs no singularity handling.
+directly with exact region measures at every vertex (see the geometry
+module's docstring).  The 1/|X| volume weight is bounded on the arch
+(|X| >= r), so plain sampling needs no singularity handling.
 
 Homogeneous harmonic polynomials up to degree 3 supply the test functions,
 each an exact integer coefficient table over the monomials.  The suite

@@ -1,0 +1,175 @@
+"""Reference samplers for the geometry tests.
+
+Rejection sampling against the link winding test, and the fan of the link
+from the normalized sum of its arc starts.  The library samples every
+vertex cone directly through the triangles of :func:`_link_triangles`;
+these give the tests something independent to agree with: rejection
+estimates the measure and draws the points without any decomposition of
+the cone, and the fan is the decomposition the meridian sweep must
+reproduce bit for bit wherever the sum sees every arc positively.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from polymix.geometry import (
+    _DIRECT_CHUNK,
+    SampleStream,
+    _link_arcs,
+    _rng,
+    _vertex_corners,
+    dihedral_angles,
+)
+
+PROPOSAL_SHARD = 1 << 18  # proposals per shard of a rejection sampler
+
+
+def is_convex_vertex(surface, vertex):
+    """True when every edge at `vertex` has interior angle below pi.
+
+    Inside the separation ball the solid is then the convex cone cut out by
+    the half-spaces of the faces at the vertex.
+    """
+    angles = dihedral_angles(surface)
+    # every edge at the vertex precedes it in exactly one face
+    _, prev_ids, _, _ = _vertex_corners(surface, vertex)
+    return all(angles[surface.edge_index[tuple(sorted((vertex, prev)))]].interior_angle < math.pi
+               for prev in prev_ids)
+
+
+def _inside_tester(surface, vertex):
+    """Inside test for points in the separation ball of `vertex`.
+
+    There the solid is the cone over the vertex link.  At a convex vertex
+    the cone is the intersection of the incident faces' half-spaces.
+    Otherwise, for a point in direction w, the signed solid angles (Van
+    Oosterom & Strackee) of the spherical triangles (-w, a, b) over the link
+    arcs a -> b sum to 4*pi - Omega when the point is inside and to -Omega
+    when it is outside, where Omega in (0, 4*pi) is the cone's solid angle;
+    the sign of the sum decides.  Needs an outward-oriented surface.
+    """
+    v = surface.vertices[vertex]
+    if is_convex_vertex(surface, vertex):
+        normals = surface.face_normals[list(surface.vertex_faces[vertex])]
+        return lambda pts: np.all((pts - v) @ normals.T <= 0.0, axis=1)
+    a, b = _link_arcs(surface, vertex)
+    # half solid angle of (-w, a, b): atan2(-w.(a x b), |w| (1 + a.b) - w.(a + b))
+    normal = np.cross(a, b).T
+    ends = (a + b).T
+    one_plus_cos = 1.0 + np.sum(a * b, axis=1)
+
+    def tester(pts):
+        w = pts - v
+        r = np.linalg.norm(w, axis=1)[:, None]
+        return np.arctan2(-(w @ normal), r * one_plus_cos - w @ ends).sum(axis=1) > 0.0
+
+    return tester
+
+
+def _rejection_stream(tag, seed, proposal_measure, n, gen_chunk, accept_fn):
+    """Fixed-size proposal shards ``gen_chunk(shard) -> (points, face_ids or
+    None)``, kept where ``accept_fn`` holds, until n acceptances."""
+
+    def shards():
+        proposals = count = 0
+        for shard in itertools.count():
+            pts, aux = gen_chunk(shard)
+            idx = np.flatnonzero(accept_fn(pts))
+            drawn = len(pts)
+            if count + len(idx) >= n:
+                idx = idx[:n - count]
+                drawn = int(idx[-1]) + 1
+            proposals += drawn
+            count += len(idx)
+            yield pts[idx], None if aux is None else aux[idx], drawn
+            if count == n:
+                return
+
+    return SampleStream(tag, int(seed), n, proposal_measure, "rejection", shards)
+
+
+def rejection_sample_base(cone, n, seed):
+    """Uniform points on the whole sphere, kept when inside."""
+    surface, v, r = cone.surface, cone.surface.vertices[cone.vertex], cone.radius
+    inside = _inside_tester(surface, cone.vertex)
+
+    def gen(shard):
+        d = _rng(seed, shard).normal(size=(min(PROPOSAL_SHARD, max(4 * n, 1024)), 3))
+        return v + r * d / np.linalg.norm(d, axis=1)[:, None], None
+
+    return _rejection_stream("base-sphere", seed, 4.0 * math.pi * r * r, n, gen,
+                             inside).collect()
+
+
+def rejection_sample_arch(arch, n, seed):
+    """Uniform points in the whole shell, kept when inside."""
+    v = arch.surface.vertices[arch.vertex]
+    r3, R3 = arch.r_inner ** 3, arch.r_outer ** 3
+
+    def gen(shard):
+        g = _rng(seed, shard)
+        m = min(PROPOSAL_SHARD, max(4 * n, 1024))
+        d = g.normal(size=(m, 3))
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        return v + np.cbrt(r3 + g.uniform(size=m) * (R3 - r3))[:, None] * d, None
+
+    return _rejection_stream("arch-volume", seed, 4.0 * math.pi / 3.0 * (R3 - r3), n, gen,
+                             _inside_tester(arch.surface, arch.vertex)).collect()
+
+
+def rejection_sample_lateral(arch, n, seed):
+    """Area-weighted points on the triangles of the faces at the vertex,
+    kept when inside the shell."""
+    surface = arch.surface
+    v = surface.vertices[arch.vertex]
+    tri_face = [fi for fi in arch.lateral_face_ids for _ in surface.triangulate_face(fi)]
+    tris = np.array([surface.vertices[list(t)] for fi in arch.lateral_face_ids
+                     for t in surface.triangulate_face(fi)])
+    areas = 0.5 * np.linalg.norm(np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]),
+                                 axis=1)
+
+    def gen(shard):
+        g = _rng(seed, shard)
+        m = min(PROPOSAL_SHARD, max(4 * n, 1024))
+        pick = g.choice(len(tris), size=m, p=areas / areas.sum())
+        s = np.sqrt(g.uniform(size=m))[:, None]
+        t = g.uniform(size=m)[:, None]
+        a = tris[pick, 0]
+        return (a + s * ((tris[pick, 1] - a) + t * (tris[pick, 2] - tris[pick, 1])),
+                np.asarray(tri_face)[pick])
+
+    def accept(pts):
+        rr = np.linalg.norm(pts - v, axis=1)
+        return (rr >= arch.r_inner) & (rr <= arch.r_outer)
+
+    batch = _rejection_stream("lateral-surface", seed, float(areas.sum()), n, gen,
+                              accept).collect()
+    batch.normals = surface.face_normals[batch.face_ids]
+    return batch
+
+
+def apex_fan_triangles(surface, vertex):
+    """The link fanned from the normalized sum of its arc starts, as the
+    triangles ``(apex, b, c)`` over its arcs ``c -> b``, or None where the
+    sum does not see every arc positively."""
+    c, b = _link_arcs(surface, vertex)
+    apex = c.sum(axis=0)
+    if not np.all(np.cross(b, c) @ apex > 0.0):
+        return None
+    return np.broadcast_to(apex / np.linalg.norm(apex), b.shape), b, c
+
+
+def fan_sample_arch(arch, n, seed, fan):
+    """The points of ``sample_arch(arch, n, seed)`` drawn from the given
+    :class:`_LinkFan` instead of the library's."""
+    v = arch.surface.vertices[arch.vertex]
+    r3, R3 = arch.r_inner ** 3, arch.r_outer ** 3
+    shards = []
+    for shard, start in enumerate(range(0, n, _DIRECT_CHUNK)):
+        g = _rng(seed, shard)
+        m = min(_DIRECT_CHUNK, n - start)
+        d = fan.directions(g, m)
+        shards.append(v + np.cbrt(r3 + g.random(m) * (R3 - r3))[:, None] * d)
+    return np.concatenate(shards)

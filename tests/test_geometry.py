@@ -11,22 +11,17 @@ from polymix import fixtures
 from polymix.geometry import (
     ArchRegion,
     ConeRegion,
-    MIN_ACCEPTANCE,
     DegenerateEdgeError,
-    GeometryError,
-    _CHUNK,
-    _inside_tester,
+    _LinkFan,
     _link_arcs,
     _link_fan,
-    _link_kernel,
+    _link_triangles,
     _point_segment_distance,
-    _rejection_stream,
-    _rng,
     _vertex_corners,
     contains_point,
     contains_points,
     dihedral_angles,
-    is_convex_vertex,
+    interior_angle_table,
     point_face_distance,
     sample_arch,
     sample_base,
@@ -36,7 +31,16 @@ from polymix.geometry import (
 from polymix.mesh import PolyhedralSurface, validate_surface
 from polymix.partition import enumerate_admissible, quotient_graph
 
-from conftest import u_pyramid, u_pyramid_solid_angle
+from conftest import dented_box, dented_box_solid_angle, u_pyramid, u_pyramid_solid_angle
+from sampling_reference import (
+    _inside_tester,
+    apex_fan_triangles,
+    fan_sample_arch,
+    is_convex_vertex,
+    rejection_sample_arch,
+    rejection_sample_base,
+    rejection_sample_lateral,
+)
 
 
 def test_cube_all_edges_right_angle(cube):
@@ -636,33 +640,51 @@ def test_sampling_deterministic(cube):
     assert not np.array_equal(a.points, c.points)
 
 
-def test_empty_kernel_falls_back_to_rejection():
-    surface = u_pyramid()
+KERNEL_FREE_APICES = [
+    pytest.param(u_pyramid(), 8, u_pyramid_solid_angle(), id="u-pyramid-apex"),
+    pytest.param(dented_box(), 12, dented_box_solid_angle(), id="dented-box-apex"),
+]
+
+
+@pytest.mark.parametrize("surface, vertex, omega", KERNEL_FREE_APICES)
+def test_kernel_free_apex_sampled_exactly(surface, vertex, omega):
+    # no direction sees every link arc positively (so the sum of the arc
+    # starts does not), and at the dent apex the cone lies in no open
+    # hemisphere either.  The sweep still tiles the cone: the measures are
+    # exact, and the points agree with rejection
     assert validate_surface(surface).ok
-    _, margin = _link_kernel(*_link_arcs(surface, 8))
-    assert margin <= 0.0 and _link_fan(surface, 8) is None
-    rho = separation_radius(surface, 8)
-    arch = ArchRegion(surface, 8, 0.3 * rho, 0.8 * rho)
+    assert apex_fan_triangles(surface, vertex) is None
+    rho = separation_radius(surface, vertex)
+    arch = ArchRegion(surface, vertex, 0.3 * rho, 0.8 * rho)
     n = 20_000
-    omega = u_pyramid_solid_angle()
-    for batch, exact in [
-        (sample_arch(arch, n, 1), omega * (arch.r_outer ** 3 - arch.r_inner ** 3) / 3.0),
-        (sample_base(arch.outer_base, n, 2), omega * arch.r_outer ** 2),
+    v = surface.vertices[vertex]
+    inside = _inside_tester(surface, vertex)
+    for direct, reference, exact in [
+        (sample_arch(arch, n, 1), rejection_sample_arch(arch, n, 2),
+         omega * (arch.r_outer ** 3 - arch.r_inner ** 3) / 3.0),
+        (sample_base(arch.outer_base, n, 3), rejection_sample_base(arch.outer_base, n, 4),
+         omega * arch.r_outer ** 2),
     ]:
-        assert batch.method == "rejection" and batch.n_proposals > n
-        assert batch.measure_stderr > 0.0
-        assert abs(batch.measure_estimate - exact) <= 4.0 * batch.measure_stderr, batch.tag
-        assert np.all(_inside_tester(surface, 8)(batch.points))
+        assert direct.method == "direct" and direct.n_proposals == n, direct.tag
+        assert direct.measure_stderr == 0.0
+        assert direct.measure_estimate == pytest.approx(exact, rel=1e-12), direct.tag
+        assert abs(reference.measure_estimate - exact) <= 4.0 * reference.measure_stderr
+        assert np.all(inside(direct.points)), direct.tag
+        assert_same_means(radius_and_direction(direct, v), radius_and_direction(reference, v))
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_stderr_shrinks_at_root_n_rate(seed):
-    # the U-pyramid apex has no link kernel, so its base is still sampled by
-    # rejection
-    cone = ConeRegion(u_pyramid(), 8, 0.5)
-    se1 = sample_base(cone, 20_000, seed=seed).measure_stderr
-    se2 = sample_base(cone, 40_000, seed=seed).measure_stderr
-    assert 0.6 <= se2 / se1 <= 0.8
+    # the integral of a non-constant function over the arch at the U-pyramid
+    # apex, a cone without a link kernel, sampled directly
+    surface = u_pyramid()
+    rho = separation_radius(surface, 8)
+    arch = ArchRegion(surface, 8, 0.3 * rho, 0.8 * rho)
+    se = []
+    for n in (20_000, 40_000):
+        batch = sample_arch(arch, n, seed=seed)
+        se.append(batch.integrate(batch.points[:, 0])[1])
+    assert 0.6 <= se[1] / se[0] <= 0.8
 
 
 def test_weights_sum_to_measure(cube):
@@ -703,23 +725,9 @@ def test_degenerate_thin_cone_sampled_exactly():
     assert_in_halfspaces(surface, 0, batch.points, 0.5)
 
 
-def test_rejection_aborts_below_min_acceptance():
-    # one proposal in 20,000 accepted: the sampler gives up once it has made
-    # 64 proposals per wanted point
-    def gen(shard):
-        return np.zeros((1 << 18, 3)), None
-
-    def accept(pts):
-        return np.arange(len(pts)) % 20_000 == 0
-
-    assert 1.0 / 20_000 < MIN_ACCEPTANCE
-    with pytest.raises(GeometryError, match="acceptance ratio"):
-        list(_rejection_stream("arch-volume", 1, 1.0, 50_000, gen, accept))
-
-
 def test_sample_on_nonconvex_vertex(l_prism):
-    # vertex 3 sits on the reflex notch edge; its link has a kernel, so the
-    # arch is sampled directly with the exact measure, 3/8 of the shell
+    # vertex 3 sits on the reflex notch edge; its arch is sampled directly
+    # with the exact measure, 3/8 of the shell
     arch = ArchRegion(l_prism, 3, 0.2, 0.4)
     batch = sample_arch(arch, 20_000, seed=9)
     assert batch.method == "direct" and batch.n_proposals == 20_000
@@ -757,66 +765,6 @@ def test_sample_at_straight_corner_notch():
 
 # ----------------------------------------------------------------------
 # direct samplers against the rejection reference
-
-
-def rejection_sample_base(cone, n, seed):
-    """Reference: uniform points on the whole sphere, kept when inside."""
-    surface, v, r = cone.surface, cone.surface.vertices[cone.vertex], cone.radius
-    inside = _inside_tester(surface, cone.vertex)
-
-    def gen(shard):
-        d = _rng(seed, shard).normal(size=(min(_CHUNK, max(4 * n, 1024)), 3))
-        return v + r * d / np.linalg.norm(d, axis=1)[:, None], None
-
-    return _rejection_stream("base-sphere", seed, 4.0 * math.pi * r * r, n, gen,
-                             inside).collect()
-
-
-def rejection_sample_arch(arch, n, seed):
-    """Reference: uniform points in the whole shell, kept when inside."""
-    v = arch.surface.vertices[arch.vertex]
-    r3, R3 = arch.r_inner ** 3, arch.r_outer ** 3
-
-    def gen(shard):
-        g = _rng(seed, shard)
-        m = min(_CHUNK, max(4 * n, 1024))
-        d = g.normal(size=(m, 3))
-        d /= np.linalg.norm(d, axis=1)[:, None]
-        return v + np.cbrt(r3 + g.uniform(size=m) * (R3 - r3))[:, None] * d, None
-
-    return _rejection_stream("arch-volume", seed, 4.0 * math.pi / 3.0 * (R3 - r3), n, gen,
-                             _inside_tester(arch.surface, arch.vertex)).collect()
-
-
-def rejection_sample_lateral(arch, n, seed):
-    """Reference: area-weighted points on the triangles of the faces at the
-    vertex, kept when inside the shell."""
-    surface = arch.surface
-    v = surface.vertices[arch.vertex]
-    tri_face = [fi for fi in arch.lateral_face_ids for _ in surface.triangulate_face(fi)]
-    tris = np.array([surface.vertices[list(t)] for fi in arch.lateral_face_ids
-                     for t in surface.triangulate_face(fi)])
-    areas = 0.5 * np.linalg.norm(np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]),
-                                 axis=1)
-
-    def gen(shard):
-        g = _rng(seed, shard)
-        m = min(_CHUNK, max(4 * n, 1024))
-        pick = g.choice(len(tris), size=m, p=areas / areas.sum())
-        s = np.sqrt(g.uniform(size=m))[:, None]
-        t = g.uniform(size=m)[:, None]
-        a = tris[pick, 0]
-        return (a + s * ((tris[pick, 1] - a) + t * (tris[pick, 2] - tris[pick, 1])),
-                np.asarray(tri_face)[pick])
-
-    def accept(pts):
-        rr = np.linalg.norm(pts - v, axis=1)
-        return (rr >= arch.r_inner) & (rr <= arch.r_outer)
-
-    batch = _rejection_stream("lateral-surface", seed, float(areas.sum()), n, gen,
-                              accept).collect()
-    batch.normals = surface.face_normals[batch.face_ids]
-    return batch
 
 
 def assert_in_halfspaces(surface, vertex, pts, r_outer):
@@ -909,7 +857,7 @@ def test_lateral_points_on_their_faces_inside_the_shell(surface, vertex):
 
 
 # ----------------------------------------------------------------------
-# kernel fans at reflex vertices
+# link triangles at reflex vertices
 
 
 REFLEX_SOLID_ANGLES = [
@@ -950,12 +898,12 @@ STAR_SPHERES = [fixtures.generate_star_sphere(seed, subdivisions)
          "split-top-l-prism", "split-top-notched-box", "notched-box-4"]
     + ["star-%d-sub%d" % (seed, sub) for sub in (1, 2) for seed in range(6)])
 def test_every_reflex_link_has_a_kernel_fan(surface):
-    # the fan's exact measure against the rejection estimate, and its
-    # points against the link winding test; some star spheres have no
+    # the link triangles' exact measure against the rejection estimate, and
+    # their points against the link winding test; some star spheres have no
     # reflex vertex
     for vertex in reflex_vertices(surface):
         fan = _link_fan(surface, vertex)
-        assert fan is not None and np.all(fan.omega > 0.0), vertex
+        assert np.all(fan.omega > 0.0), vertex
         rho = separation_radius(surface, vertex)
         cone = ConeRegion(surface, vertex, 0.8 * rho)
         reference = rejection_sample_base(cone, 4000, vertex)
@@ -969,7 +917,7 @@ def test_every_reflex_link_has_a_kernel_fan(surface):
         assert np.all(_inside_tester(surface, vertex)(sample_arch(arch, 4000, vertex).points))
 
 
-FAN_MESHES = REFLEX_MESHES + [STAR_SPHERES[6]]
+FAN_MESHES = REFLEX_MESHES + [STAR_SPHERES[6], u_pyramid(), dented_box()]
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -981,9 +929,18 @@ FAN_MESHES = REFLEX_MESHES + [STAR_SPHERES[6]]
     log_scale=st.floats(-3.0, 3.0),
     reflect=st.booleans(),
 )
+# the split tops' straight corners (meshes 5 and 6), the U apex and the dent apex
+@example(index=5, quaternion=(0.3, -0.5, 0.2, 0.7), shift=(12.5, -40.0, 7.0), log_scale=1.5,
+         reflect=False)
+@example(index=6, quaternion=(-0.6, 0.1, 0.4, 0.2), shift=(-3.0, 55.0, 21.0), log_scale=-2.0,
+         reflect=True)
+@example(index=8, quaternion=(0.3, -0.5, 0.2, 0.7), shift=(12.5, -40.0, 7.0), log_scale=1.5,
+         reflect=True)
+@example(index=9, quaternion=(-0.6, 0.1, 0.4, 0.2), shift=(-3.0, 55.0, 21.0), log_scale=-2.0,
+         reflect=False)
 def test_reflex_fan_solid_angles_invariant_under_similarity(index, quaternion, shift, log_scale,
                                                             reflect):
-    # the apex may move (a linear program picks it), the solid angle may not
+    # the pole, and with it the triangles, may move; the solid angle may not
     base = FAN_MESHES[index]
     rotation = Rotation.from_quat(quaternion).as_matrix()
     faces = base.faces
@@ -995,6 +952,66 @@ def test_reflex_fan_solid_angles_invariant_under_similarity(index, quaternion, s
     for vertex in reflex_vertices(base):
         assert (_link_fan(moved, vertex).solid_angle
                 == pytest.approx(_link_fan(base, vertex).solid_angle, rel=1e-10)), vertex
+
+
+# ----------------------------------------------------------------------
+# the meridian sweep at every vertex
+
+
+SWEEP_MESHES = (
+    [pytest.param(fixtures.builtin(name), id=name) for name in sorted(fixtures.BUILTIN)]
+    + [pytest.param(fixtures.notched_box(k), id="notched-box-%d" % k) for k in (1, 2, 3, 4)]
+    + [pytest.param(fixtures.generate_hull(seed), id="hull-%d" % seed) for seed in range(3)]
+    + [pytest.param(mesh, id="star-%d" % i) for i, mesh in enumerate(STAR_SPHERES)]
+    + [pytest.param(corner_notch_box(), id="corner-notch"),
+       pytest.param(split_top_l_prism()[0], id="split-top-l-prism"),
+       pytest.param(split_top_notched_box()[0], id="split-top-notched-box"),
+       pytest.param(needle(), id="needle"),
+       pytest.param(u_pyramid(), id="u-pyramid"),
+       pytest.param(dented_box(), id="dented-box")]
+)
+
+
+@pytest.mark.parametrize("surface", SWEEP_MESHES)
+def test_sweep_is_the_apex_fan_where_the_sum_sees_every_arc(surface):
+    # bit for bit: where the normalized sum of the arc starts sees every arc
+    # (every convex vertex, the cube's and the pyramid's among them), the
+    # triangles, and so the draws, are those of the fan from the sum
+    fanned = 0
+    for vertex in range(len(surface.vertices)):
+        reference = apex_fan_triangles(surface, vertex)
+        if reference is None:
+            continue
+        fanned += 1
+        got = _link_triangles(*_link_arcs(surface, vertex))
+        assert all(np.array_equal(x, y) for x, y in zip(got, reference)), vertex
+        rho = separation_radius(surface, vertex)
+        arch = ArchRegion(surface, vertex, 0.3 * rho, 0.8 * rho)
+        assert np.array_equal(sample_arch(arch, 5000, vertex).points,
+                              fan_sample_arch(arch, 5000, vertex, _LinkFan(*reference))), vertex
+    assert fanned > 0
+
+
+@pytest.mark.parametrize("surface", SWEEP_MESHES)
+def test_every_vertex_sampled_directly_with_exact_measures(surface):
+    # Gram's relation for a solid bounded by a polyhedral sphere,
+    # sum_v Omega_v / 4 pi - sum_e theta_e / 2 pi + F / 2 - 1 = 0 with Omega_v
+    # the solid angle at vertex v and theta_e the interior angle at edge e,
+    # checks every vertex's exact measure against the dihedral angles at once
+    omega = []
+    for vertex in range(len(surface.vertices)):
+        rho = separation_radius(surface, vertex)
+        arch = ArchRegion(surface, vertex, 0.3 * rho, 0.8 * rho)
+        volume, base = sample_arch(arch, 64, 1), sample_base(arch.outer_base, 64, 2)
+        for batch in (volume, base):
+            assert batch.method == "direct" and batch.n_proposals == 64, (vertex, batch.tag)
+            assert batch.measure_stderr == 0.0
+        omega.append(3.0 * volume.measure_estimate / (arch.r_outer ** 3 - arch.r_inner ** 3))
+        assert base.measure_estimate == pytest.approx(omega[-1] * arch.r_outer ** 2, rel=1e-12)
+    gram = (math.fsum(omega) / (4.0 * math.pi)
+            - math.fsum(interior_angle_table(surface)) / (2.0 * math.pi)
+            + len(surface.faces) / 2.0 - 1.0)
+    assert abs(gram) <= 1e-12, gram
 
 
 SIMILARITY_MESHES = PROPERTY_MESHES + [needle(), fixtures.notched_box(1)]

@@ -216,7 +216,7 @@ EQUIVALENCE_ARCHES = [
     pytest.param(fixtures.square_pyramid(), 0, id="pyramid-apex"),
     pytest.param(fixtures.l_prism(), 3, id="l-prism-notch"),
     pytest.param(fixtures.notched_box(1), 5, id="notched-box-1-v5"),
-    pytest.param(u_pyramid(), 8, id="u-pyramid-apex-rejection"),
+    pytest.param(u_pyramid(), 8, id="u-pyramid-apex"),
 ]
 
 
@@ -256,7 +256,7 @@ def test_streams_concatenate_to_the_batches(surface, vertex):
     assert [b.rng_seed for b in arch_batches(arch, n, 3)] == [b.rng_seed for b in batches]
     for region, stream, batch in zip(REGIONS, arch_streams(arch, n, 3), batches):
         shards = list(stream)
-        assert all(len(pts) <= max(_DIRECT_CHUNK, 1 << 18) for pts, _, _ in shards)
+        assert all(len(pts) <= _DIRECT_CHUNK for pts, _, _ in shards)
         assert np.array_equal(np.concatenate([pts for pts, _, _ in shards]), batch.points), region
         assert sum(m for _, _, m in shards) == batch.n_proposals
         assert stream.method == batch.method
