@@ -7,13 +7,18 @@ edge where the labels change is strictly convex on the chosen side
 the exterior problem).  Edges at or beyond the threshold forbid a label
 change, which merges their faces into quotient classes; admissible
 labelings are exactly the labelings constant on classes, minus all-N.
+
+An edge is blocked when its side-relevant angle is >= pi - tau (tau finite,
+>= 0); only blocked edges can violate.  Surfaces cache, per (side, tau), the
+blocked mask, the violation records `validate_partition` walks, and the
+quotient graph.  Enumeration gathers labels from class labels via `face_class`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 from scipy import sparse
@@ -33,7 +38,7 @@ SIDES = ("interior", "exterior")
 MAX_ENUM_CLASSES = 30
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     labels: tuple
     side: str
@@ -41,7 +46,8 @@ class Partition:
     def __post_init__(self):
         if self.side not in SIDES:
             raise ValueError("side must be 'interior' or 'exterior'")
-        if any(l not in ("D", "N") for l in self.labels):
+        labels = self.labels
+        if labels.count("D") + labels.count("N") != len(labels):
             raise ValueError("labels must be 'D' or 'N'")
 
     @classmethod
@@ -60,7 +66,7 @@ class Partition:
         return tuple(i for i, l in enumerate(self.labels) if l == "N")
 
 
-@dataclass
+@dataclass(slots=True)
 class AdmissibilityReport:
     admissible: bool
     side: str
@@ -87,48 +93,48 @@ def side_angles(surface, side):
     return interior if side == "interior" else 2.0 * math.pi - interior
 
 
-def _side_edge_data(surface):
-    """Per side: per-edge tuples (edge, f0, f1, side-relevant angle)."""
-    return MappingProxyType({
-        side: tuple(
-            (edge, f0, f1, float(angle))
-            for edge, (f0, f1), angle in zip(
-                surface.edge_list, surface.edge_faces, side_angles(surface, side))
-        )
-        for side in SIDES
-    })
+def _blocked_edges(surface, side, tau):
+    """Mask of the edges whose side-relevant angle is >= pi - tau, the only
+    ones that can forbid a label change."""
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError("tau must be finite and >= 0, got %r" % (tau,))
+    blocked = side_angles(surface, side) >= math.pi - tau
+    blocked.flags.writeable = False
+    return blocked
+
+
+def _violation_table(surface, side, tau):
+    """Per blocked edge, in edge order: (f0, f1, violation record (edge, (f0, f1), angle))."""
+    blocked = surface.cached(_blocked_edges, side, tau)
+    angles, faces = side_angles(surface, side).tolist(), surface.edge_faces
+    return tuple((*faces[e], (surface.edge_list[e], faces[e], angles[e]))
+                 for e in np.flatnonzero(blocked).tolist())
 
 
 def validate_partition(surface, partition, tau=TAU_ANGLE):
     """Check the admissibility conditions, reporting all violations.
 
     `tau` is the conservative angle tolerance: a label change is rejected
-    whenever the side-relevant angle reaches pi - tau.
+    whenever the side-relevant angle reaches pi - tau.  A non-finite or
+    negative `tau` raises ValueError.
     """
     labels = partition.labels
     if len(labels) != len(surface.faces):
         raise ValueError(
             "partition has %d labels for %d faces" % (len(labels), len(surface.faces))
         )
-    threshold = math.pi - tau
-    violating = []
-    for edge, f0, f1, angle in surface.cached(_side_edge_data)[partition.side]:
-        if labels[f0] != labels[f1] and angle >= threshold:
-            violating.append((edge, (f0, f1), angle))
+    table = surface.cached(_violation_table, partition.side, tau)
+    violating = tuple([record for f0, f1, record in table if labels[f0] != labels[f1]])
     d_empty = "D" not in labels
-    return AdmissibilityReport(
-        admissible=not d_empty and not violating,
-        side=partition.side,
-        dirichlet_empty=d_empty,
-        violating_edges=tuple(violating),
-    )
+    # positional: keyword arguments cost a quarter of a call here
+    return AdmissibilityReport(not d_empty and not violating, partition.side, d_empty, violating)
 
 
 # ----------------------------------------------------------------------
 # quotient structure
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuotientGraph:
     side: str
     classes: tuple          # face groups, ordered by least face index
@@ -141,9 +147,14 @@ class QuotientGraph:
 
 
 def quotient_graph(surface, side, tau=TAU_ANGLE):
-    """Merge faces across every edge whose side-relevant angle is >= pi - tau."""
+    """Merge faces across every edge whose side-relevant angle is >= pi - tau;
+    cached per surface, side and tau."""
+    return surface.cached(_quotient_graph, side, tau)
+
+
+def _quotient_graph(surface, side, tau):
     nf = len(surface.faces)
-    blocked = side_angles(surface, side) >= math.pi - tau
+    blocked = surface.cached(_blocked_edges, side, tau)
     f0, f1 = np.array(surface.edge_faces, dtype=np.int64).reshape(-1, 2).T
     merged = sparse.coo_matrix(
         (np.ones(blocked.sum()), (f0[blocked], f1[blocked])), shape=(nf, nf)
@@ -189,13 +200,12 @@ class AdmissiblePartitions:
                 "refusing full enumeration over %d classes (> %d); count is %d"
                 % (k, MAX_ENUM_CLASSES, self.count)
             )
-        nf = len(self.quotient.face_class)
-        for m in range(self.count):
-            labels = tuple(
-                "N" if (m >> self.quotient.face_class[f]) & 1 else "D"
-                for f in range(nf)
-            )
-            yield Partition(labels=labels, side=self.side)
+        # product("DN", repeat=k) runs through m = 0, 1, ... with bit i of m
+        # as entry k - 1 - i; gather each face's label from its class's entry
+        gather = [k - 1 - c for c in self.quotient.face_class]
+        side = self.side
+        for bits in itertools.islice(itertools.product("DN", repeat=k), self.count):
+            yield Partition(tuple([bits[c] for c in gather]), side)
 
 
 def enumerate_admissible(surface, side, tau=TAU_ANGLE):

@@ -6,7 +6,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polymix import fixtures, trace_energy
 from polymix.cli import EXIT_INPUT, EXIT_OK, EXIT_VALIDATION, build_parser, main, parse_angle
@@ -420,6 +420,42 @@ def test_malformed_off_never_raises(case):
             assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_INPUT), argv
             if code == EXIT_INPUT:
                 assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+
+
+TAU_ARGV = [
+    ["check-partition", "{mesh}", "{partition}"],
+    ["enumerate", "{mesh}", "--side", "interior"],
+    ["monochromatic", "{mesh}", "--side", "exterior"],
+]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    base=st.sampled_from(FUZZ_BASES),
+    tau=st.one_of(st.sampled_from(["nan", "inf", "-inf", "1e400"]),
+                  st.floats(max_value=-1e-300).map(repr)),
+)
+@example(base=FUZZ_BASES[2], tau="nan")
+@example(base=FUZZ_BASES[2], tau="inf")
+@example(base=FUZZ_BASES[2], tau="-inf")
+@example(base=FUZZ_BASES[2], tau="-0.5")
+@example(base=FUZZ_BASES[2], tau="1e400")
+def test_bad_tau_angle_is_an_input_error(base, tau):
+    # a tolerance that is not finite or is negative: exit 2, an error line,
+    # and no report on stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        mesh, partition = os.path.join(tmp, "m.off"), os.path.join(tmp, "p.json")
+        write_off(mesh, base)
+        with open(partition, "w") as fh:
+            json.dump({"side": "interior", "labels": ["D"] * len(base.faces)}, fh)
+        for argv in TAU_ARGV:
+            argv = [a.format(mesh=mesh, partition=partition) for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + ["--tau-angle=" + tau])
+            assert code == EXIT_INPUT, argv
+            assert out.getvalue() == "", argv
+            assert err.getvalue().startswith("error: ") and "tau" in err.getvalue(), argv
 
 
 # ----------------------------------------------------------------------

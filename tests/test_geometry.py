@@ -938,8 +938,8 @@ FAN_MESHES = REFLEX_MESHES + [STAR_SPHERES[6], u_pyramid(), dented_box()]
          reflect=True)
 @example(index=9, quaternion=(-0.6, 0.1, 0.4, 0.2), shift=(-3.0, 55.0, 21.0), log_scale=-2.0,
          reflect=False)
-def test_reflex_fan_solid_angles_invariant_under_similarity(index, quaternion, shift, log_scale,
-                                                            reflect):
+def test_reflex_sweep_solid_angles_invariant_under_similarity(index, quaternion, shift, log_scale,
+                                                              reflect):
     # the pole, and with it the triangles, may move; the solid angle may not
     base = FAN_MESHES[index]
     rotation = Rotation.from_quat(quaternion).as_matrix()

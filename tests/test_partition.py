@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -9,6 +10,7 @@ from polymix.geometry import interior_angle_table
 from polymix.mesh import PolyhedralSurface
 from polymix.partition import (
     TAU_ANGLE,
+    AdmissibilityReport,
     GeneratorSpec,
     Partition,
     QuotientGraph,
@@ -122,14 +124,14 @@ def test_side_duality(cube, l_prism, pyramid):
                 assert blocks_int and blocks_ext
 
 
-def test_flat_edge_blocks_both_sides():
-    # split one cube face into two coplanar rectangles: the new edge has
-    # angle pi and must merge on both sides
+def split_cube(drop=0.0):
+    """A cube whose bottom is split into faces 0 and 1 along the edge (8, 9),
+    which is lowered by `drop`: its interior angle is pi - 2 atan(2 drop)."""
     verts = np.array(
         [
             [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
             [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1],
-            [0.5, 0, 0], [0.5, 1, 0],
+            [0.5, 0, -drop], [0.5, 1, -drop],
         ],
         dtype=float,
     )
@@ -141,7 +143,13 @@ def test_flat_edge_blocks_both_sides():
         (1, 2, 6, 5),
         (3, 0, 4, 7),
     ]
-    surf = PolyhedralSurface(verts, faces)
+    return PolyhedralSurface(verts, faces)
+
+
+def test_flat_edge_blocks_both_sides():
+    # split one cube face into two coplanar rectangles: the new edge has
+    # angle pi and must merge on both sides
+    surf = split_cube()
     for side in ("interior", "exterior"):
         q = quotient_graph(surf, side)
         assert q.face_class[0] == q.face_class[1]
@@ -165,10 +173,12 @@ def test_partition_json_roundtrip():
 
 
 def test_partition_rejects_bad_input():
-    with pytest.raises(ValueError):
-        Partition(labels=("D", "X"), side="interior")
+    for labels in (("D", "X"), ("D", 1), ("D", None)):
+        with pytest.raises(ValueError):
+            Partition(labels=labels, side="interior")
     with pytest.raises(ValueError):
         Partition(labels=("D",), side="sideways")
+    assert Partition(labels=["D", "N"], side="interior").labels == ["D", "N"]
 
 
 def test_label_count_mismatch_raises(cube):
@@ -206,6 +216,28 @@ def test_quotient_admissibility_oracle(l_prism):
         )
         from_classes.add(labels)
     assert from_classes == brute_force_admissible(l_prism, "interior")
+
+
+def reference_validate_partition(surface, partition, tau=TAU_ANGLE):
+    """The loop over every edge: the per-call version of validate_partition."""
+    labels = partition.labels
+    if len(labels) != len(surface.faces):
+        raise ValueError(
+            "partition has %d labels for %d faces" % (len(labels), len(surface.faces))
+        )
+    threshold = math.pi - tau
+    violating = []
+    for edge, (f0, f1), angle in zip(surface.edge_list, surface.edge_faces,
+                                     side_angles(surface, partition.side)):
+        if labels[f0] != labels[f1] and angle >= threshold:
+            violating.append((edge, (f0, f1), float(angle)))
+    d_empty = "D" not in labels
+    return AdmissibilityReport(
+        admissible=not d_empty and not violating,
+        side=partition.side,
+        dirichlet_empty=d_empty,
+        violating_edges=tuple(violating),
+    )
 
 
 def reference_quotient_graph(surface, side, tau=TAU_ANGLE):
@@ -269,6 +301,81 @@ def test_quotient_graph_equals_union_find_reference(name, build):
         assert q == reference_quotient_graph(surface, side)
         assert all(type(f) is int for c in q.classes for f in c)
         assert all(type(c) is int for c in q.face_class)
+
+
+SMALL_MESHES = [m for m in REFERENCE_MESHES if len(m[1]().faces) <= 12]
+
+
+@pytest.mark.parametrize("name,build", SMALL_MESHES, ids=[m[0] for m in SMALL_MESHES])
+def test_validate_partition_equals_all_edge_reference(name, build):
+    # both sides and two tolerances, the first again last, on one surface
+    # instance: the blocked-edge tables must be kept per side and per tau
+    surface = build()
+    labelings = list(itertools.product("DN", repeat=len(surface.faces)))
+    for tau in (TAU_ANGLE, 0.6, TAU_ANGLE):
+        for side in ("interior", "exterior"):
+            for labels in labelings:
+                p = Partition(labels=labels, side=side)
+                got = validate_partition(surface, p, tau=tau)
+                assert got == reference_validate_partition(surface, p, tau=tau), labels
+                assert all(type(ang) is float for _, _, ang in got.violating_edges)
+
+
+def test_near_flat_edge_blocked_by_tau():
+    # the split edge is 5e-9 short of pi: blocked at tau = 1e-8, free at 1e-9
+    surface = split_cube(drop=math.tan(5e-9 / 2) / 2)
+    split = surface.edge_list.index((8, 9))
+    assert math.pi - side_angles(surface, "interior")[split] == pytest.approx(5e-9, rel=1e-3)
+    labels = ("D", "N") + ("D",) * 5
+    for side in ("interior", "exterior"):
+        p = Partition(labels=labels, side=side)
+        for tau in (1e-8, 1e-9):
+            got = validate_partition(surface, p, tau=tau)
+            assert got == reference_validate_partition(surface, p, tau=tau)
+            blocked = side == "exterior" or tau == 1e-8
+            assert ((8, 9) in [edge for edge, _, _ in got.violating_edges]) is blocked
+            if side == "interior":
+                assert got.admissible is not blocked
+            q = quotient_graph(surface, side, tau=tau)
+            assert (q.face_class[0] == q.face_class[1]) is blocked
+
+
+@pytest.mark.parametrize("name,build", REFERENCE_MESHES, ids=[m[0] for m in REFERENCE_MESHES])
+def test_enumeration_order_is_the_documented_counter(name, build):
+    surface = build()
+    for side in ("interior", "exterior"):
+        adm = enumerate_admissible(surface, side)
+        assert adm.quotient is quotient_graph(surface, side)
+        fc = adm.quotient.face_class
+        if adm.quotient.class_count > 12:
+            continue
+        expected = [tuple("N" if (m >> fc[f]) & 1 else "D" for f in range(len(fc)))
+                    for m in range(adm.count)]
+        assert [p.labels for p in adm] == expected
+
+
+def test_cached_quotient_graph_is_frozen(l_prism):
+    q = quotient_graph(l_prism, "interior")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.face_class = ()
+    assert quotient_graph(l_prism, "interior") is q
+    assert quotient_graph(l_prism, "interior", tau=0.1) is not q
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -0.5, -1e-300])
+def test_bad_tau_rejected(l_prism, tau):
+    # a NaN tolerance would let the reflex notch change labels: 255 partitions
+    # instead of 127, and the notch pair admissible
+    notch = Partition(labels=("D",) * 3 + ("N",) + ("D",) * 4, side="interior")
+    with pytest.raises(ValueError, match="tau"):
+        validate_partition(l_prism, notch, tau=tau)
+    for side in ("interior", "exterior"):
+        with pytest.raises(ValueError, match="tau"):
+            enumerate_admissible(l_prism, side, tau=tau)
+        with pytest.raises(ValueError, match="tau"):
+            is_monochromatic(l_prism, side, tau=tau)
+    assert not validate_partition(l_prism, notch).admissible
+    assert enumerate_admissible(l_prism, "interior", tau=0.0).count == 127
 
 
 # ----------------------------------------------------------------------
