@@ -8,6 +8,7 @@ inadmissible partition), 2 input or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -377,6 +378,7 @@ def cmd_fixtures(args):
 # parser
 
 
+@functools.cache  # holds only constants and the command functions
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="polymix",

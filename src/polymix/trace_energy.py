@@ -1,19 +1,21 @@
 """Discrete extension seminorm: minimize piecewise-linear surface Dirichlet
 energy over all extensions of boundary data given on the Dirichlet faces.
 
-The surface is fan/ear triangulated and refined L times by the array
-kernel :func:`polymix.mesh.midpoint_subdivide`, which also hands back each
-level's parent edges; which base faces touch each refined vertex is one
-sparse (vertices x faces) incidence matrix, so the Dirichlet vertices come
-from one matrix-vector product.  The cotangent-weight quadratic form is
-minimized over the free vertices with conjugate gradients preconditioned
-by the additive multilevel (BPX) method over the nested midpoint levels,
-so iteration counts stay nearly flat as the levels grow (plain CG doubles
-them at every level).  By default every vertex of the closed
-Dirichlet region is pinned to the data (any finite-energy extension that
-matches f on an open face matches it on the closure); the relaxed variant
-that leaves shared Dirichlet/Neumann edge vertices free is available via
-``closure=False`` and converges to the same limit, only slower.
+The surface is fan/ear triangulated once and refined by a chain of array
+midpoint subdivisions (:func:`polymix.mesh.midpoint_subdivide`), each level
+made from the last and carrying its parent edges, its corner cotangents
+(gathered from the base triangles, see :class:`RefinedSurface`) and the
+sparse (vertices x faces) incidence of base faces, so the Dirichlet
+vertices come from one matrix-vector product.  The cotangent-weight
+quadratic form is minimized over the free vertices with conjugate gradients
+preconditioned by the additive multilevel (BPX) method over the nested
+midpoint levels, so iteration counts stay nearly flat as the levels grow
+(plain CG doubles them at every level).  By default every vertex of the
+closed Dirichlet region is pinned to the data (any finite-energy extension
+that matches f on an open face matches it on the closure); the relaxed
+variant that leaves shared Dirichlet/Neumann edge vertices free is
+available via ``closure=False`` and converges to the same limit, only
+slower.
 Refinement studies classify the energy sequence as CONVERGENT (settled
 within 1%) or DIVERGENT (monotone growth that keeps adding a solid share
 of the median increment, the discrete signature of data with no
@@ -23,6 +25,7 @@ finite-energy extension).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 from scipy import sparse
@@ -52,7 +55,10 @@ class RefinedSurface:
     ``parents[l]`` is the (m, 2) array of edge ends from which refinement
     step l + 1 appended its m midpoints; old vertices keep their indices,
     so level l is the first ``vertex_count - sum(len(p) for p in
-    parents[l:])`` vertices.
+    parents[l:])`` vertices.  ``cotangents[t, k]`` (read-only) is the cotangent
+    of triangle t's angle at corner k, computed from coordinates at level 0
+    only: children ``(a, ab, ca)``, ``(ab, b, bc)`` and ``(ca, bc, c)`` keep
+    their parent's angles ``(A, B, C)``, the middle ``(ab, bc, ca)`` has ``(C, A, B)``.
     """
 
     base: PolyhedralSurface
@@ -63,37 +69,43 @@ class RefinedSurface:
     tri_face: np.ndarray
     vertex_faces: sparse.csr_matrix
     parents: tuple
+    cotangents: np.ndarray
 
     @property
     def vertex_count(self):
         return len(self.vertices)
 
 
-def refine(base, level, fan_offset=0):
-    """Fan/ear triangulate every face, then refine `level` times."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
+def _refinement_chain(base, fan_offset):
+    """Yield levels 0, 1, 2, ... of `base`, each one subdivision of the last."""
     verts = np.asarray(base.vertices, dtype=float)
     tris, tri_face = base.triangulate(fan_offset)
-    parents = ()
-    for _ in range(int(level)):
-        verts, tris, new = midpoint_subdivide(verts, tris)
-        parents += (new,)
-    tri_face = np.repeat(tri_face, 4 ** int(level))
     incidence = sparse.csr_matrix(
         (np.ones(tris.size, dtype=bool), (tris.ravel(), np.repeat(tri_face, 3))),
         shape=(len(verts), len(base.faces)),
     )
-    return RefinedSurface(
-        base=base,
-        level=int(level),
-        fan_offset=int(fan_offset),
-        vertices=verts,
-        triangles=tris,
-        tri_face=tri_face,
-        vertex_faces=incidence,
-        parents=parents,
-    )
+    cot, parents = corner_cotangents(verts, tris), ()
+    while True:
+        cot.flags.writeable = False
+        yield RefinedSurface(base=base, level=len(parents), fan_offset=int(fan_offset),
+                             vertices=verts, triangles=tris, tri_face=tri_face,
+                             vertex_faces=incidence, parents=parents, cotangents=cot)
+        verts, tris, new = midpoint_subdivide(verts, tris)
+        # a new vertex touches just the parents that have its edge: their middle children
+        mid = tris[3::4].ravel() - incidence.shape[0]
+        rows = sparse.csr_matrix((np.ones(mid.size, dtype=bool), (mid, np.repeat(tri_face, 3))),
+                                 shape=(len(new), len(base.faces)))
+        incidence = sparse.vstack([incidence, rows], format="csr")
+        tri_face = np.repeat(tri_face, 4)
+        cot = cot[:, [0, 1, 2, 0, 1, 2, 0, 1, 2, 2, 0, 1]].reshape(-1, 3)  # children's angles
+        parents += (new,)
+
+
+def refine(base, level, fan_offset=0):
+    """Fan/ear triangulate every face, then refine `level` times."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    return next(islice(_refinement_chain(base, fan_offset), int(level), None))
 
 
 # ----------------------------------------------------------------------
@@ -167,19 +179,11 @@ def constrained_vertices(refined, partition, data, closure=True):
 # assembly
 
 
-def cotan_stiffness(vertices, triangles):
-    """Cotangent-weight stiffness matrix of the PL surface Dirichlet energy.
-
-    E(u) = u^T K u equals the integral of |grad_t u|^2 over the triangulated
-    surface.  Negative weights from obtuse triangles are kept; the form
-    stays positive semi-definite with constants as kernel.
-    """
+def corner_cotangents(vertices, triangles):
+    """(T, 3) cotangents of every triangle's angles at corners 0, 1 and 2."""
     v = np.asarray(vertices, dtype=float)
-    t = np.asarray(triangles, dtype=np.int64)
-    i0, i1, i2 = t[:, 0], t[:, 1], t[:, 2]
-    e0 = v[i2] - v[i1]  # opposite vertex 0
-    e1 = v[i0] - v[i2]
-    e2 = v[i1] - v[i0]
+    i0, i1, i2 = np.asarray(triangles, dtype=np.int64).T
+    e0, e1, e2 = v[i2] - v[i1], v[i0] - v[i2], v[i1] - v[i0]  # e_k is opposite vertex k
     # cot of the angle at vertex k = (e_a . e_b) / |e_a x e_b| for the two
     # edge vectors leaving k
     def cot(a, b):
@@ -187,17 +191,25 @@ def cotan_stiffness(vertices, triangles):
         crs = np.linalg.norm(np.cross(a, b), axis=1)
         return dot / np.maximum(crs, 1e-300)
 
-    cot0 = cot(-e1, e2)   # angle at vertex 0, edges to v2 and v1
-    cot1 = cot(-e2, e0)
-    cot2 = cot(-e0, e1)
+    return np.column_stack([cot(-e1, e2), cot(-e2, e0), cot(-e0, e1)])
+
+
+def cotan_stiffness(vertices, triangles, cotangents=None):
+    """Cotangent-weight stiffness matrix of the PL surface Dirichlet energy.
+
+    E(u) = u^T K u equals the integral of |grad_t u|^2 over the triangulated
+    surface.  Negative weights from obtuse triangles are kept; the form
+    stays positive semi-definite with constants as kernel.  ``cotangents``
+    defaults to :func:`corner_cotangents`; a refined surface carries its own.
+    """
+    t = np.asarray(triangles, dtype=np.int64)
+    if cotangents is None:
+        cotangents = corner_cotangents(vertices, t)
     # each triangle contributes (1/2) cot(angle opposite edge) (du_edge)^2
-    rows = np.concatenate([i1, i2, i2, i0, i0, i1])
-    cols = np.concatenate([i2, i1, i0, i2, i1, i0])
-    w0 = 0.5 * cot0
-    w1 = 0.5 * cot1
-    w2 = 0.5 * cot2
-    off = np.concatenate([-w0, -w0, -w1, -w1, -w2, -w2])
-    n = len(v)
+    rows = t[:, [1, 2, 2, 0, 0, 1]].T.ravel()
+    cols = t[:, [2, 1, 0, 2, 1, 0]].T.ravel()
+    off = -0.5 * cotangents[:, [0, 0, 1, 1, 2, 2]].T.ravel()
+    n = len(vertices)
     # the triplets come in symmetric pairs, so the duplicate sums that the
     # CSR conversion makes are exact; exact zeros (right angles) are not stored
     k = sparse.csr_matrix((off, (rows, cols)), shape=(n, n))
@@ -212,10 +224,7 @@ def lumped_mass(vertices, triangles):
     areas = 0.5 * np.linalg.norm(
         np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]), axis=1
     )
-    m = np.zeros(len(v))
-    for k in range(3):
-        np.add.at(m, t[:, k], areas / 3.0)
-    return m
+    return np.bincount(t.T.ravel(), np.tile(areas / 3.0, 3), len(v))
 
 
 def _free_components_without_anchor(matrix, free_mask):
@@ -242,7 +251,8 @@ def _multilevel_preconditioner(diagonal, free_mask, parents):
     its own Jacobi term.  Old vertices keep their indices, so level l is
     the first n_l vertices: its diagonal and its free mask are the first
     n_l entries of the finest ones (cotangent diagonals are level
-    independent, since midpoint children are similar to their parents).
+    independent: every level's corner cotangents are a gather of the
+    base's, see :attr:`RefinedSurface.cotangents`).
     With no parents this is Jacobi.
     """
     n = len(diagonal)
@@ -283,10 +293,9 @@ def solve_constrained(matrix, fixed_idx, fixed_vals, rtol=SOLVER_RTOL, parents=(
     """
     n = matrix.shape[0]
     u = np.zeros(n)
-    fixed_mask = np.zeros(n, dtype=bool)
-    fixed_mask[fixed_idx] = True
     u[fixed_idx] = fixed_vals
-    free_mask = ~fixed_mask
+    free_mask = np.ones(n, dtype=bool)
+    free_mask[fixed_idx] = False
 
     unanchored = _free_components_without_anchor(matrix, free_mask)
     for members in unanchored:
@@ -295,8 +304,9 @@ def solve_constrained(matrix, fixed_idx, fixed_vals, rtol=SOLVER_RTOL, parents=(
     if len(free) == 0:
         return u, 0, 0.0, len(unanchored)
 
-    a_ff = matrix[free][:, free].tocsr()
-    b = -matrix[free][:, np.flatnonzero(~free_mask)] @ u[np.flatnonzero(~free_mask)]
+    rows, fixed = matrix[free], np.flatnonzero(~free_mask)  # one row slice for both blocks
+    a_ff = rows[:, free].tocsr()
+    b = -rows[:, fixed] @ u[fixed]
     precondition = _multilevel_preconditioner(matrix.diagonal(), free_mask, parents)
     iterations = 0
 
@@ -332,7 +342,7 @@ class ExtensionResult:
 
 def minimal_extension_energy(refined, partition, data, rtol=SOLVER_RTOL, closure=True):
     """Least PL Dirichlet energy over extensions of the Dirichlet data."""
-    stiff = cotan_stiffness(refined.vertices, refined.triangles)
+    stiff = cotan_stiffness(refined.vertices, refined.triangles, refined.cotangents)
     idx, vals = constrained_vertices(refined, partition, data, closure=closure)
     u, iters, resid, pinned = solve_constrained(stiff, idx, vals, rtol=rtol,
                                                 parents=refined.parents)
@@ -359,7 +369,7 @@ class NormResult:
 
 def full_restriction_norm(refined, partition, data, rtol=SOLVER_RTOL, closure=True):
     """Minimize the full restriction norm: mass term plus Dirichlet energy."""
-    stiff = cotan_stiffness(refined.vertices, refined.triangles)
+    stiff = cotan_stiffness(refined.vertices, refined.triangles, refined.cotangents)
     mass = sparse.diags(lumped_mass(refined.vertices, refined.triangles)).tocsr()
     idx, vals = constrained_vertices(refined, partition, data, closure=closure)
     u, iters, resid, _ = solve_constrained((stiff + mass).tocsr(), idx, vals, rtol=rtol,
@@ -438,26 +448,29 @@ def classify_energies(energies):
 
 
 def refinement_study(base, partition, data, levels, fan_offset=0, closure=True):
-    """Run the minimal extension energy across refinement levels."""
+    """Run the minimal extension energy across refinement levels.
+
+    One refinement chain serves the study; each level given is solved once,
+    as the chain passes it.  The report keeps the order given.
+    """
     levels = [int(l) for l in levels]
-    energies = []
-    counts = []
-    iters = []
-    resids = []
-    rs = res = None
-    for level in levels:
-        rs = refine(base, level, fan_offset=fan_offset)
-        res = minimal_extension_energy(rs, partition, data, closure=closure)
-        energies.append(res.energy)
-        counts.append(rs.vertex_count)
-        iters.append(res.iterations)
-        resids.append(res.residual)
+    if any(l < 0 for l in levels):
+        raise ValueError("level must be >= 0")
+    solved, rs, res = {}, None, None
+    for refined in islice(_refinement_chain(base, fan_offset), max(levels, default=-1) + 1):
+        if refined.level in levels:
+            ext = minimal_extension_energy(refined, partition, data, closure=closure)
+            solved[refined.level] = (ext.energy, refined.vertex_count, ext.iterations,
+                                     ext.residual)
+            if refined.level == levels[-1]:
+                rs, res = refined, ext
+    energies, counts, iters, resids = (tuple(solved[l][k] for l in levels) for k in range(4))
     return EnergyReport(
         levels=tuple(levels),
-        energies=tuple(energies),
-        vertex_counts=tuple(counts),
-        iterations=tuple(iters),
-        residuals=tuple(resids),
+        energies=energies,
+        vertex_counts=counts,
+        iterations=iters,
+        residuals=resids,
         classification=classify_energies(energies),
         refined=rs,
         extension=res,

@@ -298,6 +298,24 @@ def test_unknown_subcommand_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_failed_parse_leaves_the_cached_parser_clean(capsys):
+    argv = ["trace-energy", "--study", "cube-smooth", "--levels", "2", "--fan-offset", "1"]
+    build_parser.cache_clear()
+    assert main(argv) == EXIT_OK
+    first = capsys.readouterr().out
+    assert main(argv + ["--format", "xml"]) == EXIT_INPUT
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == first
+    assert main(argv + ["--format", "csv"]) == EXIT_OK
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.endswith(first)
+
+
 def test_degenerate_edge_exit_2(tmp_path, capsys):
     # a two-triangle "pillow": every edge is a knife edge, reported cleanly
     pillow = tmp_path / "pillow.off"

@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import cg
+from scipy.spatial.transform import Rotation
 
-from polymix import fixtures
+from polymix import fixtures, trace_energy
 from polymix.mesh import PolyhedralSurface, parse_off
 from polymix.partition import Partition
 from polymix.trace_energy import (
     CONVERGENT,
     DIVERGENT,
     SOLVER_RTOL,
+    ExtensionResult,
     TraceData,
     classify_energies,
     constrained_vertices,
+    corner_cotangents,
     cotan_stiffness,
     export_off_with_scalars,
     full_restriction_norm,
@@ -133,6 +137,123 @@ def test_refine_equals_dict_walk_reference(name, fan_offset):
         assert incidence_rows(rs) == vertex_faces, level
 
 
+# dyadic coordinates: every midpoint is exact, so inherited cotangents are too
+DYADIC_MESHES = {name: fixtures.builtin(name) for name in
+                 ("cube", "square-pyramid", "l-prism", "notched-box-1", "notched-box-2")}
+HULLS = {"hull-3": fixtures.generate_hull(3), "hull-7": fixtures.generate_hull(7, n_points=12)}
+CHAIN_MESHES = {name: DYADIC_MESHES[name]
+                for name in ("cube", "square-pyramid", "l-prism", "notched-box-1")}
+CHAIN_MESHES.update(HULLS)
+
+
+def walked_levels(monkeypatch, base, levels, fan_offset):
+    """The refined surfaces a study hands to its solver, in the order it does."""
+    walked = []
+
+    def record(refined, partition, data, closure=True):
+        walked.append(refined)
+        n = refined.vertex_count
+        return ExtensionResult(energy=0.0, values=np.zeros(n), iterations=0, residual=0.0,
+                               pinned_components=0, constrained_count=0)
+
+    monkeypatch.setattr(trace_energy, "minimal_extension_energy", record)
+    labels = ("N",) * len(base.faces)
+    refinement_study(base, Partition(labels=labels, side="interior"),
+                     TraceData.face_constants({}), levels, fan_offset=fan_offset)
+    return walked
+
+
+def scratch_incidence(refined):
+    """The (V, F) incidence built in one go from the finest triangles."""
+    tris, faces = refined.triangles, refined.tri_face
+    return sparse.csr_matrix(
+        (np.ones(tris.size, dtype=bool), (tris.ravel(), np.repeat(faces, 3))),
+        shape=(refined.vertex_count, len(refined.base.faces)))
+
+
+@pytest.mark.parametrize("fan_offset", range(4))
+@pytest.mark.parametrize("name", sorted(CHAIN_MESHES))
+def test_study_chain_equals_independent_refinement(monkeypatch, name, fan_offset):
+    base = CHAIN_MESHES[name]
+    walked = walked_levels(monkeypatch, base, range(6), fan_offset)
+    assert [rs.level for rs in walked] == list(range(6))
+    for rs in walked:
+        alone = refine(base, rs.level, fan_offset=fan_offset)
+        verts, tris, tri_face, vertex_faces = reference_refine(base, rs.level, fan_offset)
+        for got in (rs, alone):
+            assert np.array_equal(got.vertices, verts), rs.level
+            assert np.array_equal(got.triangles, tris), rs.level
+            assert np.array_equal(got.tri_face, tri_face), rs.level
+            assert incidence_rows(got) == vertex_faces, rs.level
+            want = scratch_incidence(got)
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got.vertex_faces, part), getattr(want, part))
+        assert len(rs.parents) == len(alone.parents) == rs.level
+        assert all(np.array_equal(p, q) for p, q in zip(rs.parents, alone.parents))
+        assert np.array_equal(rs.cotangents, alone.cotangents)
+
+
+@pytest.mark.parametrize("name", sorted(DYADIC_MESHES) + sorted(HULLS) + ["tetrahedron"])
+def test_inherited_cotangents_equal_recomputed(name):
+    base = DYADIC_MESHES.get(name) or HULLS.get(name) or fixtures.builtin(name)
+    for level in range(6):
+        rs = refine(base, level)
+        assert rs.cotangents.shape == (len(rs.triangles), 3)
+        assert not rs.cotangents.flags.writeable
+        want = corner_cotangents(rs.vertices, rs.triangles)
+        if name in DYADIC_MESHES:
+            assert np.array_equal(rs.cotangents, want), level
+        else:
+            # rounding moves an angle, not its cotangent, by a relative
+            # amount: near a right angle the error is absolute
+            scale = np.maximum(np.abs(want), 1.0)
+            assert np.all(np.abs(rs.cotangents - want) <= 1e-12 * scale), level
+
+
+def test_study_triangulates_once_and_subdivides_once_per_level(monkeypatch, pyramid):
+    calls = {"triangulate": 0, "midpoint_subdivide": 0, "corner_cotangents": 0}
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(PolyhedralSurface, "triangulate")
+    counted(trace_energy, "midpoint_subdivide")
+    counted(trace_energy, "corner_cotangents")
+    rep = refinement_study(pyramid, PYRAMID_PART, PYRAMID_STEP, levels=(2, 5, 1, 4),
+                           fan_offset=1)
+    # levels 1 to 5 each take one subdivision; no level takes a cross product
+    assert calls == {"triangulate": 1, "midpoint_subdivide": 5, "corner_cotangents": 1}
+    assert rep.refined.level == 4
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(DYADIC_MESHES) + sorted(HULLS) + ["tetrahedron"]),
+    quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda q: sum(x * x for x in q) > 1e-2),
+    # applied before scaling, in units of the mesh: rounding the moved
+    # coordinates costs about eps * shift / edge length in every angle
+    shift=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+    log_scale=st.floats(-3.0, 3.0),
+)
+def test_base_cotangents_invariant_under_similarity(name, quaternion, shift, log_scale):
+    base = DYADIC_MESHES.get(name) or HULLS.get(name) or fixtures.builtin(name)
+    rotation = Rotation.from_quat(quaternion).as_matrix()
+    moved = PolyhedralSurface(10.0 ** log_scale * (base.vertices @ rotation.T + shift),
+                              base.faces)
+    before, after = refine(base, 0), refine(moved, 0)
+    assert np.array_equal(after.triangles, before.triangles)
+    # the angles move by about eps * shift / edge (edges here are at least
+    # 0.1), and no base corner here is below 0.06 rad, so the cotangents move
+    # by at most 1 / sin^2 (0.06) = 280 times that: 6e-11
+    assert np.allclose(after.cotangents, before.cotangents, rtol=0.0, atol=1e-10)
+
+
 @pytest.mark.parametrize("fan_offset", [0, 3])
 @pytest.mark.parametrize("name", sorted(fixtures.BUILTIN))
 def test_refine_parents_are_the_midpoint_edges(name, fan_offset):
@@ -160,6 +281,36 @@ def test_study_keeps_the_finest_solve(pyramid):
     assert np.array_equal(rep.extension.values, res.values)
     empty = refinement_study(pyramid, PYRAMID_PART, PYRAMID_STEP, levels=[])
     assert empty.levels == () and empty.refined is None and empty.extension is None
+
+
+def one_level_fields(base, level):
+    rep = refinement_study(base, PYRAMID_PART, PYRAMID_STEP, levels=[level])
+    return rep.energies[0], rep.vertex_counts[0], rep.iterations[0], rep.residuals[0]
+
+
+@pytest.mark.parametrize("levels", [(3, 1, 3), (0, 5), (4,), ()])
+def test_study_levels_in_any_order_match_one_level_studies(pyramid, levels):
+    rep = refinement_study(pyramid, PYRAMID_PART, PYRAMID_STEP, levels=levels)
+    want = [one_level_fields(pyramid, level) for level in levels]
+    assert rep.levels == tuple(levels)
+    got = list(zip(rep.energies, rep.vertex_counts, rep.iterations, rep.residuals))
+    assert got == want
+    if levels:
+        last = refine(pyramid, levels[-1])
+        assert rep.refined.level == levels[-1]
+        assert np.array_equal(rep.refined.vertices, last.vertices)
+        assert np.array_equal(rep.extension.values, minimal_extension_energy(
+            last, PYRAMID_PART, PYRAMID_STEP).values)
+    else:
+        assert rep.refined is None and rep.extension is None
+        assert rep.to_json_dict() == {"levels": [], "energies": [], "vertex_counts": [],
+                                      "iterations": [], "residuals": [],
+                                      "classification": "UNDECIDED"}
+
+
+def test_study_rejects_a_negative_level(pyramid):
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        refinement_study(pyramid, PYRAMID_PART, PYRAMID_STEP, levels=[2, -1])
 
 
 def reference_value_for(data, point, d_faces_here):
@@ -405,6 +556,26 @@ def test_stiffness_kernel_is_constants():
 def test_lumped_mass_total_area(cube):
     rs = refine(cube, 1)
     assert lumped_mass(rs.vertices, rs.triangles).sum() == pytest.approx(6.0)
+
+
+def reference_lumped_mass(vertices, triangles):
+    """Reference: one unbuffered add per corner slot."""
+    v = np.asarray(vertices, dtype=float)
+    t = np.asarray(triangles, dtype=np.int64)
+    areas = 0.5 * np.linalg.norm(
+        np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]), axis=1)
+    m = np.zeros(len(v))
+    for k in range(3):
+        np.add.at(m, t[:, k], areas / 3.0)
+    return m
+
+
+@pytest.mark.parametrize("name", ["cube", "l-prism", "hull-3"])
+def test_lumped_mass_equals_add_at_reference(name):
+    base = HULLS.get(name) or fixtures.builtin(name)
+    rs = refine(base, 4)
+    assert np.array_equal(lumped_mass(rs.vertices, rs.triangles),
+                          reference_lumped_mass(rs.vertices, rs.triangles))
 
 
 def test_constant_data_zero_energy(cube):
