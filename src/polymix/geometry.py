@@ -95,7 +95,7 @@ def dihedral_angles(surface):
     ``KNIFE_EDGE_SINE_TOL``) and surfaces enclosing no volume raise
     :class:`DegenerateEdgeError`.  Cached per surface.
     """
-    return surface.cached(_compute_dihedral_angles)
+    return surface.memo[_compute_dihedral_angles]
 
 
 def _compute_dihedral_angles(surface):
@@ -151,7 +151,7 @@ def separation_radius(surface, vertex):
     them end at `vertex` and which the edge distances already cover.
     Cached per surface and vertex.
     """
-    return surface.cached(_compute_separation_radius, int(vertex))
+    return surface.memo[_compute_separation_radius, int(vertex)]
 
 
 def _compute_separation_radius(surface, vertex):
@@ -167,7 +167,7 @@ def _compute_separation_radius(surface, vertex):
     best = min(best, np.linalg.norm(p - (a + t[:, None] * d), axis=1).min(initial=np.inf))
     far = np.ones(len(surface.faces), dtype=bool)
     far[list(surface.vertex_faces[vertex])] = False
-    corner, following, face = surface.cached(_face_corner_table)
+    corner, following, face = surface.memo[_face_corner_table]
     normals = surface.face_normals
     h = _dot(p - verts[[f[0] for f in surface.faces]], normals)
     # winding of the face boundary about the foot of the perpendicular
@@ -635,7 +635,7 @@ class _LinkFan:
 def _link_fan(surface, vertex):
     """The cone of `vertex` as a :class:`_LinkFan` over its
     :func:`_link_triangles`.  Cached per surface and vertex."""
-    return surface.cached(_compute_link_fan, int(vertex))
+    return surface.memo[_compute_link_fan, int(vertex)]
 
 
 def _compute_link_fan(surface, vertex):

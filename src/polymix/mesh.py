@@ -9,6 +9,7 @@ outward orientation with positive enclosed volume.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,6 +78,29 @@ class MeshDiagnostics:
         }
 
 
+class SurfaceMemo(dict):
+    """Per-surface data derived in modules that import this one.
+
+    ``memo[compute]`` and ``memo[compute, *args]`` (hashable arguments) are
+    ``compute(surface, *args)``, computed on first use and kept: a hit is a
+    plain dict lookup.  A compute that raises stores nothing.  The value must
+    be immutable (a number, a tuple, a read-only mapping, or an array that
+    is not writeable).  The memo holds its surface weakly, so the pair is no
+    reference cycle and a dropped surface is freed at once.
+    """
+
+    __slots__ = ("_surface",)
+
+    def __init__(self, surface):
+        super().__init__()
+        self._surface = weakref.ref(surface)
+
+    def __missing__(self, key):
+        compute, *args = key if type(key) is tuple else (key,)
+        value = self[key] = compute(self._surface(), *args)
+        return value
+
+
 class PolyhedralSurface:
     """Immutable polygonal surface with derived connectivity.
 
@@ -91,8 +115,9 @@ class PolyhedralSurface:
     Construction only checks indexing; geometric and topological invariants
     are reported by :func:`validate_surface`.  Instances are treated as
     immutable; derived quantities are cached on first use, mesh-level ones
-    as cached properties and those computed in other modules via
-    :meth:`cached`.
+    as cached properties and those computed in other modules in
+    :attr:`memo`, a :class:`SurfaceMemo`: ``surface.memo[compute]`` or
+    ``surface.memo[compute, *args]`` is ``compute(surface, *args)``.
     """
 
     def __init__(self, vertices, faces):
@@ -113,22 +138,7 @@ class PolyhedralSurface:
                     raise MeshError("face %d: vertex index out of range" % fi)
             clean.append(cyc)
         self.faces = tuple(clean)
-        self._memo = {}
-
-    def cached(self, compute, *args):
-        """``compute(self, *args)``, computed on first use and kept for this
-        surface and these (hashable) arguments.
-
-        For per-surface data derived in modules that import this one; the
-        value must be immutable (a number, a tuple, a read-only mapping, or
-        an array that is not writeable).
-        """
-        key = (compute, *args) if args else compute
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = compute(self, *args)
-            return value
+        self.memo = SurfaceMemo(self)
 
     # ------------------------------------------------------------------
     # derived connectivity
@@ -181,11 +191,13 @@ class PolyhedralSurface:
     def _face_newell(self):
         """Unnormalized Newell normal per face (norm = 2 * area)."""
         out = np.zeros((len(self.faces), 3))
-        for fi, face in enumerate(self.faces):
+        sizes = np.array([len(face) for face in self.faces])
+        for k in np.unique(sizes).tolist():
+            ids = np.flatnonzero(sizes == k)
+            corners = np.array([self.faces[fi] for fi in ids.tolist()])
             # relative to one corner, so the sum does not cancel far from the origin
-            p = self.vertices[list(face)] - self.vertices[face[0]]
-            q = np.roll(p, -1, axis=0)
-            out[fi] = np.cross(p, q).sum(axis=0)
+            p = self.vertices[corners] - self.vertices[corners[:, :1]]
+            out[ids] = np.cross(p, np.roll(p, -1, axis=1)).sum(axis=1)
         return out
 
     @cached_property

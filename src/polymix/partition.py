@@ -9,15 +9,19 @@ change, which merges their faces into quotient classes; admissible
 labelings are exactly the labelings constant on classes, minus all-N.
 
 An edge is blocked when its side-relevant angle is >= pi - tau (tau finite,
->= 0); only blocked edges can violate.  Surfaces cache, per (side, tau), the
-blocked mask, the violation records `validate_partition` walks, and the
-quotient graph.  Enumeration gathers labels from class labels via `face_class`.
+>= 0); only blocked edges can violate.  Each surface keeps in its memo,
+``surface.memo[compute, side, tau]``, the blocked mask, the violation
+records `validate_partition` walks, and the quotient graph.  Enumeration
+gathers face labels from class labels via `face_class` in one C-level
+`itemgetter` call and builds its partitions unchecked: the side is checked
+once per enumeration and the labels come from "DN".
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +53,15 @@ class Partition:
         labels = self.labels
         if labels.count("D") + labels.count("N") != len(labels):
             raise ValueError("labels must be 'D' or 'N'")
+
+    @classmethod
+    def _unchecked(cls, labels, side):
+        """A partition without the checks of ``__post_init__``: for callers
+        whose labels are a tuple over "DN" and whose side is checked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "side", side)
+        return self
 
     @classmethod
     def from_json_dict(cls, data):
@@ -85,10 +98,14 @@ class AdmissibilityReport:
         }
 
 
-def side_angles(surface, side):
-    """Side-relevant angle per edge: interior as stored, exterior mirrored."""
+def _check_side(side):
     if side not in SIDES:
         raise ValueError("side must be 'interior' or 'exterior'")
+
+
+def side_angles(surface, side):
+    """Side-relevant angle per edge: interior as stored, exterior mirrored."""
+    _check_side(side)
     interior = interior_angle_table(surface)
     return interior if side == "interior" else 2.0 * math.pi - interior
 
@@ -105,7 +122,7 @@ def _blocked_edges(surface, side, tau):
 
 def _violation_table(surface, side, tau):
     """Per blocked edge, in edge order: (f0, f1, violation record (edge, (f0, f1), angle))."""
-    blocked = surface.cached(_blocked_edges, side, tau)
+    blocked = surface.memo[_blocked_edges, side, tau]
     angles, faces = side_angles(surface, side).tolist(), surface.edge_faces
     return tuple((*faces[e], (surface.edge_list[e], faces[e], angles[e]))
                  for e in np.flatnonzero(blocked).tolist())
@@ -123,7 +140,7 @@ def validate_partition(surface, partition, tau=TAU_ANGLE):
         raise ValueError(
             "partition has %d labels for %d faces" % (len(labels), len(surface.faces))
         )
-    table = surface.cached(_violation_table, partition.side, tau)
+    table = surface.memo[_violation_table, partition.side, tau]
     violating = tuple([record for f0, f1, record in table if labels[f0] != labels[f1]])
     d_empty = "D" not in labels
     # positional: keyword arguments cost a quarter of a call here
@@ -148,13 +165,13 @@ class QuotientGraph:
 
 def quotient_graph(surface, side, tau=TAU_ANGLE):
     """Merge faces across every edge whose side-relevant angle is >= pi - tau;
-    cached per surface, side and tau."""
-    return surface.cached(_quotient_graph, side, tau)
+    kept in the surface's memo per side and tau."""
+    return surface.memo[_quotient_graph, side, tau]
 
 
 def _quotient_graph(surface, side, tau):
     nf = len(surface.faces)
-    blocked = surface.cached(_blocked_edges, side, tau)
+    blocked = surface.memo[_blocked_edges, side, tau]
     f0, f1 = np.array(surface.edge_faces, dtype=np.int64).reshape(-1, 2).T
     merged = sparse.coo_matrix(
         (np.ones(blocked.sum()), (f0[blocked], f1[blocked])), shape=(nf, nf)
@@ -186,6 +203,7 @@ class AdmissiblePartitions:
     """
 
     def __init__(self, surface, side, tau=TAU_ANGLE):
+        _check_side(side)  # once: iteration builds its partitions unchecked
         self.side = side
         self.quotient = quotient_graph(surface, side, tau=tau)
         self.count = 2 ** self.quotient.class_count - 1
@@ -203,9 +221,13 @@ class AdmissiblePartitions:
         # product("DN", repeat=k) runs through m = 0, 1, ... with bit i of m
         # as entry k - 1 - i; gather each face's label from its class's entry
         gather = [k - 1 - c for c in self.quotient.face_class]
-        side = self.side
+        if len(gather) > 1:
+            labels_of = operator.itemgetter(*gather)
+        else:  # itemgetter returns a bare item for one index and needs one
+            labels_of = lambda bits: tuple([bits[c] for c in gather])
+        make, side = Partition._unchecked, self.side
         for bits in itertools.islice(itertools.product("DN", repeat=k), self.count):
-            yield Partition(tuple([bits[c] for c in gather]), side)
+            yield make(labels_of(bits), side)
 
 
 def enumerate_admissible(surface, side, tau=TAU_ANGLE):

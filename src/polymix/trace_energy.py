@@ -227,17 +227,26 @@ def lumped_mass(vertices, triangles):
     return np.bincount(t.T.ravel(), np.tile(areas / 3.0, 3), len(v))
 
 
-def _free_components_without_anchor(matrix, free_mask):
+def _free_blocks(matrix, free_mask):
+    """``(free, fixed, a_ff, a_fc)``: the free and the pinned indices and
+    the free rows' free and pinned columns of a CSR matrix, cut from one
+    row slice."""
+    free, fixed = np.flatnonzero(free_mask), np.flatnonzero(~free_mask)
+    rows = matrix[free]
+    return free, fixed, rows[:, free], rows[:, fixed]
+
+
+def _free_components_without_anchor(blocks):
     """Connected components of the free vertex graph with no pinned neighbor.
 
-    Stored entries are edges, explicit zeros included.  Returns one sorted
-    index array per unanchored component, ordered by least member.
+    ``blocks`` is :func:`_free_blocks`.  Stored entries are edges, explicit
+    zeros included.  Returns one sorted index array per unanchored
+    component, ordered by least member.
     """
-    free = np.flatnonzero(free_mask)
-    rows = matrix[free]
-    count, comp = connected_components(rows[:, free], directed=False)
+    free, _, a_ff, a_fc = blocks
+    count, comp = connected_components(a_ff, directed=False)
     anchored = np.zeros(count, dtype=bool)
-    anchored[comp[rows[:, ~free_mask].getnnz(axis=1) > 0]] = True
+    anchored[comp[a_fc.getnnz(axis=1) > 0]] = True
     return [free[comp == c] for c in np.flatnonzero(~anchored)]
 
 
@@ -297,16 +306,19 @@ def solve_constrained(matrix, fixed_idx, fixed_vals, rtol=SOLVER_RTOL, parents=(
     free_mask = np.ones(n, dtype=bool)
     free_mask[fixed_idx] = False
 
-    unanchored = _free_components_without_anchor(matrix, free_mask)
-    for members in unanchored:
-        free_mask[members] = False  # value stays 0; constant kernel pinned
-    free = np.flatnonzero(free_mask)
+    # one row slice serves the component search and the solve, unless a
+    # component is pinned
+    blocks = _free_blocks(matrix, free_mask)
+    unanchored = _free_components_without_anchor(blocks)
+    if unanchored:
+        for members in unanchored:
+            free_mask[members] = False  # value stays 0; constant kernel pinned
+        blocks = _free_blocks(matrix, free_mask)
+    free, fixed, a_ff, a_fc = blocks
     if len(free) == 0:
         return u, 0, 0.0, len(unanchored)
 
-    rows, fixed = matrix[free], np.flatnonzero(~free_mask)  # one row slice for both blocks
-    a_ff = rows[:, free].tocsr()
-    b = -rows[:, fixed] @ u[fixed]
+    b = -a_fc @ u[fixed]
     precondition = _multilevel_preconditioner(matrix.diagonal(), free_mask, parents)
     iterations = 0
 

@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polymix import fixtures
+from polymix.geometry import dihedral_angles, separation_radius
 from polymix.mesh import (
     OffParseError,
     PolyhedralSurface,
@@ -12,6 +16,7 @@ from polymix.mesh import (
     serialize_off,
     validate_surface,
 )
+from polymix.partition import Partition, quotient_graph, validate_partition
 
 from conftest import CUBE_OFF, PYRAMID_OFF
 
@@ -404,3 +409,91 @@ def test_midpoint_subdivide_on_hulls(seed, n_points):
     d = validate_surface(PolyhedralSurface(verts, children))
     assert d.ok
     assert d.euler_characteristic == validate_surface(hull).euler_characteristic
+
+
+# ----------------------------------------------------------------------
+# Newell normals and the surface memo
+
+
+def reference_face_newell(surface):
+    """The per-face loop: Newell's sum relative to the face's first corner."""
+    out = np.zeros((len(surface.faces), 3))
+    for fi, face in enumerate(surface.faces):
+        p = surface.vertices[list(face)] - surface.vertices[face[0]]
+        out[fi] = np.cross(p, np.roll(p, -1, axis=0)).sum(axis=0)
+    return out
+
+
+NEWELL_MESHES = (
+    [(name, build) for name, build in sorted(fixtures.BUILTIN.items())]
+    + [("notched-box-%d" % k, lambda k=k: fixtures.notched_box(k, height=1.0 + 0.3 * k))
+       for k in range(1, 5)]
+    + [("hull-%d" % seed, lambda seed=seed: fixtures.generate_hull(seed, n_points=4 + seed))
+       for seed in range(12)]
+    + [("star-%d-%d" % (seed, sub), lambda seed=seed, sub=sub:
+        fixtures.generate_star_sphere(seed, subdivisions=sub, amplitude=0.05 + 0.05 * seed))
+       for seed in range(5) for sub in (1, 2)]
+)
+
+
+@pytest.mark.parametrize("shift", [0.0, 100.0], ids=["origin", "shifted"])
+@pytest.mark.parametrize("name,build", NEWELL_MESHES, ids=[m[0] for m in NEWELL_MESHES])
+def test_face_newell_equals_per_face_loop(name, build, shift):
+    # the grouped sum adds the same terms in the same order: equal bit for bit,
+    # also 100 sizes from the origin
+    surface = build()
+    if shift:
+        offset = shift * surface.bbox_diagonal * np.array([1.0, -2.0, 3.0])
+        surface = PolyhedralSurface(surface.vertices + offset, surface.faces)
+    assert np.array_equal(surface._face_newell, reference_face_newell(surface))
+
+
+def test_memo_computes_each_key_once(cube):
+    surface = PolyhedralSurface(cube.vertices, cube.faces)
+    calls = []
+
+    def compute(s, *args):
+        assert s is surface
+        calls.append(args)
+        return len(args)
+
+    for _ in range(3):
+        assert surface.memo[compute] == 0
+        assert surface.memo[compute, 1] == 1
+        assert surface.memo[compute, 1, "x"] == 2
+    assert calls == [(), (1,), (1, "x")]
+    assert set(surface.memo) == {compute, (compute, 1), (compute, 1, "x")}
+
+
+def test_memo_stores_nothing_when_compute_raises(cube):
+    surface = PolyhedralSurface(cube.vertices, cube.faces)
+    calls = []
+
+    def compute(s, tau):
+        calls.append(tau)
+        raise ValueError("tau must be finite")
+
+    for _ in range(2):
+        with pytest.raises(ValueError, match="tau"):
+            surface.memo[compute, float("nan")]
+    assert len(calls) == 2 and len(surface.memo) == 0
+
+
+def test_dropped_surface_is_freed_without_the_collector(cube):
+    # the memo holds its surface weakly: no reference cycle for gc to find
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        surface = PolyhedralSurface(cube.vertices, cube.faces)
+        dihedral_angles(surface)
+        separation_radius(surface, 0)
+        for side in ("interior", "exterior"):
+            quotient_graph(surface, side)
+            validate_partition(surface, Partition(("D",) * 6, side))
+        assert surface.memo
+        alive = weakref.ref(surface)
+        del surface
+        assert alive() is None
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -354,6 +354,39 @@ def test_enumeration_order_is_the_documented_counter(name, build):
         assert [p.labels for p in adm] == expected
 
 
+def assert_enumerated_partitions_sound(surface, side):
+    """Each enumerated partition equals the checked one built from its labels."""
+    parts = list(enumerate_admissible(surface, side))
+    for p in parts:
+        assert type(p.labels) is tuple and len(p.labels) == len(surface.faces)
+        assert p == Partition(tuple(p.labels), p.side) and p.side == side
+        assert hash(p) == hash(Partition(p.labels, side))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.labels = ()
+    return parts
+
+
+@pytest.mark.parametrize("name,build", REFERENCE_MESHES, ids=[m[0] for m in REFERENCE_MESHES])
+def test_enumerated_partitions_equal_checked_ones(name, build):
+    surface = build()
+    for side in ("interior", "exterior"):
+        if quotient_graph(surface, side).class_count <= 12:
+            assert_enumerated_partitions_sound(surface, side)
+
+
+def test_enumeration_of_one_class_and_faceless_surfaces(cube, tetrahedron):
+    # every exterior edge of a convex solid is blocked: one class, one
+    # partition, all Dirichlet
+    for surface in (cube, tetrahedron):
+        assert quotient_graph(surface, "exterior").class_count == 1
+        only = Partition(("D",) * len(surface.faces), "exterior")
+        assert assert_enumerated_partitions_sound(surface, "exterior") == [only]
+    faceless = PolyhedralSurface(np.zeros((0, 3)), [])
+    assert assert_enumerated_partitions_sound(faceless, "interior") == []
+    with pytest.raises(ValueError, match="side"):
+        enumerate_admissible(cube, "sideways")
+
+
 def test_cached_quotient_graph_is_frozen(l_prism):
     q = quotient_graph(l_prism, "interior")
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -25,6 +25,7 @@ from polymix.trace_energy import (
     refine,
     refinement_study,
     solve_constrained,
+    _free_blocks,
     _free_components_without_anchor,
 )
 
@@ -455,7 +456,7 @@ def reference_solve_constrained(matrix, fixed_idx, fixed_vals, rtol=SOLVER_RTOL)
     free_mask = np.ones(n, dtype=bool)
     free_mask[fixed_idx] = False
     u[fixed_idx] = fixed_vals
-    for members in _free_components_without_anchor(matrix, free_mask):
+    for members in _free_components_without_anchor(_free_blocks(matrix, free_mask)):
         free_mask[members] = False
     free = np.flatnonzero(free_mask)
     if len(free):
@@ -671,7 +672,7 @@ def test_free_components_equal_dfs_reference(pyramid, level, closure):
     idx, _ = constrained_vertices(rs, PYRAMID_PART, PYRAMID_STEP, closure=closure)
     free_mask = np.ones(rs.vertex_count, dtype=bool)
     free_mask[idx] = False
-    got = _free_components_without_anchor(stiff, free_mask)
+    got = _free_components_without_anchor(_free_blocks(stiff, free_mask))
     assert [c.tolist() for c in got] == reference_free_components_without_anchor(
         stiff, free_mask)
 
@@ -680,7 +681,7 @@ def test_free_components_unpinned_cube_equal_dfs_reference(cube):
     rs = refine(cube, 2)
     stiff = cotan_stiffness(rs.vertices, rs.triangles)
     free_mask = np.ones(rs.vertex_count, dtype=bool)
-    got = _free_components_without_anchor(stiff, free_mask)
+    got = _free_components_without_anchor(_free_blocks(stiff, free_mask))
     assert [c.tolist() for c in got] == reference_free_components_without_anchor(
         stiff, free_mask) == [list(range(rs.vertex_count))]
 
@@ -695,7 +696,7 @@ def test_free_components_count_stored_zeros_as_edges(anchor):
     matrix = sparse.coo_matrix((data, (rows, cols)), shape=(4, 4)).tocsr()
     assert matrix.nnz == len(rows)
     free_mask = np.array([True, True, False, True])
-    got = [c.tolist() for c in _free_components_without_anchor(matrix, free_mask)]
+    got = [c.tolist() for c in _free_components_without_anchor(_free_blocks(matrix, free_mask))]
     assert got == reference_free_components_without_anchor(matrix, free_mask)
     assert got == ([[3]] if anchor else [[0, 1], [3]])
 
