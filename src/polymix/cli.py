@@ -211,9 +211,7 @@ def cmd_rellich(args):
             funcs = (rellich.catalog_entry(args.u),)
         except KeyError as exc:
             raise InputError(str(exc)) from exc
-    batches = rellich.arch_batches(arch, args.samples, args.seed)
-    identities, estimates = rellich.rellich_suite(arch, funcs, args.samples, args.seed,
-                                                  batches=batches)
+    identities, estimates = rellich.rellich_suite(arch, funcs, args.samples, args.seed)
     cfg = _config_dict(
         args, mesh=args.mesh, vertex=args.vertex,
         r_inner=args.r_inner, r_outer=args.r_outer, u=args.u,
@@ -226,7 +224,8 @@ def cmd_rellich(args):
         _emit(args, reporting.csv_report(header, rows, cfg))
     else:
         result = {"identity": [r.to_json_dict() for r in identities],
-                  "sampling": rellich.sampling_report(batches)}
+                  "sampling": rellich.sampling_report(
+                      rellich.arch_streams(arch, args.samples, args.seed))}
         if args.estimate:
             result["estimate"] = [e.to_json_dict() for e in estimates]
         _emit(args, reporting.json_report(result, cfg))

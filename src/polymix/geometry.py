@@ -585,23 +585,29 @@ class _LinkFan:
 
     The triangles are rows of ``a``, ``b`` and ``c``, all positively
     oriented, so the cone is exactly their union, even when its solid angle
-    exceeds 2*pi.  Each triangle's solid
-    angle comes from Van Oosterom & Strackee; a draw picks a triangle with
-    probability proportional to it and samples the triangle by Arvo's
-    area-preserving map ("Stratified sampling of spherical triangles",
-    SIGGRAPH 1995).  ``solid_angle`` is exact up to rounding.
+    exceeds 2*pi.  Each triangle's solid angle ``omega`` comes from Van
+    Oosterom & Strackee; a draw picks a triangle with probability
+    proportional to it, by searching one uniform in the kept CDF of
+    ``omega`` (the search ``Generator.choice`` makes with these weights,
+    so picks and generator state are the same), and samples the triangle
+    by Arvo's area-preserving map ("Stratified sampling of spherical
+    triangles", SIGGRAPH 1995).  ``solid_angle`` is exact up to rounding.
     """
 
     def __init__(self, a, b, c):
         det = _dot(a, np.cross(b, c))
         self.omega = 2.0 * np.arctan2(det, 1.0 + _dot(a, b) + _dot(b, c) + _dot(c, a))
         self.solid_angle = float(self.omega.sum())
+        self.cdf = (self.omega / self.solid_angle).cumsum()
+        self.cdf /= self.cdf[-1]
         # Arvo's inputs per triangle: the angle alpha at a, cos of the arc a-b
-        # and the unit tangent at a towards c; vectors are stored as columns
+        # and the unit tangent at a towards c; scalars and vectors are stored
+        # as rows, one column per triangle
         cos_ab = _dot(a, b)
         alpha = np.arctan2(det, _dot(b, c) - cos_ab * _dot(a, c))
-        self.cos_alpha, self.sin_alpha = np.cos(alpha), np.sin(alpha)
-        self.alpha, self.sin_alpha_cos_ab = alpha, np.sin(alpha) * cos_ab
+        sin_alpha = np.sin(alpha)
+        self.scalars = np.vstack([self.omega, alpha, np.cos(alpha), sin_alpha,
+                                  sin_alpha * cos_ab])
         self.towards_c = _unit(c - _dot(c, a)[:, None] * a).T.copy()
         self.a, self.b = a.T.copy(), b.T.copy()
         for value in vars(self).values():
@@ -610,25 +616,28 @@ class _LinkFan:
 
     def directions(self, rng, m):
         """``m`` unit directions, one per row."""
-        k = rng.choice(len(self.omega), size=m, p=self.omega / self.solid_angle)
+        k = self.cdf.searchsorted(rng.random(m), side="right")
         u, w = rng.random((2, m))
-        cos_alpha, sin_alpha = self.cos_alpha[k], self.sin_alpha[k]
+        # np.take gathers the columns several times faster than x[:, k]
+        omega, alpha, cos_alpha, sin_alpha, sin_alpha_cos_ab = np.take(self.scalars, k, axis=1)
         # the point c_hat on the arc a-c that cuts off the sub-triangle
         # (a, b, c_hat) of area u * omega
-        turn = u * self.omega[k] - self.alpha[k]
+        turn = u * omega - alpha
         s, t = np.sin(turn), np.cos(turn)
-        p, q = t - cos_alpha, s + self.sin_alpha_cos_ab[k]
+        p, q = t - cos_alpha, s + sin_alpha_cos_ab
         cos_ac = np.clip(((q * t - p * s) * cos_alpha - q) / ((q * s + p * t) * sin_alpha),
                          -1.0, 1.0)
-        # np.take gathers the columns several times faster than x[:, k]
         c_hat = (np.sqrt((1.0 - cos_ac) * (1.0 + cos_ac)) * np.take(self.towards_c, k, axis=1)
                  + cos_ac * np.take(self.a, k, axis=1))
         # then the point on the arc b-c_hat whose 1 - cos of its arc from b is
         # uniform in [0, 1 - b.c_hat], with 1 - b.c_hat = |b - c_hat|^2 / 2
         b = np.take(self.b, k, axis=1)
-        drop = 0.5 * w * ((c_hat - b) ** 2).sum(axis=0)
-        tangent = c_hat - (c_hat * b).sum(axis=0) * b
-        tangent *= np.sqrt(drop * (2.0 - drop) / (tangent * tangent).sum(axis=0))
+        d = c_hat - b
+        drop = 0.5 * w * (d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        tangent = c_hat - (c_hat[0] * b[0] + c_hat[1] * b[1] + c_hat[2] * b[2]) * b
+        tangent *= np.sqrt(drop * (2.0 - drop)
+                           / (tangent[0] * tangent[0] + tangent[1] * tangent[1]
+                              + tangent[2] * tangent[2]))
         return (b - drop * b + tangent).T
 
 
@@ -702,8 +711,9 @@ def lateral_stream(arch, n, seed):
     Inside the separation ball each face at the vertex is its corner wedge
     of angle ``theta_f`` in (0, 2*pi), turning counterclockwise about the
     outward normal from the face's next vertex to its previous one.  A draw
-    picks a face with probability proportional to ``theta_f`` and a point
-    in polar form (``phi = theta_f u``, ``rho = sqrt(r^2 + u' (R^2 - r^2))``);
+    picks a face with probability proportional to ``theta_f``, from the kept
+    CDF of ``theta`` as :class:`_LinkFan` picks a triangle, and a point in
+    polar form (``phi = theta_f u``, ``rho = sqrt(r^2 + u' (R^2 - r^2))``);
     the measure is exactly ``sum theta_f (R^2 - r^2) / 2``.
     """
     n = _check_count(n)
@@ -712,16 +722,19 @@ def lateral_stream(arch, n, seed):
     fids, _, prev, succ = _vertex_corners(surface, arch.vertex)
     turned = np.cross(surface.face_normals[fids], succ)  # succ turned a quarter counterclockwise
     theta = np.mod(np.arctan2(_dot(turned, prev), _dot(succ, prev)), 2.0 * math.pi)
+    cdf = (theta / theta.sum()).cumsum()
+    cdf /= cdf[-1]
     r2, R2 = arch.r_inner ** 2, arch.r_outer ** 2
     succ, turned = succ.T.copy(), turned.T.copy()  # vectors as columns
 
     def draw(g, m):
-        k = g.choice(len(fids), size=m, p=theta / theta.sum())
+        k = cdf.searchsorted(g.random(m), side="right")
         u, w = g.random((2, m))
-        phi = theta[k] * u
+        phi = np.take(theta, k) * u
         rho = np.sqrt(r2 + w * (R2 - r2))
-        pts = v[:, None] + rho * (np.cos(phi) * succ[:, k] + np.sin(phi) * turned[:, k])
-        return pts.T, fids[k]
+        pts = v[:, None] + rho * (np.cos(phi) * np.take(succ, k, axis=1)
+                                  + np.sin(phi) * np.take(turned, k, axis=1))
+        return pts.T, np.take(fids, k)
 
     return _direct_stream("lateral-surface", seed, float(theta.sum()) * (R2 - r2) / 2.0, n, draw)
 

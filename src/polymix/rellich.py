@@ -19,11 +19,14 @@ module's docstring).  The 1/|X| volume weight is bounded on the arch
 (|X| >= r), so plain sampling needs no singularity handling.
 
 Homogeneous harmonic polynomials up to degree 3 supply the test functions,
-each an exact integer coefficient table over the monomials.  The suite
-streams the samplers' shards (at most 4096 points each) through one
-kernel: the monomial basis at the shard's points times each function's
-table gives its values and gradients, Euler's identity X . grad u =
-degree * u gives W . grad u without a dot product, and each integrand
+each an exact integer coefficient table over the monomials.  The suite has
+one path: it streams the samplers' shards (at most 4096 points each)
+through one kernel, and the command line reports on the same streams
+without drawing them twice.  Per region the rows of every function's
+table stack into one (rows, functions, monomials) table, zero outside each
+function's columns, and one product of it with the monomial basis at a
+shard's points gives all values and gradients; Euler's identity X . grad u
+= degree * u gives W . grad u without a dot product, and each integrand
 keeps only its running sum and sum of squares per function, added shard
 by shard in draw order.  No per-point array outgrows a shard.
 """
@@ -251,17 +254,19 @@ def arch_streams(arch, n, seed):
     return _shared(arch, n, seed, arch_stream, base_stream, lateral_stream)
 
 
-def sampling_report(batches):
-    """Per region of the four batches: the sampling method, the proposals
-    drawn, and the measure with its standard error (0 for an exact one)."""
+def sampling_report(streams):
+    """Per region of the four streams: the sampling method, the proposals
+    drawn, and the measure with its standard error.  The streams draw
+    nothing here: each keeps every draw, so its proposals are its ``n`` and
+    its measure is exact (stderr 0)."""
     return {
         region: {
-            "method": b.method,
-            "n_proposals": b.n_proposals,
-            "measure": b.proposal_measure * b.acceptance,
-            "measure_stderr": b.measure_stderr,
+            "method": s.method,
+            "n_proposals": s.n,
+            "measure": s.proposal_measure,
+            "measure_stderr": 0.0,
         }
-        for region, b in zip(REGIONS, batches)
+        for region, s in zip(REGIONS, streams)
     }
 
 
@@ -272,33 +277,50 @@ def sampling_report(batches):
 _REGION_ROWS = {"volume": [0], "inner": [0, 4], "outer": [0, 4], "lateral": [0, 1, 2, 3]}
 
 
-def _region_tables(region, test_functions):
-    """Per function, the rows of its table the region reads, the value row
-    times the degree so that by Euler's identity the product's first row is
-    ``|X| W . grad u``; and the table's columns."""
-    tables = []
-    for u in test_functions:
-        table = u.table[_REGION_ROWS[region]]
-        table[0] *= u.degree
-        tables.append((table, u.columns))
-    return tables
+def _region_table(region, test_functions):
+    """The rows of every function's table the region reads, stacked as
+    (rows, functions, monomials) with zeros outside each function's
+    columns; the value row is times the degree, so that by Euler's identity
+    a function's first row of the product is ``|X| W . grad u``."""
+    table = np.zeros((len(_REGION_ROWS[region]), len(test_functions),
+                      max(u.columns.stop for u in test_functions)))
+    for f, u in enumerate(test_functions):
+        table[:, f, u.columns] = u.table[_REGION_ROWS[region]]
+        table[0, f] *= u.degree
+    return table
 
 
-def _integrands(region, tables, pts, normals):
+def _products(table, columns, basis):
+    """The stacked table times the monomial basis, (rows, functions,
+    points).  A function's rows do not depend on the other functions.
+
+    On a full shard of at least two rows, one matrix-matrix product serves
+    every function: it sums each entry over the monomials in order, so the
+    zeros outside a function's columns add nothing.  A single row, or the
+    short last shard, takes one product per function over its own
+    ``columns``: there BLAS switches to matrix-vector and edge kernels
+    whose sums run in blocks that the zeros would shift.
+    """
+    rows, count, width = table.shape
+    m = basis.shape[1]
+    if rows > 1 and m == _DIRECT_CHUNK:
+        return (table.reshape(rows * count, width) @ basis).reshape(rows, count, m)
+    out = np.empty((rows, count, m))
+    for f, cols in enumerate(columns):
+        np.matmul(table[:, f, cols], basis[cols], out=out[:, f])
+    return out
+
+
+def _integrands(region, table, columns, pts, normals):
     """The region's integrands at one shard of points relative to the
     vertex, one (functions, points) array each: for the volume the lhs
     integrand, for each boundary region the identity's then the estimate's.
-
-    Each function's rows are its own table times the monomial basis, so
-    they do not depend on the other functions.
+    ``normals`` (3, points) are the lateral points' outward unit normals.
     """
     x, y, z = coords = np.ascontiguousarray(pts.T)
     r2 = x * x + y * y + z * z
     r = np.sqrt(r2)
-    basis = _monomial_basis(coords, max(columns.stop for _, columns in tables))
-    rows = np.empty((len(_REGION_ROWS[region]), len(tables), len(r)))
-    for f, (table, columns) in enumerate(tables):
-        np.matmul(table, basis[columns], out=rows[:, f])
+    rows = _products(table, columns, _monomial_basis(coords, table.shape[2]))
     rwg = rows[0]  # |X| W . grad u
     if region == "volume":
         return (rwg * rwg * (2.0 / (r2 * r)),)
@@ -310,42 +332,31 @@ def _integrands(region, tables, pts, normals):
         return g2 - twice_wg2, g2  # outer base, outward normal +W
     # lateral faces: nu . W vanishes on faces through the vertex up to
     # round-off but is kept in the integrand
-    g = rows[1:]
-    g2 = np.einsum("kfm,kfm->fm", g, g)
-    nu = np.ascontiguousarray(normals.T)
-    dn = np.einsum("km,kfm->fm", nu, g)
-    nuw = np.einsum("km,km->m", nu, coords) / r
+    gx, gy, gz = g = rows[1:]
+    nx, ny, nz = normals
+    if len(r) > 1:
+        g2 = gx * gx + gy * gy + gz * gz
+        dn = nx * gx + ny * gy + nz * gz
+        nuw = (nx * x + ny * y + nz * z) / r
+    else:  # einsum sums a lone point's three terms as one dot product, rounded its own way
+        g2 = np.einsum("kfm,kfm->fm", g, g)
+        dn = np.einsum("km,kfm->fm", normals, g)
+        nuw = np.einsum("km,km->m", normals, coords) / r
     dn2 = dn * dn
     # the estimate's 2 |du/dnu| |grad_t u|, with |grad_t u|^2 = |grad u|^2 - dn^2
     return (nuw * g2 - dn * rwg * (2.0 / r),
             2.0 * np.sqrt(np.maximum(dn2 * (g2 - dn2), 0.0)))
 
 
-def _accumulate(sums, region, tables, v, pts, normals):
-    """Add the sums and sums of squares of the region's integrands over
-    ``pts``, one shard of at most ``_DIRECT_CHUNK`` points at a time moved
-    to put the vertex ``v`` at the origin, into ``sums`` (2, integrands,
-    functions)."""
-    for start in range(0, len(pts), _DIRECT_CHUNK):
-        stop = start + _DIRECT_CHUNK
-        values = _integrands(region, tables, pts[start:stop] - v,
-                             None if normals is None else normals[start:stop])
-        for i, x in enumerate(values):
-            sums[0, i] += x.sum(axis=1)
-            sums[1, i] += np.einsum("ij,ij->i", x, x)
-
-
-def rellich_suite(arch, test_functions, n, seed, batches=None):
+def rellich_suite(arch, test_functions, n, seed):
     """Identity and estimate reports for many u on shared samples.
 
     Coordinates are translated so the arch vertex sits at the origin
     before evaluating u, which makes results invariant under rigid
-    translation of the fixture.  ``batches`` are the four batches of
-    ``arch_batches(arch, n, seed)`` when the caller has drawn them already,
-    to report on them as well.  Otherwise the suite walks the same points
-    shard by shard from ``arch_streams(arch, n, seed)`` and never holds a
-    whole batch.  Either way each integrand keeps only its running sum and
-    sum of squares per test function, added shard by shard in draw order.
+    translation of the fixture.  The suite walks the points of
+    ``arch_streams(arch, n, seed)`` shard by shard and never holds a whole
+    batch: each integrand keeps only its running sum and sum of squares per
+    test function, added shard by shard in draw order.
     """
     if not isinstance(arch, ArchRegion):
         raise TypeError("arch must be an ArchRegion")
@@ -353,21 +364,20 @@ def rellich_suite(arch, test_functions, n, seed, batches=None):
     if not test_functions:
         return [], []
     v = arch.surface.vertices[arch.vertex]
-    sources = arch_streams(arch, n, seed) if batches is None else batches
+    normal_table = np.ascontiguousarray(arch.surface.face_normals.T)
+    columns = [u.columns for u in test_functions]
     acc = {}
-    for region, source in zip(REGIONS, sources):
+    for region, stream in zip(REGIONS, arch_streams(arch, n, seed)):
         sums = np.zeros((2, 1 if region == "volume" else 2, len(test_functions)))
-        tables = _region_tables(region, test_functions)
-        if batches is None:
-            proposals = 0
-            for pts, face_ids, m in source:
-                normals = None if face_ids is None else arch.surface.face_normals[face_ids]
-                _accumulate(sums, region, tables, v, pts, normals)
-                proposals += m
-        else:
-            _accumulate(sums, region, tables, v, source.points, source.normals)
-            proposals = source.n_proposals
-        acc[region] = mc_estimate(sums[0], sums[1], proposals, source.proposal_measure)
+        table = _region_table(region, test_functions)
+        proposals = 0
+        for pts, face_ids, m in stream:
+            normals = None if face_ids is None else np.take(normal_table, face_ids, axis=1)
+            for i, x in enumerate(_integrands(region, table, columns, pts - v, normals)):
+                sums[0, i] += x.sum(axis=1)
+                sums[1, i] += np.einsum("ij,ij->i", x, x)
+            proposals += m
+        acc[region] = mc_estimate(sums[0], sums[1], proposals, stream.proposal_measure)
 
     (lhs, lhs_se), (inner, inner_se), (outer, outer_se), (lat, lat_se) = (
         (est.tolist(), se.tolist()) for est, se in (acc[region] for region in REGIONS))

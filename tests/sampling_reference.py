@@ -173,3 +173,51 @@ def fan_sample_arch(arch, n, seed, fan):
         d = fan.directions(g, m)
         shards.append(v + np.cbrt(r3 + g.random(m) * (R3 - r3))[:, None] * d)
     return np.concatenate(shards)
+
+
+def choice_fan_directions(a, b, c, rng, m):
+    """``m`` directions from the triangles ``(a, b, c)`` as the library drew
+    them before it kept a CDF: ``Generator.choice`` with the solid angles as
+    weights picks the triangles, fancy indexing gathers their data, and Arvo's
+    map places the points."""
+    det = np.einsum("ij,ij->i", a, np.cross(b, c))
+    dot = lambda x, y: np.einsum("ij,ij->i", x, y)
+    omega = 2.0 * np.arctan2(det, 1.0 + dot(a, b) + dot(b, c) + dot(c, a))
+    cos_ab = dot(a, b)
+    alpha = np.arctan2(det, dot(b, c) - cos_ab * dot(a, c))
+    towards_c = c - dot(c, a)[:, None] * a
+    towards_c = (towards_c / np.linalg.norm(towards_c, axis=1)[:, None]).T
+    k = rng.choice(len(omega), size=m, p=omega / float(omega.sum()))
+    u, w = rng.random((2, m))
+    cos_alpha, sin_alpha = np.cos(alpha)[k], np.sin(alpha)[k]
+    turn = u * omega[k] - alpha[k]
+    s, t = np.sin(turn), np.cos(turn)
+    p, q = t - cos_alpha, s + (np.sin(alpha) * cos_ab)[k]
+    cos_ac = np.clip(((q * t - p * s) * cos_alpha - q) / ((q * s + p * t) * sin_alpha),
+                     -1.0, 1.0)
+    c_hat = np.sqrt((1.0 - cos_ac) * (1.0 + cos_ac)) * towards_c[:, k] + cos_ac * a.T[:, k]
+    bk = b.T[:, k]
+    drop = 0.5 * w * ((c_hat - bk) ** 2).sum(axis=0)
+    tangent = c_hat - (c_hat * bk).sum(axis=0) * bk
+    tangent *= np.sqrt(drop * (2.0 - drop) / (tangent * tangent).sum(axis=0))
+    return (bk - drop * bk + tangent).T
+
+
+def choice_lateral_draw(arch, rng, m):
+    """``m`` points and their faces on the lateral faces of ``arch``, as
+    the library drew them before it kept a CDF: ``Generator.choice`` with
+    the corner angles as weights picks the faces."""
+    surface = arch.surface
+    v = surface.vertices[arch.vertex]
+    fids, _, prev, succ = _vertex_corners(surface, arch.vertex)
+    turned = np.cross(surface.face_normals[fids], succ)
+    theta = np.mod(np.arctan2(np.einsum("ij,ij->i", turned, prev),
+                              np.einsum("ij,ij->i", succ, prev)), 2.0 * math.pi)
+    r2, R2 = arch.r_inner ** 2, arch.r_outer ** 2
+    succ, turned = succ.T.copy(), turned.T.copy()
+    k = rng.choice(len(fids), size=m, p=theta / theta.sum())
+    u, w = rng.random((2, m))
+    phi = theta[k] * u
+    rho = np.sqrt(r2 + w * (R2 - r2))
+    pts = v[:, None] + rho * (np.cos(phi) * succ[:, k] + np.sin(phi) * turned[:, k])
+    return pts.T, fids[k]

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -196,6 +197,28 @@ def test_rellich_sampling_block(workdir, tmp_path, name, vertex, volume_method):
         assert entry["measure"] == pytest.approx(batch.measure_estimate, rel=1e-12)
         assert entry["measure_stderr"] == batch.measure_stderr
         assert entry["n_proposals"] == 5000 and entry["measure_stderr"] == 0.0
+
+
+def test_rellich_memory_flat_in_samples(workdir, tmp_path):
+    # the command streams the samples as the library suite does, so
+    # quadrupling them must leave the traced allocation peak nearly where it was
+    def argv(n):
+        return ["rellich", off(workdir, "cube"), "--vertex", "0", "--r-inner", "0.25",
+                "--r-outer", "0.5", "--estimate", "--samples", str(n), "--seed", "4",
+                "--output", str(tmp_path / "out")]
+
+    assert main(argv(1000)) == EXIT_OK  # fill caches first
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            assert main(argv(n)) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1 << 16), peak(1 << 18)
+    assert large < 1.5 * small, (small, large)
 
 
 def test_trace_energy_study(tmp_path):

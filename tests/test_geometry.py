@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import pdist
 from scipy.spatial.transform import Rotation
 
-from polymix import fixtures
+from polymix import fixtures, geometry
 from polymix.geometry import (
     ArchRegion,
     ConeRegion,
@@ -17,11 +17,13 @@ from polymix.geometry import (
     _link_fan,
     _link_triangles,
     _point_segment_distance,
+    _rng,
     _vertex_corners,
     contains_point,
     contains_points,
     dihedral_angles,
     interior_angle_table,
+    lateral_stream,
     point_face_distance,
     sample_arch,
     sample_base,
@@ -35,6 +37,8 @@ from conftest import dented_box, dented_box_solid_angle, u_pyramid, u_pyramid_so
 from sampling_reference import (
     _inside_tester,
     apex_fan_triangles,
+    choice_fan_directions,
+    choice_lateral_draw,
     fan_sample_arch,
     is_convex_vertex,
     rejection_sample_arch,
@@ -1074,3 +1078,72 @@ def test_exact_measures_invariant_under_similarity(index, vertex_pick, quaternio
         want = sampler(before, 8, 1).measure_estimate * s ** power
         got = sampler(after, 8, 1).measure_estimate
         assert got == pytest.approx(want, rel=rel, abs=0.0)
+
+
+# ----------------------------------------------------------------------
+# the kept CDF against Generator.choice, and the cone's vector solid angle
+
+
+DRAW_VERTICES = (
+    [pytest.param(fixtures.builtin(name), None, id=name) for name in sorted(fixtures.BUILTIN)]
+    + [pytest.param(fixtures.notched_box(k), None, id="notched-box-%d" % k) for k in (1, 2, 3, 4)]
+    + [pytest.param(u_pyramid(), 8, id="u-pyramid-apex"),
+       pytest.param(dented_box(), 12, id="dented-box-apex")]
+)
+
+
+def _draw_vertices(surface, vertex):
+    return range(len(surface.vertices)) if vertex is None else [vertex]
+
+
+@pytest.mark.parametrize("surface, vertex", DRAW_VERTICES)
+def test_draws_match_the_choice_reference(surface, vertex, monkeypatch):
+    # bit for bit: the search in the kept CDF is the one Generator.choice
+    # makes, so points, faces and the generator's next draw all agree
+    generators = []
+
+    def kept(*key):
+        generators.append(_rng(*key))
+        return generators[-1]
+
+    monkeypatch.setattr(geometry, "_rng", kept)
+    for v in _draw_vertices(surface, vertex):
+        triangles = _link_triangles(*_link_arcs(surface, v))
+        rho = separation_radius(surface, v)
+        arch = ArchRegion(surface, v, 0.3 * rho, 0.8 * rho)
+        for m in (1, 7, 4096):
+            got, want = _rng(v, m), _rng(v, m)
+            assert np.array_equal(_link_fan(surface, v).directions(got, m),
+                                  choice_fan_directions(*triangles, want, m)), (v, m)
+            assert got.random() == want.random(), (v, m)
+            (pts, fids, _), = lateral_stream(arch, m, v)
+            want = _rng(v, 0)
+            want_pts, want_fids = choice_lateral_draw(arch, want, m)
+            assert np.array_equal(pts, want_pts) and np.array_equal(fids, want_fids), (v, m)
+            assert generators[-1].random() == want.random(), (v, m)
+
+
+def _arc_moment(p, q):
+    """Per minor arc p -> q, one row each: ``int x x dx`` along it, its angle
+    times the unit normal of ``p x q``."""
+    normal = np.cross(p, q)
+    sine = np.linalg.norm(normal, axis=1)
+    return (np.arctan2(sine, np.einsum("ij,ij->i", p, q)) / sine)[:, None] * normal
+
+
+@pytest.mark.parametrize("surface, vertex", DRAW_VERTICES)
+def test_cone_vector_solid_angle_in_closed_form(surface, vertex):
+    # int_cone w dw = 1/2 sum over the boundary arcs of angle times inward
+    # unit normal; the link arcs c -> b keep the cone on the side of b x c
+    for v in _draw_vertices(surface, vertex):
+        c, b = _link_arcs(surface, v)
+        want = 0.5 * _arc_moment(b, c).sum(axis=0)
+        a, b, c = _link_triangles(c, b)
+        tiled = 0.5 * sum(_arc_moment(p, q).sum(axis=0) for p, q in ((a, b), (b, c), (c, a)))
+        assert np.allclose(tiled, want, rtol=0.0, atol=1e-14), (v, tiled, want)
+        fan = _link_fan(surface, v)
+        n = 1 << 16
+        d = fan.directions(_rng(v, 1 << 20), n)
+        got = fan.solid_angle * d.mean(axis=0)
+        stderr = fan.solid_angle * d.std(axis=0, ddof=1) / math.sqrt(n)
+        assert np.all(np.abs(got - want) <= 5.0 * stderr), (v, got, want, stderr)

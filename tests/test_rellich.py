@@ -222,29 +222,28 @@ EQUIVALENCE_ARCHES = [
 
 @pytest.mark.parametrize("surface,vertex", EQUIVALENCE_ARCHES)
 def test_suite_matches_whole_array_reference(surface, vertex):
-    # the shard kernel against the whole-array suite it replaced, streamed
-    # and over given batches; n spans several shards and ends in a partial one
+    # the streamed shard kernel against the whole-array suite it replaced;
+    # n spans several shards and ends in a partial one
     arch = _arch(surface, vertex)
     n = 3 * _DIRECT_CHUNK + 1000
     ref_ids, ref_ests = reference_rellich_suite(arch, REFERENCE_CATALOG, n, seed=5)
-    for batches in (None, arch_batches(arch, n, 5)):
-        ids, ests = rellich_suite(arch, catalog(3), n, seed=5, batches=batches)
-        for got, want in zip(ids + ests, ref_ids + ref_ests):
-            assert got.u_name == want.u_name
-            for key in ("lhs", "rhs", "rhs_inner", "rhs_outer", "rhs_lateral"):
-                if hasattr(want, key):
-                    assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12,
-                                                              abs=0.0), (got.u_name, key)
-            # a stderr comes from the sum of squares less m mean^2, which rounds
-            # to about eps times the integral's size squared when a part's
-            # integrand is constant (as |du/dnu| |grad_t u| is for u = x on the
-            # pyramid's lateral faces); both suites keep that rounding floor
-            size = max(abs(getattr(want, k, 0.0)) for k in
-                       ("lhs", "rhs", "rhs_inner", "rhs_outer", "rhs_lateral"))
-            for key in ("lhs_stderr", "rhs_stderr"):
-                a, b = getattr(got, key), getattr(want, key)
-                assert abs(a * a - b * b) <= 1e-12 * b * b + 4.0 * np.finfo(float).eps * size ** 2, (
-                    got.u_name, key, a, b)
+    ids, ests = rellich_suite(arch, catalog(3), n, seed=5)
+    for got, want in zip(ids + ests, ref_ids + ref_ests):
+        assert got.u_name == want.u_name
+        for key in ("lhs", "rhs", "rhs_inner", "rhs_outer", "rhs_lateral"):
+            if hasattr(want, key):
+                assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12,
+                                                          abs=0.0), (got.u_name, key)
+        # a stderr comes from the sum of squares less m mean^2, which rounds
+        # to about eps times the integral's size squared when a part's
+        # integrand is constant (as |du/dnu| |grad_t u| is for u = x on the
+        # pyramid's lateral faces); both suites keep that rounding floor
+        size = max(abs(getattr(want, k, 0.0)) for k in
+                   ("lhs", "rhs", "rhs_inner", "rhs_outer", "rhs_lateral"))
+        for key in ("lhs_stderr", "rhs_stderr"):
+            a, b = getattr(got, key), getattr(want, key)
+            assert abs(a * a - b * b) <= 1e-12 * b * b + 4.0 * np.finfo(float).eps * size ** 2, (
+                got.u_name, key, a, b)
 
 
 @pytest.mark.parametrize("surface,vertex", EQUIVALENCE_ARCHES)
