@@ -299,6 +299,15 @@ def midpoint_subdivide(vertices, triangles):
     return np.vstack([v, 0.5 * (v[new[:, 0]] + v[new[:, 1]])]), children, new
 
 
+def undirected_components(n, rows, cols):
+    """``connected_components`` (numbered by least node) of the undirected
+    graph on ``n`` nodes with edges ``(rows[k], cols[k])``, passed as CSR: on
+    small graphs scipy's conversion from COO costs as much as the search."""
+    indptr = np.concatenate([[0], np.bincount(rows, minlength=n).cumsum()])
+    data = (np.ones(len(rows)), cols[np.argsort(rows, kind="stable")], indptr)
+    return connected_components(sparse.csr_array(data, shape=(n, n)), directed=False)
+
+
 def plane_basis(n):
     """Orthonormal in-plane axes (u, w) of the plane with unit normal n.
 
@@ -553,8 +562,7 @@ def validate_surface(surface):
     if nf:
         joined = [(faces[0], f) for faces in surface.edge_faces for f in faces[1:]]
         rows, cols = np.array(joined, dtype=np.int64).reshape(-1, 2).T
-        graph = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(nf, nf))
-        components, _ = connected_components(graph, directed=False)
+        components, _ = undirected_components(nf, rows, cols)
         if components != 1:
             violations.append(Violation("disconnected", (int(components),)))
 
@@ -597,9 +605,7 @@ def _vertex_link_pieces(surface):
     joined = [(node(v, face[i - 1]), node(v, face[(i + 1) % len(face)]))
               for face in surface.faces for i, v in enumerate(face)]
     rows, cols = np.array(joined, dtype=np.int64).reshape(-1, 2).T
-    n = 2 * len(surface.edge_list)
-    graph = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    count, labels = connected_components(graph, directed=False)
+    count, labels = undirected_components(2 * len(surface.edge_list), rows, cols)
     piece_vertex = np.empty(count, dtype=np.int64)
     piece_vertex[labels] = np.array(surface.edge_list, dtype=np.int64).ravel()
     return np.bincount(piece_vertex, minlength=len(surface.vertices))

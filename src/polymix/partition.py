@@ -25,12 +25,10 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from . import fixtures
 from .geometry import interior_angle_table, _rng
-from .mesh import validate_surface
+from .mesh import undirected_components, validate_surface
 
 # Angles within TAU_ANGLE of pi count as >= pi: the boundary case must be
 # rejected conservatively.
@@ -104,7 +102,8 @@ def _check_side(side):
 
 
 def side_angles(surface, side):
-    """Side-relevant angle per edge: interior as stored, exterior mirrored."""
+    """Side-relevant angle per edge: interior, the surface's read-only memoized
+    table itself; exterior, a new array of ``2 pi`` minus it."""
     _check_side(side)
     interior = interior_angle_table(surface)
     return interior if side == "interior" else 2.0 * math.pi - interior
@@ -173,11 +172,8 @@ def _quotient_graph(surface, side, tau):
     nf = len(surface.faces)
     blocked = surface.memo[_blocked_edges, side, tau]
     f0, f1 = np.array(surface.edge_faces, dtype=np.int64).reshape(-1, 2).T
-    merged = sparse.coo_matrix(
-        (np.ones(blocked.sum()), (f0[blocked], f1[blocked])), shape=(nf, nf)
-    )
     # components are numbered in order of their least face, the class order
-    count, face_class = connected_components(merged, directed=False)
+    count, face_class = undirected_components(nf, f0[blocked], f1[blocked])
     members = [[] for _ in range(count)]
     for f, c in enumerate(face_class.tolist()):
         members[c].append(f)

@@ -13,6 +13,7 @@ from polymix.geometry import (
     ConeRegion,
     DegenerateEdgeError,
     _LinkFan,
+    _compute_dihedral_angles,
     _link_arcs,
     _link_fan,
     _link_triangles,
@@ -30,8 +31,8 @@ from polymix.geometry import (
     sample_lateral,
     separation_radius,
 )
-from polymix.mesh import PolyhedralSurface, validate_surface
-from polymix.partition import enumerate_admissible, quotient_graph
+from polymix.mesh import MeshError, PolyhedralSurface, validate_surface
+from polymix.partition import GeneratorSpec, enumerate_admissible, quotient_graph
 
 from conftest import dented_box, dented_box_solid_angle, u_pyramid, u_pyramid_solid_angle
 from sampling_reference import (
@@ -93,6 +94,26 @@ def test_notched_fixtures_have_reflex_edges():
         assert any(d.interior_angle > math.pi for d in dihedral_angles(surf))
 
 
+SLIT = [(0, 0), (2, 0), (2, 2), (1, 2), (1, 1), (1, 2), (0, 2)]
+TWO_SLITS = [(0, 0), (3, 0), (3, 2), (2, 2), (2, 1), (2, 2), (1, 2), (1, 1), (1, 2), (0, 2)]
+
+
+def without_face(surface, fi):
+    return PolyhedralSurface(surface.vertices, [f for i, f in enumerate(surface.faces) if i != fi])
+
+
+def with_face_reversed(surface, fi):
+    return PolyhedralSurface(surface.vertices, [tuple(reversed(f)) if i == fi else f
+                                                for i, f in enumerate(surface.faces)])
+
+
+def beside_inside_out_copy(surface):
+    k = len(surface.vertices)
+    return PolyhedralSurface(np.vstack([surface.vertices, surface.vertices + 5.0]),
+                             list(surface.faces)
+                             + [tuple(v + k for v in reversed(f)) for f in surface.faces])
+
+
 def test_degenerate_knife_edge_reported():
     # a "pillow" of two coincident triangles folds every edge back on
     # itself: the side test is ambiguous and must be reported, not guessed
@@ -110,7 +131,7 @@ def test_slit_knife_edge_reported():
     # a square prism with a slit cut in to (1, 1): the two slit walls are
     # coplanar with opposite normals, so the angle at the slit's end is 0 or
     # 2*pi by the sign of a rounding error, on a solid of volume 4
-    slit = fixtures._prism([(0, 0), (2, 0), (2, 2), (1, 2), (1, 1), (1, 2), (0, 2)], 1.0)
+    slit = fixtures._prism(SLIT, 1.0)
     assert slit.signed_volume == pytest.approx(4.0)
     with pytest.raises(DegenerateEdgeError):
         dihedral_angles(slit)
@@ -119,12 +140,72 @@ def test_slit_knife_edge_reported():
 def test_zero_volume_surface_reported(cube):
     # a cube beside an inside-out copy encloses exactly no volume, so no
     # orientation can be read off it
-    verts = np.vstack([cube.vertices, cube.vertices + 5.0])
-    faces = list(cube.faces) + [tuple(v + 8 for v in reversed(f)) for f in cube.faces]
-    both = PolyhedralSurface(verts, faces)
+    both = beside_inside_out_copy(cube)
     assert both.signed_volume == 0.0
     with pytest.raises(DegenerateEdgeError):
         dihedral_angles(both)
+
+
+FOLD = "edge %r: its faces fold onto each other or the surface encloses no volume"
+OPEN = "dihedral angles need a closed oriented surface; offending edge %r"
+
+
+# Types and messages as the per-edge loop raised them: the first offending
+# edge in edge_list order decides, and no volume makes that the first edge.
+# The slit's knife edge is (4, 11); without wall 5 its first open edge comes
+# after it, without wall 3 before it.
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: fixtures._prism(TWO_SLITS, 1.0), DegenerateEdgeError, FOLD % ((4, 14),)),
+    (fixtures.open_box, MeshError, OPEN % ((4, 5),)),
+    (lambda: with_face_reversed(fixtures.cube(), 2), MeshError, OPEN % ((0, 1),)),
+    (lambda: without_face(fixtures._prism(SLIT, 1.0), 5), DegenerateEdgeError, FOLD % ((4, 11),)),
+    (lambda: without_face(fixtures._prism(SLIT, 1.0), 3), MeshError, OPEN % ((3, 4),)),
+    (lambda: beside_inside_out_copy(fixtures.cube()), DegenerateEdgeError, FOLD % ((0, 1),)),
+    (lambda: beside_inside_out_copy(fixtures._prism(SLIT, 1.0)), DegenerateEdgeError,
+     FOLD % ((0, 1),)),
+], ids=["two-knife-edges", "open", "misoriented", "knife-before-open", "knife-after-open",
+        "zero-volume", "zero-volume-with-knife-edge"])
+def test_first_offending_edge_decides_the_error(build, error, message):
+    surface = build()
+    with pytest.raises((MeshError, DegenerateEdgeError)) as info:
+        dihedral_angles(surface)
+    assert type(info.value) is error and str(info.value) == message
+    assert _compute_dihedral_angles not in surface.memo
+
+
+def test_interior_angle_table_kept_read_only(cube):
+    surface = PolyhedralSurface(cube.vertices, cube.faces)
+    table = interior_angle_table(surface)
+    assert interior_angle_table(surface) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+    assert table.tolist() == [d.interior_angle for d in dihedral_angles(surface)]
+
+
+def reference_dihedral_angles(surface):
+    """Reference: the formula of `dihedral_angles` one edge at a time, with
+    1-D numpy norm and products and `math.atan2`.
+
+    Returns ``(faces, interior_angle)`` per edge in ``edge_list`` order.
+    """
+    sigma = math.copysign(1.0, surface.signed_volume)
+    out = []
+    for edge in surface.edge_list:
+        (fa, fwd_a), (fb, _) = surface.edge_incidence[edge]
+        if not fwd_a:
+            fa, fb = fb, fa
+        t = surface.vertices[edge[1]] - surface.vertices[edge[0]]
+        t = t / np.linalg.norm(t)
+        n1, n2 = surface.face_normals[fa], surface.face_normals[fb]
+        s = sigma * float(np.cross(n1, n2) @ t)
+        out.append(((fa, fb), math.pi - math.atan2(s, float(n1 @ n2))))
+    return out
+
+
+def assert_reference_bits(surface):
+    got = [(d.faces, d.interior_angle) for d in dihedral_angles(surface)]
+    assert got == reference_dihedral_angles(surface)
 
 
 def probe_dihedral_angles(surface):
@@ -231,6 +312,7 @@ def test_angles_and_classes_invariant_under_similarity(index, quaternion, shift,
         rotation = rotation @ np.diag([1.0, 1.0, -1.0])
     moved = PolyhedralSurface(10.0 ** log_scale * (base.vertices @ rotation.T + shift), base.faces)
     assert (moved.signed_volume < 0) == reflect
+    assert_reference_bits(moved)
     before = [d.interior_angle for d in dihedral_angles(base)]
     after = [d.interior_angle for d in dihedral_angles(moved)]
     assert np.allclose(after, before, rtol=0.0, atol=1e-12)
@@ -919,6 +1001,21 @@ def test_every_reflex_link_has_a_kernel_fan(surface):
                 <= 4.0 * reference.measure_stderr), vertex
         arch = ArchRegion(surface, vertex, 0.3 * rho, 0.8 * rho)
         assert np.all(_inside_tester(surface, vertex)(sample_arch(arch, 4000, vertex).points))
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["outward", "inward"])
+def test_angles_keep_reference_bits_on_fixtures(flip):
+    for surface in ([fixtures.builtin(name) for name in sorted(fixtures.BUILTIN)]
+                    + REFLEX_MESHES + STAR_SPHERES):
+        assert_reference_bits(reversed_copy(surface) if flip else surface)
+
+
+@pytest.mark.parametrize("family, sizes", [("hulls", (4, 10)), ("star-spheres", (1, 2)),
+                                           ("notched-boxes", (1, 4))])
+def test_angles_keep_reference_bits_on_search_meshes(family, sizes):
+    for seed in range(40):
+        for index in range(3):
+            assert_reference_bits(GeneratorSpec(family, seed, *sizes).build(index)[1])
 
 
 FAN_MESHES = REFLEX_MESHES + [STAR_SPHERES[6], u_pyramid(), dented_box()]

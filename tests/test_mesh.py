@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings, strategies as st
 
 from polymix import fixtures
@@ -14,6 +16,7 @@ from polymix.mesh import (
     midpoint_subdivide,
     parse_off,
     serialize_off,
+    undirected_components,
     validate_surface,
 )
 from polymix.partition import Partition, quotient_graph, validate_partition
@@ -497,3 +500,15 @@ def test_dropped_surface_is_freed_without_the_collector(cube):
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_undirected_components_match_scipy_on_coo(seed):
+    # unsorted rows, repeated and reversed edges, self-loops, isolated nodes
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    rows, cols = rng.integers(0, n, size=(2, int(rng.integers(0, 2 * n))))
+    coo = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    count, labels = undirected_components(n, rows, cols)
+    expected_count, expected = connected_components(coo, directed=False)
+    assert count == expected_count and labels.tolist() == expected.tolist()
