@@ -8,14 +8,17 @@ made from the last and carrying its parent edges, its corner cotangents
 sparse (vertices x faces) incidence of base faces, so the Dirichlet
 vertices come from one matrix-vector product.  The cotangent-weight
 quadratic form is minimized over the free vertices with conjugate gradients
-preconditioned by the additive multilevel (BPX) method over the nested
-midpoint levels, so iteration counts stay nearly flat as the levels grow
-(plain CG doubles them at every level).  By default every vertex of the
-closed Dirichlet region is pinned to the data (any finite-energy extension
-that matches f on an open face matches it on the closure); the relaxed
-variant that leaves shared Dirichlet/Neumann edge vertices free is
-available via ``closure=False`` and converges to the same limit, only
-slower.
+preconditioned by one symmetric V-cycle over the nested midpoint levels
+(damped Jacobi smoothing, an exact solve on the base level), so iteration
+counts stay nearly flat as the levels grow (plain CG doubles them at every
+level).  Each level's own stiffness is its coarse operator (the P1 spaces
+are nested, so it equals the Galerkin product), and a refinement study
+builds each level's share of the cycle once, for all finer solves.  By
+default every vertex of the closed Dirichlet region is pinned to the data
+(any finite-energy extension that matches f on an open face matches it on
+the closure); the relaxed variant that leaves shared Dirichlet/Neumann
+edge vertices free is available via ``closure=False`` and converges to the
+same limit, only slower.
 Refinement studies classify the energy sequence as CONVERGENT (settled
 within 1%) or DIVERGENT (monotone growth that keeps adding a solid share
 of the median increment, the discrete signature of data with no
@@ -59,6 +62,9 @@ class RefinedSurface:
     of triangle t's angle at corner k, computed from coordinates at level 0
     only: children ``(a, ab, ca)``, ``(ab, b, bc)`` and ``(ca, bc, c)`` keep
     their parent's angles ``(A, B, C)``, the middle ``(ab, bc, ca)`` has ``(C, A, B)``.
+    ``operators`` caches the multilevel solver's level operators (see
+    :class:`_Hierarchy`); every level of one refinement chain holds the
+    same dict, so a finer solve reuses what a coarser one built.
     """
 
     base: PolyhedralSurface
@@ -70,6 +76,7 @@ class RefinedSurface:
     vertex_faces: sparse.csr_matrix
     parents: tuple
     cotangents: np.ndarray
+    operators: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def vertex_count(self):
@@ -84,12 +91,13 @@ def _refinement_chain(base, fan_offset):
         (np.ones(tris.size, dtype=bool), (tris.ravel(), np.repeat(tri_face, 3))),
         shape=(len(verts), len(base.faces)),
     )
-    cot, parents = corner_cotangents(verts, tris), ()
+    cot, parents, operators = corner_cotangents(verts, tris), (), {}
     while True:
         cot.flags.writeable = False
         yield RefinedSurface(base=base, level=len(parents), fan_offset=int(fan_offset),
                              vertices=verts, triangles=tris, tri_face=tri_face,
-                             vertex_faces=incidence, parents=parents, cotangents=cot)
+                             vertex_faces=incidence, parents=parents, cotangents=cot,
+                             operators=operators)
         verts, tris, new = midpoint_subdivide(verts, tris)
         # a new vertex touches just the parents that have its edge: their middle children
         mid = tris[3::4].ravel() - incidence.shape[0]
@@ -205,16 +213,24 @@ def cotan_stiffness(vertices, triangles, cotangents=None):
     t = np.asarray(triangles, dtype=np.int64)
     if cotangents is None:
         cotangents = corner_cotangents(vertices, t)
-    # each triangle contributes (1/2) cot(angle opposite edge) (du_edge)^2
-    rows = t[:, [1, 2, 2, 0, 0, 1]].T.ravel()
-    cols = t[:, [2, 1, 0, 2, 1, 0]].T.ravel()
-    off = -0.5 * cotangents[:, [0, 0, 1, 1, 2, 2]].T.ravel()
     n = len(vertices)
+    # each triangle contributes (1/2) cot(angle opposite edge) (du_edge)^2;
+    # the triplets are built in the CSR index type, so none is copied to it
+    corners = t.T.astype(np.int32 if n < 2 ** 31 else np.int64)
+    rows = corners[[1, 2, 2, 0, 0, 1]].ravel()
+    cols = corners[[2, 1, 0, 2, 1, 0]].ravel()
+    off = np.repeat(-0.5 * cotangents.T, 2, axis=0).ravel()
     # the triplets come in symmetric pairs, so the duplicate sums that the
     # CSR conversion makes are exact; exact zeros (right angles) are not stored
     k = sparse.csr_matrix((off, (rows, cols)), shape=(n, n))
     k.eliminate_zeros()
-    return (k + sparse.diags(-np.asarray(k.sum(axis=1)).ravel())).tocsr()
+    # minus each row's sum on the diagonal: the np.add.reduceat that scipy's
+    # row sum runs, added as a diagonal CSR matrix (an exact zero stays out)
+    filled = np.flatnonzero(np.diff(k.indptr))
+    diagonal = np.zeros(n)
+    diagonal[filled] = -np.add.reduceat(k.data, k.indptr[filled])
+    at = np.arange(n + 1, dtype=k.indptr.dtype)
+    return k + sparse.csr_matrix((diagonal, at[:-1], at), shape=(n, n))
 
 
 def lumped_mass(vertices, triangles):
@@ -225,6 +241,10 @@ def lumped_mass(vertices, triangles):
         np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]), axis=1
     )
     return np.bincount(t.T.ravel(), np.tile(areas / 3.0, 3), len(v))
+
+
+def _mass_matrix(vertices, triangles):
+    return sparse.diags(lumped_mass(vertices, triangles)).tocsr()
 
 
 def _free_blocks(matrix, free_mask):
@@ -250,55 +270,163 @@ def _free_components_without_anchor(blocks):
     return [free[comp == c] for c in np.flatnonzero(~anchored)]
 
 
-def _multilevel_preconditioner(diagonal, free_mask, parents):
-    """Additive multilevel (BPX) preconditioner over nested midpoint levels.
+def _prolongation(ends, free_mask):
+    """CSR prolongation from one level's free vertices to the next level's.
 
-    Applies ``z = sum_l P_L..P_{l+1} D_l^{-1} P_{l+1}^T..P_L^T r`` on the
-    free vertices (Bramble, Pasciak & Xu 1990): the residual is restricted
-    once down the chain of prolongations (a new vertex averages its
-    parent edge's ends), then prolonged once back up, each level adding
-    its own Jacobi term.  Old vertices keep their indices, so level l is
-    the first n_l vertices: its diagonal and its free mask are the first
-    n_l entries of the finest ones (cotangent diagonals are level
-    independent: every level's corner cotangents are a gather of the
-    base's, see :attr:`RefinedSurface.cotangents`).
-    With no parents this is Jacobi.
+    ``ends`` is the (m, 2) array of parent edges of the refinement step and
+    ``free_mask`` the finer level's free mask; the coarser free set is its
+    first ``len(free_mask) - m`` entries.  An old vertex copies its value, a
+    midpoint takes half of each free end (a pinned end has no column).
+    Rows are the finer free vertices in order.
     """
-    n = len(diagonal)
-    scale = np.divide(1.0, diagonal, out=np.zeros(n), where=free_mask)
-    ends = [np.ascontiguousarray(p.T) for p in parents]
-    sizes = n - np.cumsum([0] + [len(p) for p in reversed(parents)])[::-1]
-    if sizes[0] < 0:
-        raise ValueError("parents do not fit a matrix of order %d" % n)
-    free = np.flatnonzero(free_mask)
-
-    def apply(r_free):
-        r = np.zeros(n)
-        r[free] = r_free
-        restricted = [r]
-        for (a, b), m in zip(reversed(ends), sizes[-2::-1]):
-            half = 0.5 * restricted[-1][m:]
-            restricted.append(restricted[-1][:m] + np.bincount(a, half, m)
-                              + np.bincount(b, half, m))
-        z = scale[:sizes[0]] * restricted.pop()
-        for a, b in ends:
-            r_level = restricted.pop()
-            z = np.concatenate([z, 0.5 * (z[a] + z[b])]) + scale[:len(r_level)] * r_level
-        return z[free]
-
-    return LinearOperator((len(free), len(free)), matvec=apply, dtype=float)
+    n = len(free_mask) - len(ends)
+    column = np.cumsum(free_mask[:n]) - 1
+    old = int(column[-1]) + 1 if n else 0
+    column[~free_mask[:n]] = -1
+    columns = column[np.compress(free_mask[n:], ends, axis=0)]
+    keep = columns >= 0
+    indptr = np.concatenate([np.arange(old + 1),
+                             old + np.cumsum(keep[:, 0] + keep[:, 1].astype(np.int64))])
+    indices = np.concatenate([np.arange(old), columns[keep]])
+    data = np.full(len(indices), 0.5)
+    data[:old] = 1.0
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, old))
 
 
-def solve_constrained(matrix, fixed_idx, fixed_vals, rtol=SOLVER_RTOL, parents=()):
+@dataclass
+class _Level:
+    """One level's share of the V-cycle, kept for the finer solves of a chain.
+
+    ``free_mask`` is the level's free set.  At level 0 ``solve`` is the
+    pseudo-inverse of the free block; above it, ``a_ff`` is the free block,
+    ``scale`` its damped Jacobi weights ``omega / diag`` and ``prolong``
+    and ``restrict`` the transfers from and to the next coarser free set.
+    """
+
+    free_mask: np.ndarray
+    a_ff: sparse.csr_matrix | None = None
+    scale: np.ndarray | None = None
+    prolong: sparse.csr_matrix | None = None
+    restrict: sparse.csr_matrix | None = None
+    solve: np.ndarray | None = None
+
+
+def _build_level(a_ff, free_mask, ends):
+    """The :class:`_Level` of a free block; ``ends`` are the parent edges of
+    the step that made the level, None at level 0.
+
+    The smoothing weight is ``omega = 4 / (3 rho)`` with ``rho = max_i
+    sum_j |a_ij| / a_ii`` the Gershgorin bound of ``D^-1 A`` on the free
+    block, so ``omega lambda_max(D^-1 A) <= 4/3 < 2`` (rho >= 1 from the
+    diagonal's own term, which also covers an empty block).
+    """
+    if ends is None:
+        return _Level(free_mask, solve=np.linalg.pinv(a_ff.toarray(), hermitian=True))
+    diagonal = a_ff.diagonal()
+    rho = np.max(abs(a_ff) @ np.ones(len(diagonal)) / diagonal, initial=1.0)
+    prolong = _prolongation(ends, free_mask)
+    return _Level(free_mask, a_ff=a_ff, scale=4.0 / (3.0 * rho) / diagonal, prolong=prolong,
+                  restrict=prolong.T.tocsr())
+
+
+@dataclass(frozen=True)
+class _Hierarchy:
+    """The nested midpoint levels of ``refined`` for one quadratic form: the
+    cotangent stiffness, plus the lumped mass when ``with_mass``.
+
+    Level l is the first n_l vertices; its triangle t is ``(T[s t, 0],
+    T[s t + (s - 1) / 3, 1], T[s t + 2 (s - 1) / 3, 2])`` of the finest
+    triangles T with ``s = 4^(L - l)``, and its cotangents are rows ``s t``
+    of the finest (corner children keep their parent's corners and angles),
+    so a level is assembled with the same bits as in the chain, and without
+    a cross product.  Built levels are cached in ``refined.operators``,
+    which every level of one refinement chain shares.
+    """
+
+    refined: RefinedSurface
+    with_mass: bool = False
+
+    def size(self, level):
+        """n_l, the vertex count of level ``level``."""
+        return self.refined.vertex_count - sum(len(p) for p in self.refined.parents[level:])
+
+    def operator(self, level):
+        """Level ``level``'s matrix, gathered from the finest level."""
+        rs = self.refined
+        s = 4 ** (rs.level - level)
+        tris, skip = rs.triangles, (s - 1) // 3
+        tris = np.column_stack([tris[::s, 0], tris[skip::s, 1], tris[2 * skip::s, 2]])
+        verts = rs.vertices[:self.size(level)]
+        stiff = cotan_stiffness(verts, tris, rs.cotangents[::s])
+        return (stiff + _mass_matrix(verts, tris)).tocsr() if self.with_mass else stiff
+
+    def cycle_levels(self, free_mask, a_ff):
+        """Levels L, L - 1, ..., 0 of the V-cycle for the finest free block.
+
+        Level L is built from ``a_ff``.  A coarser level's free set is the
+        prefix of ``free_mask``; it is taken from the cache when the cached
+        free set is the same, else assembled with :meth:`operator`.
+        """
+        rs = self.refined
+        if len(free_mask) != rs.vertex_count:
+            raise ValueError("levels of a %d-vertex surface do not fit a matrix of order %d"
+                             % (rs.vertex_count, len(free_mask)))
+        cache = rs.operators.setdefault(self.with_mass, {})
+        levels = []
+        for level in range(rs.level, -1, -1):
+            mask = free_mask[:self.size(level)]
+            cached = cache.get(level)
+            if level == rs.level or cached is None or not np.array_equal(cached.free_mask, mask):
+                block = a_ff if level == rs.level else _free_blocks(self.operator(level), mask)[2]
+                cached = cache[level] = _build_level(block, mask,
+                                                     rs.parents[level - 1] if level else None)
+            levels.append(cached)
+        return levels
+
+
+def _v_cycle(levels):
+    """Symmetric V(1,1) cycle over ``levels``, finest first (one
+    multiplicative multilevel step: Bramble, Pasciak & Xu 1990; Xu 1992).
+
+    Each level above 0 smooths once with damped Jacobi ``S = omega D^-1``
+    before and once after the coarse correction; level 0 is solved
+    exactly.  The cycle is ``B = 2S - SAS + (I - SA) P B_c P^T (I - AS)``
+    on each level: ``omega lambda_max(D^-1 A) <= 4/3 < 2`` makes
+    ``2S - SAS`` positive definite and a semidefinite ``B_c`` keeps the
+    second term semidefinite, so the preconditioner is symmetric positive
+    definite with no tuned constant, whether or not the coarse operator is
+    the Galerkin product.
+    """
+    *smoothed, coarsest = levels
+
+    def apply(r):
+        down = []
+        for lv in smoothed:
+            x = lv.scale * r
+            down.append((r, x))
+            r = lv.restrict @ (r - lv.a_ff @ x)
+        e = coarsest.solve @ r
+        for lv, (r, x) in zip(reversed(smoothed), reversed(down)):
+            x += lv.prolong @ e
+            e = lv.a_ff @ x
+            np.subtract(r, e, out=e)
+            e *= lv.scale
+            e += x
+        return e
+
+    n = int(levels[0].free_mask.sum())
+    return LinearOperator((n, n), matvec=apply, dtype=float)
+
+
+def solve_constrained(matrix, fixed_idx, fixed_vals, rtol=SOLVER_RTOL, levels=None):
     """Minimize u^T A u with some entries of u pinned; CG on the free block.
 
-    CG is preconditioned by the additive multilevel method over
-    ``parents``, the refinement chain of :attr:`RefinedSurface.parents`
-    (Jacobi when it is empty), so iteration counts stay nearly flat as
-    the levels grow.  Returns (u, iterations, relative_residual,
-    pinned_components): free components that touch no pinned vertex have
-    a constant nullspace and are pinned to zero (equivalently,
-    mean-subtracted).
+    CG is preconditioned by one V-cycle (:func:`_v_cycle`) over ``levels``,
+    the :class:`_Hierarchy` whose finest level ``matrix`` is; with none,
+    ``matrix`` is its own coarsest level and the cycle is its exact
+    solve.  Returns (u, iterations, relative_residual, pinned_components):
+    free components that touch no pinned vertex have a constant nullspace
+    and are pinned to zero (equivalently, mean-subtracted).
     """
     n = matrix.shape[0]
     u = np.zeros(n)
@@ -315,18 +443,20 @@ def solve_constrained(matrix, fixed_idx, fixed_vals, rtol=SOLVER_RTOL, parents=(
             free_mask[members] = False  # value stays 0; constant kernel pinned
         blocks = _free_blocks(matrix, free_mask)
     free, fixed, a_ff, a_fc = blocks
+    # built even with nothing free, so that a finer solve finds the level
+    cycle = ([_build_level(a_ff, free_mask, None)] if levels is None
+             else levels.cycle_levels(free_mask, a_ff))
     if len(free) == 0:
         return u, 0, 0.0, len(unanchored)
 
     b = -a_fc @ u[fixed]
-    precondition = _multilevel_preconditioner(matrix.diagonal(), free_mask, parents)
     iterations = 0
 
     def count(_):
         nonlocal iterations
         iterations += 1
 
-    x, info = cg(a_ff, b, rtol=rtol, atol=0.0, maxiter=20 * n + 200, M=precondition,
+    x, info = cg(a_ff, b, rtol=rtol, atol=0.0, maxiter=20 * n + 200, M=_v_cycle(cycle),
                  callback=count)
     bnorm = float(np.linalg.norm(b))
     resid = float(np.linalg.norm(b - a_ff @ x)) / bnorm if bnorm > 0 else 0.0
@@ -357,7 +487,7 @@ def minimal_extension_energy(refined, partition, data, rtol=SOLVER_RTOL, closure
     stiff = cotan_stiffness(refined.vertices, refined.triangles, refined.cotangents)
     idx, vals = constrained_vertices(refined, partition, data, closure=closure)
     u, iters, resid, pinned = solve_constrained(stiff, idx, vals, rtol=rtol,
-                                                parents=refined.parents)
+                                                levels=_Hierarchy(refined))
     energy = float(u @ (stiff @ u))
     return ExtensionResult(
         energy=max(energy, 0.0),
@@ -382,10 +512,10 @@ class NormResult:
 def full_restriction_norm(refined, partition, data, rtol=SOLVER_RTOL, closure=True):
     """Minimize the full restriction norm: mass term plus Dirichlet energy."""
     stiff = cotan_stiffness(refined.vertices, refined.triangles, refined.cotangents)
-    mass = sparse.diags(lumped_mass(refined.vertices, refined.triangles)).tocsr()
+    mass = _mass_matrix(refined.vertices, refined.triangles)
     idx, vals = constrained_vertices(refined, partition, data, closure=closure)
     u, iters, resid, _ = solve_constrained((stiff + mass).tocsr(), idx, vals, rtol=rtol,
-                                           parents=refined.parents)
+                                           levels=_Hierarchy(refined, with_mass=True))
     grad_part = float(u @ (stiff @ u))
     mass_part = float(u @ (mass @ u))
     return NormResult(
@@ -411,9 +541,11 @@ UNDECIDED = "UNDECIDED"
 class EnergyReport:
     """Per-level results of a refinement study.
 
-    ``refined`` and ``extension`` are the last studied level's refined
-    surface and minimal extension (None with no levels); they stay out of
-    the report bytes.
+    ``constrained_counts`` and ``pinned_components`` are each level's
+    pinned vertex count and the free components pinned to zero for want of
+    a Dirichlet neighbor.  ``refined`` and ``extension`` are the last
+    studied level's refined surface and minimal extension (None with no
+    levels); they stay out of the report bytes.
     """
 
     levels: tuple
@@ -421,6 +553,8 @@ class EnergyReport:
     vertex_counts: tuple
     iterations: tuple
     residuals: tuple
+    constrained_counts: tuple
+    pinned_components: tuple
     classification: str
     refined: RefinedSurface | None = field(default=None, repr=False, compare=False)
     extension: ExtensionResult | None = field(default=None, repr=False, compare=False)
@@ -438,6 +572,8 @@ class EnergyReport:
             "vertex_counts": list(self.vertex_counts),
             "iterations": list(self.iterations),
             "residuals": list(self.residuals),
+            "constrained_counts": list(self.constrained_counts),
+            "pinned_components": list(self.pinned_components),
             "classification": self.classification,
         }
 
@@ -473,16 +609,19 @@ def refinement_study(base, partition, data, levels, fan_offset=0, closure=True):
         if refined.level in levels:
             ext = minimal_extension_energy(refined, partition, data, closure=closure)
             solved[refined.level] = (ext.energy, refined.vertex_count, ext.iterations,
-                                     ext.residual)
+                                     ext.residual, ext.constrained_count, ext.pinned_components)
             if refined.level == levels[-1]:
                 rs, res = refined, ext
-    energies, counts, iters, resids = (tuple(solved[l][k] for l in levels) for k in range(4))
+    energies, counts, iters, resids, constrained, pinned = (
+        tuple(solved[l][k] for l in levels) for k in range(6))
     return EnergyReport(
         levels=tuple(levels),
         energies=energies,
         vertex_counts=counts,
         iterations=iters,
         residuals=resids,
+        constrained_counts=constrained,
+        pinned_components=pinned,
         classification=classify_energies(energies),
         refined=rs,
         extension=res,

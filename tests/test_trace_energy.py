@@ -1,3 +1,6 @@
+from collections import Counter
+from math import ceil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +28,11 @@ from polymix.trace_energy import (
     refine,
     refinement_study,
     solve_constrained,
+    _Hierarchy,
     _free_blocks,
     _free_components_without_anchor,
+    _prolongation,
+    _v_cycle,
 )
 
 
@@ -306,6 +312,7 @@ def test_study_levels_in_any_order_match_one_level_studies(pyramid, levels):
         assert rep.refined is None and rep.extension is None
         assert rep.to_json_dict() == {"levels": [], "energies": [], "vertex_counts": [],
                                       "iterations": [], "residuals": [],
+                                      "constrained_counts": [], "pinned_components": [],
                                       "classification": "UNDECIDED"}
 
 
@@ -469,10 +476,10 @@ def reference_solve_constrained(matrix, fixed_idx, fixed_vals, rtol=SOLVER_RTOL)
     return u
 
 
-def assert_matches_reference(matrix, idx, vals, parents, energy_matrix=None):
+def assert_matches_reference(matrix, idx, vals, levels, energy_matrix=None):
     """The multilevel solve agrees with plain CG: energy to 1e-9, values to 1e-7."""
     energy_matrix = matrix if energy_matrix is None else energy_matrix
-    u, _, resid, _ = solve_constrained(matrix, idx, vals, parents=parents)
+    u, _, resid, _ = solve_constrained(matrix, idx, vals, levels=levels)
     ref = reference_solve_constrained(matrix, idx, vals)
     e, e_ref = float(u @ (energy_matrix @ u)), float(ref @ (energy_matrix @ ref))
     assert abs(e - e_ref) <= 1e-9 * max(abs(e_ref), 1e-300) or max(e, e_ref) <= 1e-13
@@ -488,7 +495,7 @@ def test_multilevel_solve_equals_plain_cg_on_pyramid_step(pyramid, closure, fan_
         rs = refine(pyramid, level, fan_offset=fan_offset)
         stiff = cotan_stiffness(rs.vertices, rs.triangles)
         idx, vals = constrained_vertices(rs, PYRAMID_PART, PYRAMID_STEP, closure=closure)
-        assert_matches_reference(stiff, idx, vals, rs.parents)
+        assert_matches_reference(stiff, idx, vals, _Hierarchy(rs))
 
 
 def test_multilevel_solve_equals_plain_cg_on_cube_smooth(cube):
@@ -497,7 +504,7 @@ def test_multilevel_solve_equals_plain_cg_on_cube_smooth(cube):
         rs = refine(cube, level)
         stiff = cotan_stiffness(rs.vertices, rs.triangles)
         idx, vals = constrained_vertices(rs, part, data)
-        assert_matches_reference(stiff, idx, vals, rs.parents)
+        assert_matches_reference(stiff, idx, vals, _Hierarchy(rs))
 
 
 def test_multilevel_solve_equals_plain_cg_on_full_norm(cube):
@@ -507,7 +514,7 @@ def test_multilevel_solve_equals_plain_cg_on_full_norm(cube):
     stiff = cotan_stiffness(rs.vertices, rs.triangles)
     both = (stiff + sparse.diags(lumped_mass(rs.vertices, rs.triangles))).tocsr()
     idx, vals = constrained_vertices(rs, cube_partition({0}), TraceData.coordinate("x"))
-    u = assert_matches_reference(both, idx, vals, rs.parents)
+    u = assert_matches_reference(both, idx, vals, _Hierarchy(rs, with_mass=True))
     res = full_restriction_norm(rs, cube_partition({0}), TraceData.coordinate("x"))
     assert np.array_equal(res.values, u)
 
@@ -515,17 +522,203 @@ def test_multilevel_solve_equals_plain_cg_on_full_norm(cube):
 def test_solve_rejects_parents_longer_than_the_matrix(pyramid):
     coarse, fine = refine(pyramid, 1), refine(pyramid, 3)
     stiff = cotan_stiffness(coarse.vertices, coarse.triangles)
-    with pytest.raises(ValueError, match="parents do not fit"):
-        solve_constrained(stiff, [0], [1.0], parents=fine.parents)
+    with pytest.raises(ValueError, match="do not fit a matrix of order"):
+        solve_constrained(stiff, [0], [1.0], levels=_Hierarchy(fine))
 
 
 @pytest.mark.parametrize("fan_offset", range(4))
 def test_multilevel_iterations_stay_flat_on_pyramid_step(pyramid, fan_offset):
     rep = refinement_study(pyramid, PYRAMID_PART, PYRAMID_STEP, levels=range(5, 8),
                            fan_offset=fan_offset)
-    # plain CG needs 147, 291 and 575 iterations at these levels
-    assert all(it <= 45 for it in rep.iterations), rep.iterations
+    # closed boundary, levels 5-7: plain CG takes 147, 291 and 575 iterations
+    # at fan offset 0 and the additive (BPX) preconditioner took 31, 33 and
+    # 34; one V-cycle takes 13 at each level, and 16 leaves 3 to spare
+    assert all(it <= 16 for it in rep.iterations), rep.iterations
     assert max(rep.residuals) <= SOLVER_RTOL
+
+
+def odd_faces_dirichlet(base):
+    return Partition(labels=tuple("D" if f % 2 else "N" for f in range(len(base.faces))),
+                     side="interior")
+
+
+GALERKIN_MESHES = {"hull-3": HULLS["hull-3"], "square-pyramid": DYADIC_MESHES["square-pyramid"],
+                   "l-prism": DYADIC_MESHES["l-prism"]}
+
+
+def assert_close_sparse(got, want, rel):
+    scale = abs(want).max()
+    assert got.shape == want.shape
+    assert abs(got - want).max() <= rel * scale
+
+
+@pytest.mark.parametrize("name", sorted(GALERKIN_MESHES))
+def test_level_stiffness_is_the_galerkin_product_of_the_next(name):
+    # midpoint P1 spaces are nested and each flat triangle's energy is
+    # exact, so P^T A_{l+1} P = A_l: a level's own stiffness is the coarse
+    # operator, and the hierarchy gathers it from the finer level bit for bit
+    base = GALERKIN_MESHES[name]
+    for level in (1, 3, 4):
+        coarse, fine = refine(base, level), refine(base, level + 1)
+        a_coarse = cotan_stiffness(coarse.vertices, coarse.triangles, coarse.cotangents)
+        a_fine = cotan_stiffness(fine.vertices, fine.triangles, fine.cotangents)
+        p = _prolongation(fine.parents[-1], np.ones(fine.vertex_count, dtype=bool))
+        assert_close_sparse(p.T @ a_fine @ p, a_coarse, 1e-14)
+        gathered = _Hierarchy(fine).operator(level)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(gathered, part), getattr(a_coarse, part)), level
+
+
+def test_free_block_prolongation_keeps_the_galerkin_identity(pyramid):
+    # with every Dirichlet closure pinned, no midpoint of an edge with a free
+    # end is pinned, so dropping pinned columns keeps P^T A_ff P = the coarse A_ff
+    for level in (1, 3, 4):
+        fine = refine(pyramid, level + 1)
+        idx, _ = constrained_vertices(fine, PYRAMID_PART, PYRAMID_STEP)
+        mask = np.ones(fine.vertex_count, dtype=bool)
+        mask[idx] = False
+        a_fine = cotan_stiffness(fine.vertices, fine.triangles, fine.cotangents)
+        p = _prolongation(fine.parents[-1], mask)
+        coarse_mask = mask[:fine.vertex_count - len(fine.parents[-1])]
+        want = _free_blocks(_Hierarchy(fine).operator(level), coarse_mask)[2]
+        assert_close_sparse(p.T @ _free_blocks(a_fine, mask)[2] @ p, want, 1e-14)
+
+
+@pytest.mark.parametrize("name", ["hull-3", "l-prism"])
+def test_v_cycle_is_symmetric_and_positive(name):
+    base = HULLS.get(name) or DYADIC_MESHES[name]
+    rs = refine(base, 4)
+    stiff = cotan_stiffness(rs.vertices, rs.triangles, rs.cotangents)
+    idx, _ = constrained_vertices(rs, odd_faces_dirichlet(base), TraceData.coordinate("x"))
+    mask = np.ones(rs.vertex_count, dtype=bool)
+    mask[idx] = False
+    cycle = _v_cycle(_Hierarchy(rs).cycle_levels(mask, _free_blocks(stiff, mask)[2]))
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        x, y = rng.normal(size=(2, cycle.shape[0]))
+        mx, my = cycle.matvec(x), cycle.matvec(y)
+        # both products are one sum in exact arithmetic, so they differ by
+        # rounding only: a few eps of |x| |My| at most (3e-17 was seen), and
+        # 1e-14 leaves a wide margin while any lost symmetry shows at once
+        assert abs(x @ my - y @ mx) <= 1e-14 * np.linalg.norm(x) * np.linalg.norm(my)
+        assert x @ mx > 0.0 and y @ my > 0.0
+
+
+# CG iterations with one V-cycle at levels 3, 4, 5 and 6, fan offset 0,
+# measured on this cycle; the cube's levels 5 and 6 are taken as flat
+# at 13.  Every case must stay within 25% of its count, rounded up: fan
+# offsets 1-3 and the rounding of other machines move counts by a few.
+V_CYCLE_COUNTS = {
+    "pyramid-closed": (13, 13, 13, 13),
+    "pyramid-free": (16, 19, 23, 29),
+    "cube-smooth": (13, 13, 13, 13),
+    "hull-3": (25, 49, 75, 90),
+    "hull-7": (19, 30, 39, 40),
+    "l-prism": (24, 27, 29, 30),
+}
+
+
+def iteration_case(case, fan_offset):
+    if case.startswith("pyramid"):
+        return (DYADIC_MESHES["square-pyramid"], PYRAMID_PART, PYRAMID_STEP,
+                case == "pyramid-closed")
+    if case == "cube-smooth":
+        return DYADIC_MESHES["cube"], cube_partition({0}), TraceData.coordinate("x"), True
+    base = HULLS.get(case) or DYADIC_MESHES[case]
+    return base, odd_faces_dirichlet(base), TraceData.coordinate("x"), True
+
+
+@pytest.mark.parametrize("case,fan_offset",
+                         [(c, f) for c in ("pyramid-closed", "pyramid-free") for f in range(4)]
+                         + [(c, 0) for c in ("cube-smooth", "hull-3", "hull-7", "l-prism")])
+def test_v_cycle_iterations_stay_within_their_bounds(case, fan_offset):
+    base, part, data, closure = iteration_case(case, fan_offset)
+    bounds = [ceil(1.25 * c) for c in V_CYCLE_COUNTS[case]]
+    rep = refinement_study(base, part, data, levels=range(3, 7), fan_offset=fan_offset,
+                           closure=closure)
+    assert all(it <= b for it, b in zip(rep.iterations, bounds)), (rep.iterations, bounds)
+    assert max(rep.residuals) <= SOLVER_RTOL
+
+
+def count_calls(monkeypatch, names):
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(trace_energy, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(trace_energy, name, wrapper)
+
+    for name in names:
+        counted(name)
+    return calls
+
+
+@pytest.mark.parametrize("levels", [range(6), (2, 5)])
+def test_study_builds_each_level_once_and_a_lone_solve_matches_it(monkeypatch, pyramid, levels):
+    calls = count_calls(monkeypatch, ("cotan_stiffness", "_free_blocks", "_prolongation"))
+    rep = refinement_study(pyramid, PYRAMID_PART, PYRAMID_STEP, levels=levels, fan_offset=1)
+    # levels 0-5 are each assembled, cut to their free block and given
+    # their prolongation once, reported or not
+    assert calls == {"cotan_stiffness": 6, "_free_blocks": 6, "_prolongation": 5}
+    calls.clear()
+    alone = minimal_extension_energy(refine(pyramid, 5, fan_offset=1), PYRAMID_PART,
+                                     PYRAMID_STEP)
+    assert calls == {"cotan_stiffness": 6, "_free_blocks": 6, "_prolongation": 5}
+    assert (alone.energy, alone.iterations, alone.residual) == (
+        rep.energies[-1], rep.iterations[-1], rep.residuals[-1])
+    assert np.array_equal(alone.values, rep.extension.values)
+
+
+def disjoint_cubes():
+    cube = fixtures.cube()
+    verts = np.vstack([cube.vertices, cube.vertices + 5.0])
+    faces = list(cube.faces) + [tuple(v + 8 for v in f) for f in cube.faces]
+    return PolyhedralSurface(verts, faces)
+
+
+@pytest.mark.parametrize("name", ["hull-3", "disjoint-cubes"])
+def test_lone_solve_equals_study_bit_for_bit(name):
+    # hull 3 has non-dyadic coordinates; the second cube of the pair is an
+    # unanchored component, pinned at every level
+    if name == "hull-3":
+        base = HULLS[name]
+        part = odd_faces_dirichlet(base)
+    else:
+        base = disjoint_cubes()
+        part = Partition(labels=("D",) + ("N",) * 11, side="interior")
+    data = TraceData.coordinate("x")
+    rep = refinement_study(base, part, data, levels=range(5))
+    assert rep.pinned_components == ((1,) * 5 if name == "disjoint-cubes" else (0,) * 5)
+    for level in range(5):
+        alone = minimal_extension_energy(refine(base, level), part, data)
+        assert (alone.energy, alone.iterations, alone.residual) == (
+            rep.energies[level], rep.iterations[level], rep.residuals[level])
+
+
+def test_cached_levels_are_rebuilt_for_another_free_set(cube):
+    # two solves on one refined surface: the second partition pins other
+    # vertices, so none of the first solve's levels may serve it
+    rs, data = refine(cube, 3), TraceData.coordinate("x")
+    minimal_extension_energy(rs, cube_partition({0}), data)
+    again = minimal_extension_energy(rs, cube_partition({1, 2}), data)
+    fresh = minimal_extension_energy(refine(cube, 3), cube_partition({1, 2}), data)
+    assert (again.energy, again.iterations) == (fresh.energy, fresh.iterations)
+    assert np.array_equal(again.values, fresh.values)
+
+
+def test_report_lists_constrained_counts_and_pinned_components():
+    base = disjoint_cubes()
+    part = Partition(labels=("D",) + ("N",) * 11, side="interior")
+    rep = refinement_study(base, part, TraceData.coordinate("x"), levels=(2, 0))
+    for level, count, pinned in zip(rep.levels, rep.constrained_counts, rep.pinned_components):
+        res = minimal_extension_energy(refine(base, level), part, TraceData.coordinate("x"))
+        assert (count, pinned) == (res.constrained_count, res.pinned_components) == (
+            (2 ** level + 1) ** 2, 1)
+    doc = rep.to_json_dict()
+    assert doc["constrained_counts"] == [25, 4] and doc["pinned_components"] == [1, 1]
 
 
 def test_flat_patch_linear_data_exact():
@@ -536,7 +729,7 @@ def test_flat_patch_linear_data_exact():
         [i * n + j for i in range(n) for j in range(n) if i in (0, n - 1) or j in (0, n - 1)]
     )
     u, iters, resid, pinned = solve_constrained(stiff, boundary, verts[boundary, 0])
-    assert_matches_reference(stiff, boundary, verts[boundary, 0], ())
+    assert_matches_reference(stiff, boundary, verts[boundary, 0], None)
     energy = float(u @ (stiff @ u))
     assert abs(energy - 1.0) <= 1e-10  # exact Dirichlet energy of x on the unit square
     assert np.abs(u - verts[:, 0]).max() <= 1e-8
@@ -612,7 +805,7 @@ def test_unanchored_component_pinned():
     res = minimal_extension_energy(rs, part, TraceData.face_constants({}))
     stiff = cotan_stiffness(rs.vertices, rs.triangles)
     empty = np.zeros(0, dtype=np.int64)
-    assert np.array_equal(assert_matches_reference(stiff, empty, np.zeros(0), rs.parents),
+    assert np.array_equal(assert_matches_reference(stiff, empty, np.zeros(0), _Hierarchy(rs)),
                           res.values)
     assert res.energy == pytest.approx(0.0, abs=1e-15)
     assert res.pinned_components == 1
@@ -620,16 +813,13 @@ def test_unanchored_component_pinned():
 
 
 def test_disjoint_cubes_one_dirichlet_face_pins_the_other_cube():
-    cube = fixtures.cube()
-    verts = np.vstack([cube.vertices, cube.vertices + 5.0])
-    faces = list(cube.faces) + [tuple(v + 8 for v in f) for f in cube.faces]
-    two = PolyhedralSurface(verts, faces)
+    two = disjoint_cubes()
     part = Partition(labels=("D",) + ("N",) * 11, side="interior")
     rs = refine(two, 1)
     res = minimal_extension_energy(rs, part, TraceData.coordinate("x"))
     stiff = cotan_stiffness(rs.vertices, rs.triangles)
     idx, vals = constrained_vertices(rs, part, TraceData.coordinate("x"))
-    assert np.array_equal(assert_matches_reference(stiff, idx, vals, rs.parents), res.values)
+    assert np.array_equal(assert_matches_reference(stiff, idx, vals, _Hierarchy(rs)), res.values)
     assert res.pinned_components == 1
     assert res.constrained_count > 0
 
