@@ -153,15 +153,15 @@ def generate_hull(seed, n_points=8):
     pts = rng.normal(size=(int(n_points), 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
     hull = ConvexHull(pts)
-    used = sorted(set(hull.simplices.ravel().tolist()))
-    remap = {old: new for new, old in enumerate(used)}
-    faces = []
-    for simplex, eq in zip(hull.simplices, hull.equations):
-        a, b, c = (pts[i] for i in simplex)
-        geom_n = np.cross(b - a, c - a)
-        cyc = tuple(simplex) if geom_n @ eq[:3] > 0 else tuple(simplex[::-1])
-        faces.append(tuple(remap[i] for i in cyc))
-    return PolyhedralSurface(pts[used], faces)
+    simplices = hull.simplices
+    used = np.unique(simplices)
+    remap = np.zeros(len(pts), dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    a, b, c = pts[simplices].transpose(1, 0, 2)
+    geom_n = np.cross(b - a, c - a)
+    outward = (geom_n[:, None, :] @ hull.equations[:, :3, None])[:, 0, 0] > 0
+    cycles = np.where(outward[:, None], simplices, simplices[:, ::-1])
+    return PolyhedralSurface(pts[used], remap[cycles].tolist())
 
 
 _OCTAHEDRON_VERTS = np.array(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -118,6 +119,8 @@ class PolyhedralSurface:
     as cached properties and those computed in other modules in
     :attr:`memo`, a :class:`SurfaceMemo`: ``surface.memo[compute]`` or
     ``surface.memo[compute, *args]`` is ``compute(surface, *args)``.
+    Triangulation projects each face of more than three vertices on its
+    in-plane axes, cached for all such faces from one stacked pass.
     """
 
     def __init__(self, vertices, faces):
@@ -243,15 +246,25 @@ class PolyhedralSurface:
         tris = _ear_clip(pts2, start=root_offset % k)
         return [(face[a], face[b], face[c]) for a, b, c in tris]
 
+    @cached_property
+    def _face_axes(self):
+        """(F, 2, 3): :func:`plane_basis` of the normal of every face with
+        more than three vertices ((0, 0, 1) where the normal is zero), in
+        one stacked pass; the rows of triangles are zero."""
+        big = np.array([len(face) > 3 for face in self.faces], dtype=bool)
+        n = self.face_normals[big]
+        n[~n.any(axis=1)] = (0.0, 0.0, 1.0)
+        axes = np.zeros((len(self.faces), 2, 3))
+        axes[big, 0], axes[big, 1] = plane_basis(n)
+        return axes
+
     def _project_face(self, fi):
-        """Project a face into orthonormal in-plane coordinates (CCW)."""
-        n = self.face_normals[fi]
-        if not np.any(n):
-            n = np.array([0.0, 0.0, 1.0])
-        u, w = plane_basis(n)
+        """A face of more than three vertices in orthonormal in-plane
+        coordinates (CCW), as a list of (x, y) floats."""
+        u, w = self._face_axes[fi]
         p = self.vertices[list(self.faces[fi])]
         rel = p - p[0]
-        return np.column_stack([rel @ u, rel @ w])
+        return list(zip((rel @ u).tolist(), (rel @ w).tolist()))
 
     def triangulate(self, root_offset=0):
         """(T, 3) triangle index array covering all faces, plus provenance.
@@ -289,7 +302,7 @@ def midpoint_subdivide(vertices, triangles):
     v = np.asarray(vertices, dtype=float)
     t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
     ends = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    key = ends.min(axis=1) * len(v) + ends.max(axis=1)
+    key = np.minimum(ends[:, 0], ends[:, 1]) * len(v) + np.maximum(ends[:, 0], ends[:, 1])
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)  # the distinct edges in order of first use
     ab, bc, ca = (len(v) + np.argsort(order)[inverse]).reshape(-1, 3).T
@@ -300,24 +313,38 @@ def midpoint_subdivide(vertices, triangles):
 
 
 def undirected_components(n, rows, cols):
-    """``connected_components`` (numbered by least node) of the undirected
-    graph on ``n`` nodes with edges ``(rows[k], cols[k])``, passed as CSR: on
-    small graphs scipy's conversion from COO costs as much as the search."""
-    indptr = np.concatenate([[0], np.bincount(rows, minlength=n).cumsum()])
-    data = (np.ones(len(rows)), cols[np.argsort(rows, kind="stable")], indptr)
-    return connected_components(sparse.csr_array(data, shape=(n, n)), directed=False)
+    """``connected_components`` of the undirected graph on ``n`` nodes with
+    edges ``(rows[k], cols[k])``, numbered in order of their least node.
+
+    The graph goes to scipy as canonical symmetric CSR (both directions,
+    indices sorted, no duplicates), whose strong components are the
+    undirected ones without the transpose ``directed=False`` forms.  The
+    deduplication is required: with scipy 1.17.1, strong components of a
+    CSR with duplicate entries, sorted or not, came back wrong (7 components
+    and labels up to 39 for a connected 40-node multigraph) or never.
+    """
+    key = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    graph = sparse.csr_array((np.ones(len(key)), key % n, indptr), shape=(n, n))
+    count, labels = connected_components(graph, directed=True, connection="strong")
+    _, first = np.unique(labels, return_index=True)
+    rank = np.empty(count, dtype=labels.dtype)
+    rank[np.argsort(first)] = np.arange(count)
+    return count, rank[labels]
 
 
 def plane_basis(n):
-    """Orthonormal in-plane axes (u, w) of the plane with unit normal n.
+    """Orthonormal in-plane axes (u, w) of the planes with unit normals n,
+    a 3-vector or an (..., 3) array of them.
 
     (u, w, n) is right-handed, so a polygon counterclockwise about n stays
     counterclockwise in (u, w) coordinates.
     """
     # any vector not parallel to n
-    h = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    h = np.where(np.abs(n[..., :1]) < 0.9, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
     u = np.cross(h, n)
-    u /= np.linalg.norm(u)
+    # rounds as np.linalg.norm of each 3-vector; norm(axis=-1) may not
+    u /= np.sqrt(u[..., None, :] @ u[..., :, None])[..., 0]
     return u, np.cross(n, u)
 
 
@@ -326,18 +353,17 @@ def plane_basis(n):
 
 
 def _polygon_is_convex(pts2):
-    n = len(pts2)
-    e = np.roll(pts2, -1, axis=0) - pts2
-    cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-    scale = float(np.abs(e).max()) ** 2 or 1.0
+    """Strict convexity of a polygon of four or more (x, y) floats."""
+    # the polygon helpers take Python floats, which round each operation as
+    # float64 does: a loop over a few corners costs less than numpy calls
+    e = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts2, pts2[1:] + pts2[:1])]
+    scale = max(abs(c) for d in e for c in d) ** 2 or 1.0
     tol = 1e-12 * scale
-    if n < 4:
-        return True
-    return bool(np.all(cross > tol))
+    return all(ex * fy - ey * fx > tol for (ex, ey), (fx, fy) in zip(e, e[1:] + e[:1]))
 
 
 def _ear_clip(pts2, start=0):
-    """Ear-clip a simple CCW polygon given as an (n, 2) array.
+    """Ear-clip a simple CCW polygon given as a list of (x, y) floats.
 
     Returns local index triples.  Falls back to a fan if no ear is found
     (degenerate input); such faces are flagged by validation anyway.
@@ -345,7 +371,7 @@ def _ear_clip(pts2, start=0):
     n = len(pts2)
     remaining = list(range(n))
     tris = []
-    scale = float(np.abs(pts2).max()) or 1.0
+    scale = max(abs(c) for p in pts2 for c in p) or 1.0
     tol = 1e-12 * scale * scale
     guard = 0
     cursor = start % n
@@ -361,7 +387,7 @@ def _ear_clip(pts2, start=0):
                 remaining[(i + 1) % m],
             )
             a, b, c = pts2[ia], pts2[ib], pts2[ic]
-            if _cross2(b - a, c - b) <= tol:
+            if _cross2(a, b, b, c) <= tol:
                 continue  # reflex or collinear corner
             ear = True
             for other in remaining:
@@ -388,15 +414,14 @@ def _ear_clip(pts2, start=0):
     return tris
 
 
-def _cross2(u, v):
-    return float(u[0] * v[1] - u[1] * v[0])
+def _cross2(a, b, c, d):
+    """z component of (b - a) x (d - c)."""
+    return (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
 
 
 def _point_in_triangle2(p, a, b, c, tol):
-    d1 = _cross2(b - a, p - a)
-    d2 = _cross2(c - b, p - b)
-    d3 = _cross2(a - c, p - c)
-    return d1 >= -tol and d2 >= -tol and d3 >= -tol
+    return (_cross2(a, b, a, p) >= -tol and _cross2(b, c, b, p) >= -tol
+            and _cross2(c, a, c, p) >= -tol)
 
 
 # ----------------------------------------------------------------------
@@ -597,15 +622,17 @@ def _vertex_link_pieces(surface):
     its two edges at that vertex.  Where every edge at the vertex has two
     faces, every node has degree 2, so one piece means one cycle.
     """
-    eidx = surface.edge_index
+    nv = len(surface.vertices)
+    edges = np.array(surface.edge_list, dtype=np.int64).reshape(-1, 2)
+    keys = edges[:, 0] * nv + edges[:, 1]  # sorted, as edge_list is
 
     def node(v, w):  # numbered 2 * edge + (1 when v is the edge's larger end)
-        return 2 * eidx[(v, w) if v < w else (w, v)] + (v > w)
+        return 2 * np.searchsorted(keys, np.minimum(v, w) * nv + np.maximum(v, w)) + (v > w)
 
-    joined = [(node(v, face[i - 1]), node(v, face[(i + 1) % len(face)]))
-              for face in surface.faces for i, v in enumerate(face)]
-    rows, cols = np.array(joined, dtype=np.int64).reshape(-1, 2).T
-    count, labels = undirected_components(2 * len(surface.edge_list), rows, cols)
+    # every corner, the corner before it and the corner after it
+    v, before, after = (np.fromiter(chain.from_iterable(f[s:] + f[:s] for f in surface.faces),
+                                    np.int64) for s in (0, -1, 1))
+    count, labels = undirected_components(2 * len(edges), node(v, before), node(v, after))
     piece_vertex = np.empty(count, dtype=np.int64)
-    piece_vertex[labels] = np.array(surface.edge_list, dtype=np.int64).ravel()
+    piece_vertex[labels] = edges.ravel()
     return np.bincount(piece_vertex, minlength=len(surface.vertices))

@@ -1,27 +1,33 @@
 import gc
+import json
 import weakref
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import ConvexHull
+from scipy.spatial.transform import Rotation
 from hypothesis import given, settings, strategies as st
 
-from polymix import fixtures
+from polymix import fixtures, mesh, partition
 from polymix.geometry import dihedral_angles, separation_radius
 from polymix.mesh import (
     OffParseError,
     PolyhedralSurface,
     Violation,
+    _vertex_link_pieces,
     midpoint_subdivide,
     parse_off,
+    plane_basis,
     serialize_off,
     undirected_components,
     validate_surface,
 )
-from polymix.partition import Partition, quotient_graph, validate_partition
+from polymix.partition import GeneratorSpec, Partition, quotient_graph, validate_partition
 
 from conftest import CUBE_OFF, PYRAMID_OFF
+from test_geometry import REFLEX_MESHES
 
 
 def test_parse_cube_off_counts():
@@ -502,13 +508,228 @@ def test_dropped_surface_is_freed_without_the_collector(cube):
             gc.enable()
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_undirected_components_match_scipy_on_coo(seed):
+def random_multigraph(seed):
     # unsorted rows, repeated and reversed edges, self-loops, isolated nodes
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 40))
     rows, cols = rng.integers(0, n, size=(2, int(rng.integers(0, 2 * n))))
+    return n, rows, cols
+
+
+def doubled_cycles():
+    # cycles 0-19 and 20-39, every edge twice one way and once the other,
+    # a self-loop at every node: scipy's strong components need these
+    # duplicates removed
+    i = np.arange(40)
+    j = np.where(i % 20 == 19, i - 19, i + 1)
+    return 40, np.concatenate([i, i, j, i]), np.concatenate([j, j, i, i])
+
+
+NO_EDGES = np.zeros(0, dtype=np.int64)
+COMPONENT_GRAPHS = (
+    [pytest.param(lambda seed=seed: random_multigraph(seed), id=str(seed)) for seed in range(20)]
+    + [pytest.param(doubled_cycles, id="doubled-cycles"),
+       pytest.param(lambda: (12, np.array([9, 3, 9, 3, 5]), np.array([3, 9, 9, 5, 3])),
+                    id="isolated-nodes"),
+       pytest.param(lambda: (0, NO_EDGES, NO_EDGES), id="n0"),
+       pytest.param(lambda: (1, NO_EDGES, NO_EDGES), id="n1"),
+       pytest.param(lambda: (7, NO_EDGES, NO_EDGES), id="no-edges")]
+)
+
+
+@pytest.mark.parametrize("graph", COMPONENT_GRAPHS)
+def test_undirected_components_match_scipy_on_coo(graph):
+    n, rows, cols = graph()
     coo = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     count, labels = undirected_components(n, rows, cols)
     expected_count, expected = connected_components(coo, directed=False)
     assert count == expected_count and labels.tolist() == expected.tolist()
+
+
+# ----------------------------------------------------------------------
+# per-simplex, per-face and per-corner reference formulas
+
+
+def reference_generate_hull(seed, n_points):
+    """The per-simplex loop: each simplex oriented by its own cross and dot."""
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x48)))
+    pts = rng.normal(size=(int(n_points), 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    hull = ConvexHull(pts)
+    used = sorted(set(hull.simplices.ravel().tolist()))
+    remap = {old: new for new, old in enumerate(used)}
+    faces = []
+    for simplex, eq in zip(hull.simplices, hull.equations):
+        a, b, c = (pts[i] for i in simplex)
+        cyc = tuple(simplex) if np.cross(b - a, c - a) @ eq[:3] > 0 else tuple(simplex[::-1])
+        faces.append(tuple(remap[i] for i in cyc))
+    return pts[used], tuple(faces)
+
+
+@pytest.mark.parametrize("n_points", range(4, 21))
+def test_generate_hull_equals_per_simplex_reference(n_points):
+    for seed in range(200):
+        surface = fixtures.generate_hull(seed, n_points)
+        verts, faces = reference_generate_hull(seed, n_points)
+        assert np.array_equal(surface.vertices, verts) and surface.faces == faces, seed
+
+
+def reference_plane_basis(n):
+    """One unit normal at a time, normalized by np.linalg.norm."""
+    h = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    u = np.cross(h, n)
+    u /= np.linalg.norm(u)
+    return u, np.cross(n, u)
+
+
+def reference_triangulate_face(surface, fi, root_offset=0):
+    """Per face: reference_plane_basis, then the array forms of the
+    convexity test and the ear clip."""
+    face = surface.faces[fi]
+    k = len(face)
+    if k == 3:
+        return [tuple(face)]
+    n = surface.face_normals[fi]
+    u, w = reference_plane_basis(n if np.any(n) else np.array([0.0, 0.0, 1.0]))
+    rel = surface.vertices[list(face)] - surface.vertices[face[0]]
+    pts2 = np.column_stack([rel @ u, rel @ w])
+    e = np.roll(pts2, -1, axis=0) - pts2
+    cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
+    if np.all(cross > 1e-12 * (float(np.abs(e).max()) ** 2 or 1.0)):
+        root = (min(range(k), key=lambda i: face[i]) + root_offset) % k
+        return [(face[root], face[(root + i) % k], face[(root + i + 1) % k])
+                for i in range(1, k - 1)]
+    return [(face[a], face[b], face[c]) for a, b, c in reference_ear_clip(pts2, root_offset % k)]
+
+
+def reference_ear_clip(pts2, start):
+    def cross2(u, v):
+        return float(u[0] * v[1] - u[1] * v[0])
+
+    def inside(p, a, b, c):
+        return all(d >= -tol for d in (cross2(b - a, p - a), cross2(c - b, p - b),
+                                       cross2(a - c, p - c)))
+
+    n = len(pts2)
+    remaining, tris, cursor = list(range(n)), [], start % n
+    scale = float(np.abs(pts2).max()) or 1.0
+    tol = 1e-12 * scale * scale
+    for _ in range(2 * n * n):
+        m = len(remaining)
+        if m <= 3:
+            break
+        for probe in range(m):
+            i = (cursor + probe) % m
+            ia, ib, ic = remaining[(i - 1) % m], remaining[i], remaining[(i + 1) % m]
+            a, b, c = pts2[ia], pts2[ib], pts2[ic]
+            if cross2(b - a, c - b) > tol and not any(
+                    inside(pts2[o], a, b, c) for o in remaining if o not in (ia, ib, ic)):
+                tris.append((ia, ib, ic))
+                cursor = i % (m - 1)
+                remaining.pop(i)
+                break
+        else:
+            break
+    return tris + [(remaining[0], remaining[i], remaining[i + 1])
+                   for i in range(1, len(remaining) - 1)]
+
+
+def reference_components(n, rows, cols):
+    """scipy's undirected components of the COO multigraph."""
+    coo = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return connected_components(coo, directed=False)
+
+
+def reference_vertex_link_pieces(surface):
+    """Link node numbers one corner at a time, through edge_index."""
+    eidx = surface.edge_index
+
+    def node(v, w):
+        return 2 * eidx[(v, w) if v < w else (w, v)] + (v > w)
+
+    joined = [(node(v, face[i - 1]), node(v, face[(i + 1) % len(face)]))
+              for face in surface.faces for i, v in enumerate(face)]
+    rows, cols = np.array(joined, dtype=np.int64).reshape(-1, 2).T
+    count, labels = reference_components(2 * len(surface.edge_list), rows, cols)
+    piece_vertex = np.empty(count, dtype=np.int64)
+    piece_vertex[labels] = np.array(surface.edge_list, dtype=np.int64).ravel()
+    return np.bincount(piece_vertex, minlength=len(surface.vertices))
+
+
+def search_family_meshes(family, sizes):
+    return [GeneratorSpec(family, seed, *sizes).build(index)[1]
+            for seed in range(40) for index in range(3)]
+
+
+REFERENCE_FORMULA_MESHES = {
+    "fixtures": lambda: [fixtures.builtin(name) for name in sorted(fixtures.BUILTIN)]
+    + [fixtures.open_box(), fixtures.two_tetrahedra_shared_vertex(), disjoint_cubes(2)],
+    "reflex": lambda: REFLEX_MESHES,
+    # every face cycle started at another corner, so reflex and straight
+    # corners also come first and last
+    "reflex-rotated": lambda: [PolyhedralSurface(s.vertices, [f[r % len(f):] + f[:r % len(f)]
+                                                              for f in s.faces])
+                               for s in REFLEX_MESHES for r in range(1, 6)],
+    "notched-boxes-1-6": lambda: [fixtures.notched_box(k) for k in range(1, 7)],
+    "search-hulls": lambda: search_family_meshes("hulls", (4, 10)),
+    "search-star-spheres": lambda: search_family_meshes("star-spheres", (1, 2)),
+    "search-notched-boxes": lambda: search_family_meshes("notched-boxes", (1, 4)),
+}
+
+
+@pytest.mark.parametrize("group", REFERENCE_FORMULA_MESHES)
+def test_mesh_outputs_equal_reference_formulas(group, monkeypatch):
+    # triangles at every root offset, link pieces, the validation report and
+    # both quotient graphs, each on a fresh surface, equal those the
+    # reference formulas give
+    sides = ("interior", "exterior")
+    for surface in REFERENCE_FORMULA_MESHES[group]():
+        new = PolyhedralSurface(surface.vertices, surface.faces)
+        old = PolyhedralSurface(surface.vertices, surface.faces)
+        for offset in range(4):
+            expected = [t for fi in range(len(old.faces))
+                        for t in reference_triangulate_face(old, fi, offset)]
+            assert new.triangulate(offset)[0].tolist() == [list(t) for t in expected]
+        assert _vertex_link_pieces(new).tolist() == reference_vertex_link_pieces(old).tolist()
+        diagnostics = validate_surface(new)
+        graphs = [quotient_graph(new, side) for side in sides] if diagnostics.ok else []
+        with monkeypatch.context() as patch:
+            patch.setattr(mesh, "undirected_components", reference_components)
+            patch.setattr(partition, "undirected_components", reference_components)
+            patch.setattr(mesh, "_vertex_link_pieces", reference_vertex_link_pieces)
+            patch.setattr(PolyhedralSurface, "triangulate_face", reference_triangulate_face)
+            expected = validate_surface(old)
+            assert json.dumps(diagnostics.to_json_dict()) == json.dumps(expected.to_json_dict())
+            assert graphs == ([quotient_graph(old, side) for side in sides] if expected.ok else [])
+
+
+def test_plane_basis_equals_per_vector_reference():
+    # stacked and one at a time; np.linalg.norm(u, axis=-1) in place of the
+    # stacked product differs from the reference in 9% of these rows
+    normals = np.random.default_rng(5).normal(size=(4000, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    normals[:6] = np.vstack([np.eye(3), -np.eye(3)])
+    stacked = plane_basis(normals)
+    for i, n in enumerate(normals):
+        expected = reference_plane_basis(n)
+        for got in (plane_basis(n), (stacked[0][i], stacked[1][i])):
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected)), i
+
+
+def test_face_axes_equal_plane_basis_row_by_row():
+    # notched boxes turned to 60 random orientations, the reflex meshes, and
+    # a face whose Newell normal is zero (the axes of (0, 0, 1))
+    box = fixtures.notched_box(3)
+    turned = [PolyhedralSurface(r.apply(box.vertices.copy()), box.faces)
+              for r in Rotation.random(60, random_state=np.random.default_rng(11))]
+    flat = PolyhedralSurface([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], [(0, 1, 2, 3)])
+    for surface in turned + REFLEX_MESHES + [fixtures.cube(), fixtures.square_pyramid(), flat]:
+        axes = surface._face_axes
+        assert axes.shape == (len(surface.faces), 2, 3)
+        for fi, face in enumerate(surface.faces):
+            if len(face) == 3:
+                assert not axes[fi].any()
+                continue
+            n = surface.face_normals[fi]
+            u, w = reference_plane_basis(n if np.any(n) else np.array([0.0, 0.0, 1.0]))
+            assert np.array_equal(axes[fi, 0], u) and np.array_equal(axes[fi, 1], w), fi
