@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .mesh import PolyhedralSurface, midpoint_subdivide
+from .mesh import PolyhedralSurface, _cross, midpoint_subdivide
 
 
 def cube(edge=1.0):
@@ -158,7 +158,7 @@ def generate_hull(seed, n_points=8):
     remap = np.zeros(len(pts), dtype=np.int64)
     remap[used] = np.arange(len(used))
     a, b, c = pts[simplices].transpose(1, 0, 2)
-    geom_n = np.cross(b - a, c - a)
+    geom_n = _cross(b - a, c - a)
     outward = (geom_n[:, None, :] @ hull.equations[:, :3, None])[:, 0, 0] > 0
     cycles = np.where(outward[:, None], simplices, simplices[:, ::-1])
     return PolyhedralSurface(pts[used], remap[cycles].tolist())

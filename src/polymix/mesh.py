@@ -200,7 +200,7 @@ class PolyhedralSurface:
             corners = np.array([self.faces[fi] for fi in ids.tolist()])
             # relative to one corner, so the sum does not cancel far from the origin
             p = self.vertices[corners] - self.vertices[corners[:, :1]]
-            out[ids] = np.cross(p, np.roll(p, -1, axis=1)).sum(axis=1)
+            out[ids] = _cross(p, np.roll(p, -1, axis=1)).sum(axis=1)
         return out
 
     @cached_property
@@ -285,7 +285,7 @@ class PolyhedralSurface:
     def signed_volume(self):
         tris, _ = self.triangles
         p = self.vertices[tris]
-        return float(np.einsum("ij,ij->i", p[:, 0], np.cross(p[:, 1], p[:, 2])).sum() / 6.0)
+        return float(np.einsum("ij,ij->i", p[:, 0], _cross(p[:, 1], p[:, 2])).sum() / 6.0)
 
 
 def midpoint_subdivide(vertices, triangles):
@@ -319,18 +319,40 @@ def undirected_components(n, rows, cols):
     The graph goes to scipy as canonical symmetric CSR (both directions,
     indices sorted, no duplicates), whose strong components are the
     undirected ones without the transpose ``directed=False`` forms.  The
-    deduplication is required: with scipy 1.17.1, strong components of a
-    CSR with duplicate entries, sorted or not, came back wrong (7 components
-    and labels up to 39 for a connected 40-node multigraph) or never.
+    keys ``row * n + col`` are deduplicated by one ``sort`` and a comparison
+    of neighbours.  The deduplication is required: with scipy 1.17.1,
+    strong components of a CSR with duplicate entries, sorted or not, came
+    back wrong (7 components and labels up to 39 for a connected 40-node
+    multigraph) or never.  Labels are in least-node order exactly when
+    ``labels[0] == 0`` and each label is at most one more than the largest
+    before it, an O(n) test on their running maximum; scipy's labels are
+    renumbered only when it fails.
+
+    Numbered so, the components of a disjoint union G1 + G2, G2's nodes
+    after G1's, are ``(c1 + c2, concat(l1, l2 + c1))``: graphs on disjoint
+    node ranges can share one call.
     """
-    key = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
+    key = np.concatenate([rows * n + cols, cols * n + rows])
+    key.sort()
+    fresh = np.empty(len(key), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    key = key[fresh]
     indptr = np.searchsorted(key, np.arange(n + 1) * n)
     graph = sparse.csr_array((np.ones(len(key)), key % n, indptr), shape=(n, n))
     count, labels = connected_components(graph, directed=True, connection="strong")
+    top = np.maximum.accumulate(labels)
+    if len(labels) and (top[0] != 0 or (top[1:] - top[:-1] > 1).any()):
+        labels = _least_node_order(count, labels)
+    return count, labels
+
+
+def _least_node_order(count, labels):
+    """Component labels renumbered 0, 1, ... in order of their least node."""
     _, first = np.unique(labels, return_index=True)
     rank = np.empty(count, dtype=labels.dtype)
     rank[np.argsort(first)] = np.arange(count)
-    return count, rank[labels]
+    return rank[labels]
 
 
 def plane_basis(n):
@@ -342,10 +364,19 @@ def plane_basis(n):
     """
     # any vector not parallel to n
     h = np.where(np.abs(n[..., :1]) < 0.9, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-    u = np.cross(h, n)
+    u = _cross(h, n)
     # rounds as np.linalg.norm of each 3-vector; norm(axis=-1) may not
     u /= np.sqrt(u[..., None, :] @ u[..., :, None])[..., 0]
-    return u, np.cross(n, u)
+    return u, _cross(n, u)
+
+
+def _cross(a, b):
+    """``np.cross(a, b)`` of 3-vectors or broadcastable (..., 3) arrays, bit
+    for bit: the same products and differences, without its per-call
+    argument handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -573,7 +604,7 @@ def validate_surface(surface):
 
     # vertex links: only judged where the incident edges are already clean,
     # so an open boundary is not double-reported
-    link_pieces = _vertex_link_pieces(surface)
+    link_pieces, face_components = _connectivity(surface)
     for v in range(len(surface.vertices)):
         if not surface.vertex_faces[v]:
             violations.append(Violation("isolated_vertex", (v,)))
@@ -584,12 +615,8 @@ def validate_surface(surface):
     nf = len(surface.faces)
     if not nf and not len(surface.vertices):
         violations.append(Violation("empty_surface", ()))
-    if nf:
-        joined = [(faces[0], f) for faces in surface.edge_faces for f in faces[1:]]
-        rows, cols = np.array(joined, dtype=np.int64).reshape(-1, 2).T
-        components, _ = undirected_components(nf, rows, cols)
-        if components != 1:
-            violations.append(Violation("disconnected", (int(components),)))
+    if nf and face_components != 1:
+        violations.append(Violation("disconnected", (face_components,)))
 
     diag = surface.bbox_diagonal or 1.0
     planar_tol = PLANAR_REL_TOL * diag
@@ -615,16 +642,23 @@ def validate_surface(surface):
     )
 
 
-def _vertex_link_pieces(surface):
-    """Per vertex, the number of connected pieces of its link.
+def _connectivity(surface):
+    """Per vertex, the number of connected pieces of its link; and the
+    number of components of the face adjacency (faces joined across shared
+    edges).
 
     Link nodes are (vertex, incident edge) pairs and each face corner joins
     its two edges at that vertex.  Where every edge at the vertex has two
-    faces, every node has degree 2, so one piece means one cycle.
+    faces, every node has degree 2, so one piece means one cycle.  Both
+    graphs go to one :func:`undirected_components` call as one
+    block-diagonal graph, the face nodes after the 2E link nodes; its
+    labels are in least-node order, so the link pieces come first and the
+    first face's label is their count.
     """
-    nv = len(surface.vertices)
+    nv, nf = len(surface.vertices), len(surface.faces)
     edges = np.array(surface.edge_list, dtype=np.int64).reshape(-1, 2)
     keys = edges[:, 0] * nv + edges[:, 1]  # sorted, as edge_list is
+    nodes = 2 * len(edges)
 
     def node(v, w):  # numbered 2 * edge + (1 when v is the edge's larger end)
         return 2 * np.searchsorted(keys, np.minimum(v, w) * nv + np.maximum(v, w)) + (v > w)
@@ -632,7 +666,11 @@ def _vertex_link_pieces(surface):
     # every corner, the corner before it and the corner after it
     v, before, after = (np.fromiter(chain.from_iterable(f[s:] + f[:s] for f in surface.faces),
                                     np.int64) for s in (0, -1, 1))
-    count, labels = undirected_components(2 * len(edges), node(v, before), node(v, after))
-    piece_vertex = np.empty(count, dtype=np.int64)
-    piece_vertex[labels] = edges.ravel()
-    return np.bincount(piece_vertex, minlength=len(surface.vertices))
+    joined = [(faces[0], f) for faces in surface.edge_faces for f in faces[1:]]
+    f0, f1 = np.array(joined, dtype=np.int64).reshape(-1, 2).T + nodes
+    count, labels = undirected_components(
+        nodes + nf, np.concatenate([node(v, before), f0]), np.concatenate([node(v, after), f1]))
+    pieces = int(labels[nodes]) if nf else count
+    piece_vertex = np.empty(pieces, dtype=np.int64)
+    piece_vertex[labels[:nodes]] = edges.ravel()
+    return np.bincount(piece_vertex, minlength=nv), count - pieces

@@ -10,19 +10,23 @@ labelings are exactly the labelings constant on classes, minus all-N.
 
 An edge is blocked when its side-relevant angle is >= pi - tau (tau finite,
 >= 0); only blocked edges can violate.  Each surface keeps in its memo,
-``surface.memo[compute, side, tau]``, the blocked mask, the violation
-records `validate_partition` walks, and the quotient graph.  Enumeration
-gathers face labels from class labels via `face_class` in one C-level
-`itemgetter` call and builds its partitions unchecked: the side is checked
+``surface.memo[compute, side, tau]``, the blocked mask and the violation
+records `validate_partition` walks, and in one entry per tau,
+``surface.memo[_quotient_graphs, tau]``, the quotient graphs of both
+sides, merged by one component call over a block-diagonal graph and
+served per side by `quotient_graph`.  Enumeration gathers face labels from
+class labels via `face_class` in one C-level `itemgetter` call and builds
+its partitions unchecked, in a chain of `map` calls: the side is checked
 once per enumeration and the labels come from "DN".
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
+from itertools import islice, product, repeat
+from types import MappingProxyType
 
 import numpy as np
 
@@ -57,8 +61,8 @@ class Partition:
         """A partition without the checks of ``__post_init__``: for callers
         whose labels are a tuple over "DN" and whose side is checked."""
         self = object.__new__(cls)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "side", side)
+        _set_labels(self, labels)
+        _set_side(self, side)
         return self
 
     @classmethod
@@ -75,6 +79,10 @@ class Partition:
     @property
     def neumann_faces(self):
         return tuple(i for i, l in enumerate(self.labels) if l == "N")
+
+
+# the slots' own setters, which a frozen dataclass's __setattr__ does not guard
+_set_labels, _set_side = Partition.labels.__set__, Partition.side.__set__
 
 
 @dataclass(slots=True)
@@ -140,7 +148,8 @@ def validate_partition(surface, partition, tau=TAU_ANGLE):
             "partition has %d labels for %d faces" % (len(labels), len(surface.faces))
         )
     table = surface.memo[_violation_table, partition.side, tau]
-    violating = tuple([record for f0, f1, record in table if labels[f0] != labels[f1]])
+    violating = (tuple([record for f0, f1, record in table if labels[f0] != labels[f1]])
+                 if table else ())
     d_empty = "D" not in labels
     # positional: keyword arguments cost a quarter of a call here
     return AdmissibilityReport(not d_empty and not violating, partition.side, d_empty, violating)
@@ -164,16 +173,33 @@ class QuotientGraph:
 
 def quotient_graph(surface, side, tau=TAU_ANGLE):
     """Merge faces across every edge whose side-relevant angle is >= pi - tau;
-    kept in the surface's memo per side and tau."""
-    return surface.memo[_quotient_graph, side, tau]
+    both sides are kept in one entry of the surface's memo per tau."""
+    _check_side(side)
+    return surface.memo[_quotient_graphs, tau][side]
 
 
-def _quotient_graph(surface, side, tau):
+def _quotient_graphs(surface, tau):
+    """Both sides' quotient graphs, read-only by side, from one
+    :func:`undirected_components` call: the interior's blocked-edge graph
+    on faces 0..F-1 and the exterior's on F..2F-1, one block-diagonal graph
+    whose labels, in least-node order, number the interior classes first."""
     nf = len(surface.faces)
-    blocked = surface.memo[_blocked_edges, side, tau]
+    inner, outer = (surface.memo[_blocked_edges, side, tau] for side in SIDES)
     f0, f1 = np.array(surface.edge_faces, dtype=np.int64).reshape(-1, 2).T
-    # components are numbered in order of their least face, the class order
-    count, face_class = undirected_components(nf, f0[blocked], f1[blocked])
+    count, labels = undirected_components(2 * nf, np.concatenate([f0[inner], f0[outer] + nf]),
+                                          np.concatenate([f1[inner], f1[outer] + nf]))
+    # components are numbered in order of their least face, the class order;
+    # the exterior's first class is the one of its face 0
+    split = int(labels[nf]) if nf else 0
+    return MappingProxyType({
+        "interior": _quotient("interior", split, labels[:nf], f0, f1, inner),
+        "exterior": _quotient("exterior", count - split, labels[nf:] - split, f0, f1, outer),
+    })
+
+
+def _quotient(side, count, face_class, f0, f1, blocked):
+    """One side's quotient graph from its ``count`` face classes, numbered
+    in order of their least face, and its blocked-edge mask."""
     members = [[] for _ in range(count)]
     for f, c in enumerate(face_class.tolist()):
         members[c].append(f)
@@ -221,9 +247,8 @@ class AdmissiblePartitions:
             labels_of = operator.itemgetter(*gather)
         else:  # itemgetter returns a bare item for one index and needs one
             labels_of = lambda bits: tuple([bits[c] for c in gather])
-        make, side = Partition._unchecked, self.side
-        for bits in itertools.islice(itertools.product("DN", repeat=k), self.count):
-            yield make(labels_of(bits), side)
+        bits = islice(product("DN", repeat=k), self.count)
+        return map(Partition._unchecked, map(labels_of, bits), repeat(self.side))
 
 
 def enumerate_admissible(surface, side, tau=TAU_ANGLE):

@@ -16,7 +16,9 @@ from polymix.mesh import (
     OffParseError,
     PolyhedralSurface,
     Violation,
-    _vertex_link_pieces,
+    _connectivity,
+    _cross,
+    _least_node_order,
     midpoint_subdivide,
     parse_off,
     plane_basis,
@@ -546,6 +548,118 @@ def test_undirected_components_match_scipy_on_coo(graph):
     assert count == expected_count and labels.tolist() == expected.tolist()
 
 
+def in_least_node_order(labels):
+    first = {}
+    for node, label in enumerate(labels.tolist()):
+        first.setdefault(label, node)
+    return list(first) == list(range(len(first)))
+
+
+UNION_GRAPHS = [random_multigraph(seed) for seed in range(8)] + [
+    doubled_cycles(), (0, NO_EDGES, NO_EDGES), (1, NO_EDGES, NO_EDGES),
+    (1, np.array([0, 0]), np.array([0, 0])), (5, NO_EDGES, NO_EDGES)]
+
+
+def test_undirected_components_of_disjoint_union():
+    # the identity one block-diagonal call rests on: G2's nodes after G1's,
+    # the union's edges in shuffled order
+    rng = np.random.default_rng(17)
+    for n1, r1, c1 in UNION_GRAPHS:
+        k1, l1 = undirected_components(n1, r1, c1)
+        assert in_least_node_order(l1)
+        for n2, r2, c2 in UNION_GRAPHS:
+            k2, l2 = undirected_components(n2, r2, c2)
+            order = rng.permutation(len(r1) + len(r2))
+            rows = np.concatenate([r1, r2 + n1])[order]
+            cols = np.concatenate([c1, c2 + n1])[order]
+            count, labels = undirected_components(n1 + n2, rows, cols)
+            assert count == k1 + k2
+            assert labels.tolist() == l1.tolist() + (l2 + k1).tolist()
+
+
+def test_least_node_order_renumbers_by_first_node():
+    labels = np.array([2, 0, 2, 1, 0, 3, 1], dtype=np.int32)
+    assert _least_node_order(4, labels).tolist() == [0, 1, 0, 2, 1, 3, 2]
+    assert _least_node_order(4, np.array([0, 1, 0, 2, 1, 3, 2])).tolist() == [0, 1, 0, 2, 1, 3, 2]
+    assert _least_node_order(0, np.zeros(0, dtype=np.int32)).tolist() == []
+
+
+@pytest.mark.parametrize("labels, renumbered", [
+    ([0, 0, 1, 0, 2, 1], False),
+    ([0], False),
+    ([], False),
+    ([1, 0], True),        # labels[0] != 0
+    ([0, 2, 1], True),     # 2 before 1
+    ([0, 1, 3, 2, 1], True),
+])
+def test_undirected_components_renumbers_only_out_of_order_labels(labels, renumbered, monkeypatch):
+    # scipy's labels stand in for a fixed labeling; the order test alone
+    # decides whether they are renumbered
+    labels = np.array(labels, dtype=np.int32)
+    count = len(set(labels.tolist()))
+    calls = []
+
+    def renumber(count, labels):
+        calls.append(labels)
+        return _least_node_order(count, labels)
+
+    monkeypatch.setattr(mesh, "connected_components", lambda *args, **kwargs: (count, labels))
+    monkeypatch.setattr(mesh, "_least_node_order", renumber)
+    got_count, got = undirected_components(len(labels), NO_EDGES, NO_EDGES)
+    assert got_count == count and in_least_node_order(got)
+    assert len(calls) == int(renumbered)
+    if not renumbered:
+        assert got is labels
+
+
+def test_validation_and_both_quotient_sides_make_two_component_calls(monkeypatch):
+    # one block-diagonal graph for the vertex links and the face adjacency,
+    # one for both sides' quotient graphs
+    sizes = []
+
+    def counted(graph, *args, **kwargs):
+        sizes.append(graph.shape[0])
+        return connected_components(graph, *args, **kwargs)
+
+    monkeypatch.setattr(mesh, "connected_components", counted)
+    for surface in (fixtures.generate_hull(3, 9), fixtures.notched_box(2),
+                    fixtures.generate_star_sphere(5, 1, 0.2)):
+        sizes.clear()
+        assert validate_surface(surface).ok
+        for side in ("interior", "exterior"):
+            quotient_graph(surface, side)
+        nf = len(surface.faces)
+        assert sizes == [2 * len(surface.edge_list) + nf, 2 * nf]
+
+
+def cross_cases():
+    rng = np.random.default_rng(23)
+    big = rng.normal(size=(9, 4, 3)) * 10.0 ** rng.integers(-200, 200, size=(9, 4, 1))
+    odd = np.array([[np.inf, 1.0, 0.0], [-np.inf, np.nan, 2.0], [0.0, -0.0, 0.0],
+                    [1e308, -1e308, 1e-320], [np.nan, 0.0, np.inf]])
+    return [
+        (rng.normal(size=(12, 3)), rng.normal(size=(12, 3))),  # random
+        (rng.normal(size=(18, 4, 3)), rng.normal(size=(18, 4, 3))),  # stacked
+        (big[:, 1], big[:, 2]),  # strided views
+        (rng.normal(size=3), rng.normal(size=3)),
+        (np.array([1.0, 0.0, 0.0]), rng.normal(size=(7, 3))),  # broadcast
+        (rng.normal(size=(5, 1, 3)), rng.normal(size=(4, 3))),
+        (np.zeros((4, 3)), -np.zeros((4, 3))),  # zeros
+        (np.zeros(3), rng.normal(size=(2, 3))),
+        (odd, odd[::-1]),  # non-finite
+        (odd, rng.normal(size=(5, 3))),
+    ]
+
+
+def test_cross_equals_numpy_cross_bit_for_bit():
+    with np.errstate(all="ignore"):
+        for a, b in cross_cases():
+            for x, y in ((a, b), (b, a)):
+                expected, got = np.cross(x, y), _cross(x, y)
+                assert got.shape == expected.shape and got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes()
+
+
 # ----------------------------------------------------------------------
 # per-simplex, per-face and per-corner reference formulas
 
@@ -656,6 +770,25 @@ def reference_vertex_link_pieces(surface):
     return np.bincount(piece_vertex, minlength=len(surface.vertices))
 
 
+def reference_connectivity(surface):
+    """Link pieces and face-adjacency components, one scipy call per graph."""
+    joined = [(faces[0], f) for faces in surface.edge_faces for f in faces[1:]]
+    rows, cols = np.array(joined, dtype=np.int64).reshape(-1, 2).T
+    count, _ = reference_components(len(surface.faces), rows, cols)
+    return reference_vertex_link_pieces(surface), count
+
+
+def reference_quotient_graphs(surface, tau):
+    """Each side's quotient graph from its own scipy call."""
+    f0, f1 = np.array(surface.edge_faces, dtype=np.int64).reshape(-1, 2).T
+    graphs = {}
+    for side in partition.SIDES:
+        blocked = surface.memo[partition._blocked_edges, side, tau]
+        count, face_class = reference_components(len(surface.faces), f0[blocked], f1[blocked])
+        graphs[side] = partition._quotient(side, count, face_class, f0, f1, blocked)
+    return graphs
+
+
 def search_family_meshes(family, sizes):
     return [GeneratorSpec(family, seed, *sizes).build(index)[1]
             for seed in range(40) for index in range(3)]
@@ -690,13 +823,17 @@ def test_mesh_outputs_equal_reference_formulas(group, monkeypatch):
             expected = [t for fi in range(len(old.faces))
                         for t in reference_triangulate_face(old, fi, offset)]
             assert new.triangulate(offset)[0].tolist() == [list(t) for t in expected]
-        assert _vertex_link_pieces(new).tolist() == reference_vertex_link_pieces(old).tolist()
+        link_pieces, face_components = _connectivity(new)
+        expected_pieces, expected_components = reference_connectivity(old)
+        assert link_pieces.tolist() == expected_pieces.tolist()
+        assert face_components == expected_components
         diagnostics = validate_surface(new)
         graphs = [quotient_graph(new, side) for side in sides] if diagnostics.ok else []
+        # the expected values come from one scipy call per graph, not from
+        # the block-diagonal calls with scipy swapped in
         with monkeypatch.context() as patch:
-            patch.setattr(mesh, "undirected_components", reference_components)
-            patch.setattr(partition, "undirected_components", reference_components)
-            patch.setattr(mesh, "_vertex_link_pieces", reference_vertex_link_pieces)
+            patch.setattr(mesh, "_connectivity", reference_connectivity)
+            patch.setattr(partition, "_quotient_graphs", reference_quotient_graphs)
             patch.setattr(PolyhedralSurface, "triangulate_face", reference_triangulate_face)
             expected = validate_surface(old)
             assert json.dumps(diagnostics.to_json_dict()) == json.dumps(expected.to_json_dict())
