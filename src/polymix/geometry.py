@@ -9,14 +9,14 @@ global inside test.  Containment is the generalized winding number over
 all triangles (:func:`contains_points`), exact up to rounding and free of
 ray directions.  Sampling is seeded and deterministic, and drawn in
 shards, each from its own generator: a :class:`SampleStream` hands a
-sampler's shards out one at a time to a consumer that reduces as it goes,
-and ``sample_*`` gather the same shards into one :class:`SampleBatch`.
-Every region is sampled directly: lateral faces as polar wedges, arches
-and cone bases through spherical triangles that tile the vertex cone, cut
-from its link by a sweep of meridians (:func:`_link_triangles`) at convex
-and reflex vertices alike, including cones with no kernel and cones in no
-open hemisphere.  Every draw is kept and the batch carries the region's
-exact measure.
+sampler's shards of points out one at a time to a consumer that reduces
+as it goes, and ``sample_*`` gather the same shards into one
+:class:`SampleBatch`.  Every region is sampled directly: lateral faces as
+polar wedges, arches and cone bases through spherical triangles that tile
+the vertex cone, cut from its link by a sweep of meridians
+(:func:`_link_triangles`) at convex and reflex vertices alike, including
+cones with no kernel and cones in no open hemisphere.  The points are
+uniform over the region, and stream and batch carry its exact measure.
 """
 
 from __future__ import annotations
@@ -357,82 +357,47 @@ class ArchRegion:
 
 @dataclass
 class SampleBatch:
-    """Sample points with per-point measure weights.
+    """Points drawn uniformly from a region of exact ``measure``.
 
-    ``sum(weights)`` is the region's measure; ``integrate`` turns per-point
-    values into an integral estimate with standard error.  The samplers here
-    all draw directly: ``method`` is ``"direct"``, ``n_proposals`` equals the
-    number of points and the measure is exact (stderr 0).  The proposal
-    fields also describe the points kept out of uniform proposals over a
-    larger region, as the rejection reference of the tests draws them.
+    :func:`mc_estimate` turns sums of an integrand's values at the points
+    into an integral estimate with standard error.  Lateral batches carry
+    the source face of every point (``face_ids``), and those of
+    :func:`sample_lateral` its outward unit normal (``normals``).
     """
 
     tag: str
     points: np.ndarray
-    weights: np.ndarray
     rng_seed: int
-    n_proposals: int
-    proposal_measure: float
-    method: str  # "direct": every draw kept, exact measure
+    measure: float
     face_ids: np.ndarray | None = None
     normals: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def acceptance(self):
-        return len(self.points) / self.n_proposals
 
-    @property
-    def measure_estimate(self):
-        return float(self.weights.sum())
-
-    @property
-    def measure_stderr(self):
-        p = self.acceptance
-        return self.proposal_measure * math.sqrt(p * (1.0 - p) / self.n_proposals)
-
-    def integrate(self, values):
-        """Estimate integral of a function given its values at the points.
-
-        Treats rejected proposals as zeros of the integrand over the
-        proposal region, which is exactly the rejection estimator; a direct
-        batch has no rejected proposals, and this is its plain Monte Carlo
-        mean times the exact measure.
-        """
-        values = np.asarray(values, dtype=float)
-        est, stderr = mc_estimate(values.sum(), (values * values).sum(),
-                                  self.n_proposals, self.proposal_measure)
-        return float(est), float(stderr)
-
-
-def mc_estimate(s, s2, n_proposals, proposal_measure):
+def mc_estimate(s, s2, n, measure):
     """Integral estimate and standard error from the sum ``s`` and the sum of
-    squares ``s2`` of an integrand's values at the accepted points of
-    ``n_proposals`` uniform proposals over a region of ``proposal_measure``.
-    Works elementwise on arrays of sums."""
-    m = n_proposals
-    mean = s / m
-    var = np.maximum(s2 - m * mean * mean, 0.0) / max(m - 1, 1)
-    return proposal_measure * mean, proposal_measure * np.sqrt(var / m)
+    squares ``s2`` of an integrand's values at ``n >= 2`` uniform points of a
+    region of exact ``measure``.  Works elementwise on arrays of sums."""
+    mean = s / n
+    var = np.maximum(s2 - n * mean * mean, 0.0) / (n - 1)
+    return measure * mean, measure * np.sqrt(var / n)
 
 
 @dataclass(frozen=True)
 class SampleStream:
     """A sampler's draws shard by shard, before they are gathered into a batch.
 
-    Iterating yields ``(points, face_ids or None, proposals)`` per shard in
-    draw order, at most ``_DIRECT_CHUNK`` points from one generator, each
-    point its own proposal.  The proposals of all shards sum to the batch's
-    ``n_proposals``, and :meth:`collect` concatenates the shards into the
-    sampler's batch, so a consumer that walks the stream sees exactly the
-    batch's points while holding one shard at a time.  Each iteration draws
-    afresh from the seed.
+    Iterating yields ``(points, face_ids or None)`` per shard in draw order,
+    at most ``_DIRECT_CHUNK`` points from one generator and ``n`` points in
+    all, uniform over a region of exact ``measure``.  :meth:`collect`
+    concatenates the shards into the sampler's batch, so a consumer that
+    walks the stream sees exactly the batch's points while holding one
+    shard at a time.  Each iteration draws afresh from the seed.
     """
 
     tag: str
     rng_seed: int
     n: int
-    proposal_measure: float
-    method: str  # as in SampleBatch
+    measure: float
     shards: Callable[[], Iterator[tuple]] = field(repr=False)
 
     def __iter__(self):
@@ -442,25 +407,16 @@ class SampleStream:
         """The whole stream as one :class:`SampleBatch`."""
         points = np.empty((self.n, 3))
         face_ids = None
-        start = proposals = 0
-        for pts, fids, m in self:
+        start = 0
+        for pts, fids in self:
             stop = start + len(pts)
             points[start:stop] = pts
             if fids is not None:
                 if face_ids is None:
                     face_ids = np.empty(self.n, dtype=fids.dtype)
                 face_ids[start:stop] = fids
-            start, proposals = stop, proposals + m
-        return SampleBatch(
-            tag=self.tag,
-            points=points,
-            weights=np.full(self.n, self.proposal_measure * (self.n / proposals) / self.n),
-            rng_seed=self.rng_seed,
-            n_proposals=proposals,
-            proposal_measure=self.proposal_measure,
-            method=self.method,
-            face_ids=face_ids,
-        )
+            start = stop
+        return SampleBatch(self.tag, points, self.rng_seed, self.measure, face_ids)
 
 
 def _vertex_corners(surface, vertex):
@@ -665,15 +621,13 @@ def _compute_link_fan(surface, vertex):
 
 def _direct_stream(tag, seed, measure, n, draw):
     """n points from ``draw(rng, m) -> (points, face_ids or None)`` in shards
-    of at most ``_DIRECT_CHUNK`` points, each from its own generator; every
-    draw is kept, so the measure is exact and ``n_proposals == n``."""
+    of at most ``_DIRECT_CHUNK`` points, each from its own generator."""
 
     def shards():
         for shard, start in enumerate(range(0, n, _DIRECT_CHUNK)):
-            m = min(_DIRECT_CHUNK, n - start)
-            yield *draw(_rng(seed, shard), m), m
+            yield draw(_rng(seed, shard), min(_DIRECT_CHUNK, n - start))
 
-    return SampleStream(tag, int(seed), n, measure, "direct", shards)
+    return SampleStream(tag, int(seed), n, measure, shards)
 
 
 def _check_count(n):

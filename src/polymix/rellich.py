@@ -13,10 +13,13 @@ one-sided estimate
     lhs <= int_{B(v,R)} |grad u|^2 + 2 int_{B(v,r)} (W . grad u)^2
            + 2 int_{lateral} |du/dnu| |grad_t u| ds.
 
-Both sides are integrated by Monte Carlo on shared samples, drawn
-directly with exact region measures at every vertex (see the geometry
-module's docstring).  The 1/|X| volume weight is bounded on the arch
-(|X| >= r), so plain sampling needs no singularity handling.
+Both sides are integrated by Monte Carlo on shared samples: one stream
+of n >= 2 points per region (volume, inner and outer base, lateral
+faces), drawn directly and carrying the region's exact measure (see the
+geometry module's docstring).  Each integral is that measure times the
+integrand's mean, with the standard error of the mean from the sample
+variance.  The 1/|X| volume weight is bounded on the arch (|X| >= r), so
+plain sampling needs no singularity handling.
 
 Homogeneous harmonic polynomials up to degree 3 supply the test functions,
 each an exact integer coefficient table over the monomials.  The suite has
@@ -45,9 +48,6 @@ from .geometry import (
     base_stream,
     lateral_stream,
     mc_estimate,
-    sample_arch,
-    sample_base,
-    sample_lateral,
 )
 
 
@@ -236,34 +236,26 @@ class EstimateResult:
 REGIONS = ("volume", "inner", "outer", "lateral")
 
 
-def _shared(arch, n, seed, volume, base, lateral):
-    """One draw per region, in the order of ``REGIONS``; seeds derive from
-    (seed, region index)."""
-    seed = int(seed)
-    return (volume(arch, n, seed), base(arch.inner_base, n, (seed << 2) + 1),
-            base(arch.outer_base, n, (seed << 2) + 2), lateral(arch, n, (seed << 2) + 3))
-
-
-def arch_batches(arch, n, seed):
-    """The four shared batches, in the order of ``REGIONS``."""
-    return _shared(arch, n, seed, sample_arch, sample_base, sample_lateral)
-
-
 def arch_streams(arch, n, seed):
-    """The four shared streams that :func:`arch_batches` gathers."""
-    return _shared(arch, n, seed, arch_stream, base_stream, lateral_stream)
+    """One stream of n points per region, in the order of ``REGIONS``; seeds
+    derive from (seed, region index)."""
+    seed = int(seed)
+    return (arch_stream(arch, n, seed), base_stream(arch.inner_base, n, (seed << 2) + 1),
+            base_stream(arch.outer_base, n, (seed << 2) + 2),
+            lateral_stream(arch, n, (seed << 2) + 3))
 
 
 def sampling_report(streams):
     """Per region of the four streams: the sampling method, the proposals
     drawn, and the measure with its standard error.  The streams draw
-    nothing here: each keeps every draw, so its proposals are its ``n`` and
-    its measure is exact (stderr 0)."""
+    nothing here.  Each region is sampled directly and keeps every draw, so
+    these are constants of its stream: method ``"direct"``, proposals ``n``,
+    and the exact measure with stderr 0."""
     return {
         region: {
-            "method": s.method,
+            "method": "direct",
             "n_proposals": s.n,
-            "measure": s.proposal_measure,
+            "measure": s.measure,
             "measure_stderr": 0.0,
         }
         for region, s in zip(REGIONS, streams)
@@ -356,10 +348,13 @@ def rellich_suite(arch, test_functions, n, seed):
     translation of the fixture.  The suite walks the points of
     ``arch_streams(arch, n, seed)`` shard by shard and never holds a whole
     batch: each integrand keeps only its running sum and sum of squares per
-    test function, added shard by shard in draw order.
+    test function, added shard by shard in draw order.  A standard error
+    needs a sample variance, so ``n`` must be at least 2.
     """
     if not isinstance(arch, ArchRegion):
         raise TypeError("arch must be an ArchRegion")
+    if n < 2:
+        raise ValueError("need n >= 2 samples per region: one point gives no standard error")
     test_functions = tuple(test_functions)
     if not test_functions:
         return [], []
@@ -370,14 +365,12 @@ def rellich_suite(arch, test_functions, n, seed):
     for region, stream in zip(REGIONS, arch_streams(arch, n, seed)):
         sums = np.zeros((2, 1 if region == "volume" else 2, len(test_functions)))
         table = _region_table(region, test_functions)
-        proposals = 0
-        for pts, face_ids, m in stream:
+        for pts, face_ids in stream:
             normals = None if face_ids is None else np.take(normal_table, face_ids, axis=1)
             for i, x in enumerate(_integrands(region, table, columns, pts - v, normals)):
                 sums[0, i] += x.sum(axis=1)
                 sums[1, i] += np.einsum("ij,ij->i", x, x)
-            proposals += m
-        acc[region] = mc_estimate(sums[0], sums[1], proposals, stream.proposal_measure)
+        acc[region] = mc_estimate(sums[0], sums[1], stream.n, stream.measure)
 
     (lhs, lhs_se), (inner, inner_se), (outer, outer_se), (lat, lat_se) = (
         (est.tolist(), se.tolist()) for est, se in (acc[region] for region in REGIONS))

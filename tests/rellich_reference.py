@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from polymix.geometry import ArchRegion
-from polymix.rellich import EstimateResult, RellichResult, arch_batches
+from polymix.geometry import ArchRegion, mc_estimate
+from polymix.rellich import EstimateResult, RellichResult, arch_streams
 
 
 class LambdaTestFunction:
@@ -98,15 +98,14 @@ REFERENCE_CATALOG = (
 
 
 
-def reference_rellich_suite(arch, test_functions, n, seed, batches=None):
-    """Whole-array reference: every region's batch at once, with W . grad u
-    as a row-wise dot product and one ``SampleBatch.integrate`` per integrand.
+def reference_rellich_suite(arch, test_functions, n, seed):
+    """Whole-array reference: every region's whole batch at once, gathered
+    from ``arch_streams(arch, n, seed)``, with W . grad u as a row-wise dot
+    product and one ``mc_estimate`` per integrand.
 
     Coordinates are translated so the arch vertex sits at the origin
     before evaluating u, which makes results invariant under rigid
-    translation of the fixture.  ``batches`` are the four batches of
-    ``arch_batches(arch, n, seed)`` when the caller has drawn them already,
-    to report on them as well; otherwise they are drawn here.
+    translation of the fixture.
     """
     if not isinstance(arch, ArchRegion):
         raise TypeError("arch must be an ArchRegion")
@@ -119,9 +118,7 @@ def reference_rellich_suite(arch, test_functions, n, seed, batches=None):
         for u in test_functions
     }
 
-    if batches is None:
-        batches = arch_batches(arch, n, seed)
-    volume, inner, outer, lateral = batches
+    volume, inner, outer, lateral = [s.collect() for s in arch_streams(arch, n, seed)]
     # per batch: (key, integrand) pairs; the integrands take the per-point
     # |X|, W . grad u, |grad u|^2 and, on the lateral faces, nu . grad u and
     # nu . W
@@ -144,7 +141,7 @@ def reference_rellich_suite(arch, test_functions, n, seed, batches=None):
         pts = batch.points - v
         r = np.linalg.norm(pts, axis=1)
         w = pts / r[:, None]
-        nu = batch.normals
+        nu = None if batch.face_ids is None else arch.surface.face_normals[batch.face_ids]
         nuw = None if nu is None else np.einsum("ij,ij->i", nu, w)
         for u in test_functions:
             g = u.gradient(pts)
@@ -152,8 +149,8 @@ def reference_rellich_suite(arch, test_functions, n, seed, batches=None):
             g2 = np.einsum("ij,ij->i", g, g)
             dn = None if nu is None else np.einsum("ij,ij->i", nu, g)
             for key, integrand in integrands:
-                acc[u.name][key] = batch.integrate(
-                    integrand(r=r, wg=wg, g2=g2, dn=dn, nuw=nuw))
+                x = integrand(r=r, wg=wg, g2=g2, dn=dn, nuw=nuw)
+                acc[u.name][key] = mc_estimate(x.sum(), (x * x).sum(), len(x), batch.measure)
 
     for u in test_functions:
         a = acc[u.name]

@@ -1,22 +1,23 @@
 """Reference samplers for the geometry tests.
 
-Rejection sampling against the link winding test, and the fan of the link
-from the normalized sum of its arc starts.  The library samples every
-vertex cone directly through the triangles of :func:`_link_triangles`;
-these give the tests something independent to agree with: rejection
-estimates the measure and draws the points without any decomposition of
-the cone, and the fan is the decomposition the meridian sweep must
-reproduce bit for bit wherever the sum sees every arc positively.
+Rejection sampling against the link winding test, with its own
+proposal-counting record, and the fan of the link from the normalized sum
+of its arc starts.  The library samples every vertex cone directly
+through the triangles of :func:`_link_triangles`; these give the tests
+something independent to agree with: rejection estimates the measure and
+draws the points without any decomposition of the cone, and the fan is
+the decomposition the meridian sweep must reproduce bit for bit wherever
+the sum sees every arc positively.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from polymix.geometry import (
     _DIRECT_CHUNK,
-    SampleStream,
     _link_arcs,
     _rng,
     _vertex_corners,
@@ -68,26 +69,47 @@ def _inside_tester(surface, vertex):
     return tester
 
 
-def _rejection_stream(tag, seed, proposal_measure, n, gen_chunk, accept_fn):
+@dataclass
+class RejectionBatch:
+    """The ``n`` points kept out of ``n_proposals`` uniform proposals over a
+    region of ``proposal_measure``, which holds the sampled region.  The
+    share kept estimates the sampled region's measure, with the binomial
+    standard error."""
+
+    tag: str
+    points: np.ndarray
+    n_proposals: int
+    proposal_measure: float
+    face_ids: np.ndarray | None = None
+    normals: np.ndarray | None = None
+
+    @property
+    def measure_estimate(self):
+        return self.proposal_measure * len(self.points) / self.n_proposals
+
+    @property
+    def measure_stderr(self):
+        p = len(self.points) / self.n_proposals
+        return self.proposal_measure * math.sqrt(p * (1.0 - p) / self.n_proposals)
+
+
+def _rejection_sample(tag, proposal_measure, n, gen_chunk, accept_fn):
     """Fixed-size proposal shards ``gen_chunk(shard) -> (points, face_ids or
     None)``, kept where ``accept_fn`` holds, until n acceptances."""
-
-    def shards():
-        proposals = count = 0
-        for shard in itertools.count():
-            pts, aux = gen_chunk(shard)
-            idx = np.flatnonzero(accept_fn(pts))
-            drawn = len(pts)
-            if count + len(idx) >= n:
-                idx = idx[:n - count]
-                drawn = int(idx[-1]) + 1
-            proposals += drawn
-            count += len(idx)
-            yield pts[idx], None if aux is None else aux[idx], drawn
-            if count == n:
-                return
-
-    return SampleStream(tag, int(seed), n, proposal_measure, "rejection", shards)
+    points, face_ids, proposals, count = [], [], 0, 0
+    for shard in itertools.count():
+        pts, aux = gen_chunk(shard)
+        idx = np.flatnonzero(accept_fn(pts))[:n - count]
+        points.append(pts[idx])
+        if aux is not None:
+            face_ids.append(aux[idx])
+        count += len(idx)
+        if count == n:  # proposals after the n-th kept one were not needed
+            proposals += int(idx[-1]) + 1
+            break
+        proposals += len(pts)
+    return RejectionBatch(tag, np.concatenate(points), proposals, proposal_measure,
+                          np.concatenate(face_ids) if face_ids else None)
 
 
 def rejection_sample_base(cone, n, seed):
@@ -99,8 +121,7 @@ def rejection_sample_base(cone, n, seed):
         d = _rng(seed, shard).normal(size=(min(PROPOSAL_SHARD, max(4 * n, 1024)), 3))
         return v + r * d / np.linalg.norm(d, axis=1)[:, None], None
 
-    return _rejection_stream("base-sphere", seed, 4.0 * math.pi * r * r, n, gen,
-                             inside).collect()
+    return _rejection_sample("base-sphere", 4.0 * math.pi * r * r, n, gen, inside)
 
 
 def rejection_sample_arch(arch, n, seed):
@@ -115,8 +136,8 @@ def rejection_sample_arch(arch, n, seed):
         d /= np.linalg.norm(d, axis=1)[:, None]
         return v + np.cbrt(r3 + g.uniform(size=m) * (R3 - r3))[:, None] * d, None
 
-    return _rejection_stream("arch-volume", seed, 4.0 * math.pi / 3.0 * (R3 - r3), n, gen,
-                             _inside_tester(arch.surface, arch.vertex)).collect()
+    return _rejection_sample("arch-volume", 4.0 * math.pi / 3.0 * (R3 - r3), n, gen,
+                             _inside_tester(arch.surface, arch.vertex))
 
 
 def rejection_sample_lateral(arch, n, seed):
@@ -144,8 +165,7 @@ def rejection_sample_lateral(arch, n, seed):
         rr = np.linalg.norm(pts - v, axis=1)
         return (rr >= arch.r_inner) & (rr <= arch.r_outer)
 
-    batch = _rejection_stream("lateral-surface", seed, float(areas.sum()), n, gen,
-                              accept).collect()
+    batch = _rejection_sample("lateral-surface", float(areas.sum()), n, gen, accept)
     batch.normals = surface.face_normals[batch.face_ids]
     return batch
 

@@ -14,7 +14,7 @@ from polymix.cli import EXIT_INPUT, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from polymix.geometry import ArchRegion
 from polymix.mesh import PolyhedralSurface, read_off, serialize_off, write_off
 from polymix.partition import Partition
-from polymix.rellich import arch_batches
+from polymix.rellich import arch_streams
 
 from conftest import u_pyramid
 
@@ -186,17 +186,16 @@ def test_rellich_sampling_block(workdir, tmp_path, name, vertex, volume_method):
     code, body = run_to_file(tmp_path, argv)
     assert code == EXIT_OK
     sampling = json.loads(body)["result"]["sampling"]
-    # the report reads the batches the suite integrates over, not a second draw
-    batches = arch_batches(ArchRegion(read_off(off(workdir, name)), vertex, 0.2, 0.4), 5000, 4)
+    # the report reads the streams the suite integrates over, not a second draw
+    streams = arch_streams(ArchRegion(read_off(off(workdir, name)), vertex, 0.2, 0.4), 5000, 4)
     assert list(sampling) == ["inner", "lateral", "outer", "volume"]
-    for region, batch in zip(("volume", "inner", "outer", "lateral"), batches):
+    for region, stream in zip(("volume", "inner", "outer", "lateral"), streams):
         entry = sampling[region]
         method = "direct" if region == "lateral" else volume_method
-        assert entry["method"] == batch.method == method
-        assert entry["n_proposals"] == batch.n_proposals
-        assert entry["measure"] == pytest.approx(batch.measure_estimate, rel=1e-12)
-        assert entry["measure_stderr"] == batch.measure_stderr
-        assert entry["n_proposals"] == 5000 and entry["measure_stderr"] == 0.0
+        assert entry["method"] == method
+        assert entry["n_proposals"] == stream.n == 5000
+        assert entry["measure"] == stream.measure
+        assert entry["measure_stderr"] == 0.0
 
 
 def test_rellich_memory_flat_in_samples(workdir, tmp_path):
@@ -353,6 +352,18 @@ def test_rellich_vertex_out_of_range_exit_2(workdir, tmp_path, capsys, vertex):
             "--r-outer", "0.5", "--samples", "100", "--output", str(tmp_path / "x.json")]
     assert main(argv) == EXIT_INPUT
     assert capsys.readouterr().err == "error: vertex %s out of range 0..7\n" % vertex
+
+
+def test_rellich_one_sample_exit_2(workdir, tmp_path, capsys):
+    # one point per region gives no stderr, so the command refuses it
+    out = tmp_path / "x.json"
+    argv = ["rellich", off(workdir, "cube"), "--vertex", "0", "--r-inner", "0.25",
+            "--r-outer", "0.5", "--u", "x", "--samples", "1", "--seed", "7",
+            "--output", str(out)]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: need n >= 2") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_bad_alpha_exit_2(tmp_path):

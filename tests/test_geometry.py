@@ -25,6 +25,7 @@ from polymix.geometry import (
     dihedral_angles,
     interior_angle_table,
     lateral_stream,
+    mc_estimate,
     point_face_distance,
     sample_arch,
     sample_base,
@@ -695,24 +696,21 @@ def test_sample_base_octant_measure(cube):
     cone = ConeRegion(cube, 0, 0.5)
     batch = sample_base(cone, 100_000, seed=11)
     expected = math.pi / 8.0  # octant share of the r=0.5 sphere: 4*pi*r^2/8
-    assert batch.measure_estimate == pytest.approx(expected, rel=1e-12)
-    assert batch.measure_stderr == 0.0 and batch.acceptance == 1.0
+    assert batch.measure == pytest.approx(expected, rel=1e-12)
 
 
 def test_sample_arch_octant_volume(cube):
     arch = ArchRegion(cube, 0, 0.25, 0.5)
     batch = sample_arch(arch, 100_000, seed=12)
     expected = (4.0 * math.pi / 3.0) * (0.5 ** 3 - 0.25 ** 3) / 8.0
-    assert batch.measure_estimate == pytest.approx(expected, rel=1e-12)
-    assert batch.measure_stderr == 0.0 and batch.acceptance == 1.0
+    assert batch.measure == pytest.approx(expected, rel=1e-12)
 
 
 def test_sample_lateral_quarter_annuli(cube):
     arch = ArchRegion(cube, 0, 0.25, 0.5)
     batch = sample_lateral(arch, 100_000, seed=13)
     expected = 3.0 * (math.pi / 4.0) * (0.5 ** 2 - 0.25 ** 2)
-    assert batch.measure_estimate == pytest.approx(expected, rel=1e-12)
-    assert batch.measure_stderr == 0.0 and batch.acceptance == 1.0
+    assert batch.measure == pytest.approx(expected, rel=1e-12)
     assert batch.face_ids is not None and batch.normals is not None
 
 
@@ -721,7 +719,7 @@ def test_sampling_deterministic(cube):
     a = sample_arch(arch, 5000, seed=7)
     b = sample_arch(arch, 5000, seed=7)
     assert np.array_equal(a.points, b.points)
-    assert a.n_proposals == b.n_proposals
+    assert a.measure == b.measure
     c = sample_arch(arch, 5000, seed=8)
     assert not np.array_equal(a.points, c.points)
 
@@ -751,9 +749,8 @@ def test_kernel_free_apex_sampled_exactly(surface, vertex, omega):
         (sample_base(arch.outer_base, n, 3), rejection_sample_base(arch.outer_base, n, 4),
          omega * arch.r_outer ** 2),
     ]:
-        assert direct.method == "direct" and direct.n_proposals == n, direct.tag
-        assert direct.measure_stderr == 0.0
-        assert direct.measure_estimate == pytest.approx(exact, rel=1e-12), direct.tag
+        assert len(direct.points) == n, direct.tag
+        assert direct.measure == pytest.approx(exact, rel=1e-12), direct.tag
         assert abs(reference.measure_estimate - exact) <= 4.0 * reference.measure_stderr
         assert np.all(inside(direct.points)), direct.tag
         assert_same_means(radius_and_direction(direct, v), radius_and_direction(reference, v))
@@ -769,15 +766,19 @@ def test_stderr_shrinks_at_root_n_rate(seed):
     se = []
     for n in (20_000, 40_000):
         batch = sample_arch(arch, n, seed=seed)
-        se.append(batch.integrate(batch.points[:, 0])[1])
+        x = batch.points[:, 0]
+        se.append(mc_estimate(x.sum(), (x * x).sum(), n, batch.measure)[1])
     assert 0.6 <= se[1] / se[0] <= 0.8
 
 
 def test_weights_sum_to_measure(cube):
+    # every point of a batch weighs measure / n, so integrating 1 gives the
+    # measure with no error
     arch = ArchRegion(cube, 0, 0.25, 0.5)
     batch = sample_arch(arch, 20_000, seed=5)
-    assert batch.weights.sum() == pytest.approx(batch.measure_estimate)
     assert len(batch.points) == 20_000
+    est, stderr = mc_estimate(20_000.0, 20_000.0, 20_000, batch.measure)
+    assert est == pytest.approx(batch.measure, rel=1e-15) and stderr == 0.0
 
 
 def needle():
@@ -805,9 +806,8 @@ def test_degenerate_thin_cone_sampled_exactly():
     batch = sample_arch(arch, 50_000, seed=1)
     omega = girard_solid_angle(surface, 0)
     assert 1e-6 < omega < 1e-4
-    assert batch.measure_estimate == pytest.approx(omega * (0.5 ** 3 - 0.25 ** 3) / 3.0,
-                                                   rel=1e-9)
-    assert batch.n_proposals == 50_000
+    assert batch.measure == pytest.approx(omega * (0.5 ** 3 - 0.25 ** 3) / 3.0, rel=1e-9)
+    assert len(batch.points) == 50_000
     assert_in_halfspaces(surface, 0, batch.points, 0.5)
 
 
@@ -816,12 +816,11 @@ def test_sample_on_nonconvex_vertex(l_prism):
     # with the exact measure, 3/8 of the shell
     arch = ArchRegion(l_prism, 3, 0.2, 0.4)
     batch = sample_arch(arch, 20_000, seed=9)
-    assert batch.method == "direct" and batch.n_proposals == 20_000
     p = batch.points
     in_l = (p[:, 0] <= 1.0) | (p[:, 1] <= 1.0)
     assert bool(np.all(in_l))
     expected = (4.0 * math.pi / 3.0) * (0.4 ** 3 - 0.2 ** 3) * 3.0 / 8.0
-    assert batch.measure_estimate == pytest.approx(expected, rel=1e-12)
+    assert batch.measure == pytest.approx(expected, rel=1e-12)
 
 
 def test_sample_at_seven_octant_corner():
@@ -833,7 +832,7 @@ def test_sample_at_seven_octant_corner():
     q = batch.points - 1.0
     assert not np.any(np.all(q > 0.0, axis=1))
     expected = (4.0 * math.pi / 3.0) * (0.4 ** 3 - 0.2 ** 3) * 7.0 / 8.0
-    assert batch.measure_estimate == pytest.approx(expected, rel=1e-12)
+    assert batch.measure == pytest.approx(expected, rel=1e-12)
 
 
 def test_sample_at_straight_corner_notch():
@@ -846,7 +845,7 @@ def test_sample_at_straight_corner_notch():
     assert bool(np.all(batch.points[:, 2] <= 2.0))
     # three quarters of the half-space below the top
     expected = (4.0 * math.pi / 3.0) * (0.4 ** 3 - 0.2 ** 3) * 3.0 / 8.0
-    assert batch.measure_estimate == pytest.approx(expected, rel=1e-12)
+    assert batch.measure == pytest.approx(expected, rel=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -900,10 +899,10 @@ def test_direct_samplers_match_rejection_reference(surface, vertex, r_inner, r_o
         (sample_lateral(arch, n, 5), rejection_sample_lateral(arch, n, 6), None),
     ]
     for direct, reference, exact in pairs:
-        assert direct.n_proposals == n and direct.measure_stderr == 0.0
+        assert len(direct.points) == n
         if exact is not None:
-            assert direct.measure_estimate == pytest.approx(exact, rel=1e-12)
-        assert (abs(direct.measure_estimate - reference.measure_estimate)
+            assert direct.measure == pytest.approx(exact, rel=1e-12)
+        assert (abs(direct.measure - reference.measure_estimate)
                 <= 4.0 * reference.measure_stderr), direct.tag
         assert_same_means(radius_and_direction(direct, v), radius_and_direction(reference, v))
     for batch in (pairs[0][0], pairs[1][0]):
@@ -927,7 +926,7 @@ def test_lateral_points_on_their_faces_inside_the_shell(surface, vertex):
     arch = ArchRegion(surface, vertex, 0.3 * rho, 0.8 * rho)
     batch = sample_lateral(arch, 20_000, 8)
     reference = rejection_sample_lateral(arch, 20_000, 9)
-    assert (abs(batch.measure_estimate - reference.measure_estimate)
+    assert (abs(batch.measure - reference.measure_estimate)
             <= 4.0 * reference.measure_stderr)
     v = surface.vertices[vertex]
     assert_same_means(radius_and_direction(batch, v), radius_and_direction(reference, v))
@@ -964,14 +963,14 @@ def test_reflex_fans_have_closed_form_measures(surface, vertex, omega):
     arch = ArchRegion(surface, vertex, 0.3 * rho, 0.8 * rho)
     direct = sample_arch(arch, 20_000, 1)
     reference = rejection_sample_arch(arch, 20_000, 2)
-    assert direct.measure_estimate == pytest.approx(
+    assert direct.measure == pytest.approx(
         omega * (arch.r_outer ** 3 - arch.r_inner ** 3) / 3.0, rel=1e-12)
-    assert (abs(direct.measure_estimate - reference.measure_estimate)
+    assert (abs(direct.measure - reference.measure_estimate)
             <= 4.0 * reference.measure_stderr)
     v = surface.vertices[vertex]
     assert_same_means(radius_and_direction(direct, v), radius_and_direction(reference, v))
     base = sample_base(arch.outer_base, 20_000, 3)
-    assert base.measure_estimate == pytest.approx(omega * arch.r_outer ** 2, rel=1e-12)
+    assert base.measure == pytest.approx(omega * arch.r_outer ** 2, rel=1e-12)
 
 
 STAR_SPHERES = [fixtures.generate_star_sphere(seed, subdivisions)
@@ -994,10 +993,9 @@ def test_every_reflex_link_has_a_kernel_fan(surface):
         cone = ConeRegion(surface, vertex, 0.8 * rho)
         reference = rejection_sample_base(cone, 4000, vertex)
         direct = sample_base(cone, 4000, vertex)
-        assert direct.method == "direct" and direct.n_proposals == 4000
-        assert direct.measure_estimate == pytest.approx(fan.solid_angle * cone.radius ** 2,
-                                                        rel=1e-12)
-        assert (abs(direct.measure_estimate - reference.measure_estimate)
+        assert len(direct.points) == 4000
+        assert direct.measure == pytest.approx(fan.solid_angle * cone.radius ** 2, rel=1e-12)
+        assert (abs(direct.measure - reference.measure_estimate)
                 <= 4.0 * reference.measure_stderr), vertex
         arch = ArchRegion(surface, vertex, 0.3 * rho, 0.8 * rho)
         assert np.all(_inside_tester(surface, vertex)(sample_arch(arch, 4000, vertex).points))
@@ -1105,10 +1103,9 @@ def test_every_vertex_sampled_directly_with_exact_measures(surface):
         arch = ArchRegion(surface, vertex, 0.3 * rho, 0.8 * rho)
         volume, base = sample_arch(arch, 64, 1), sample_base(arch.outer_base, 64, 2)
         for batch in (volume, base):
-            assert batch.method == "direct" and batch.n_proposals == 64, (vertex, batch.tag)
-            assert batch.measure_stderr == 0.0
-        omega.append(3.0 * volume.measure_estimate / (arch.r_outer ** 3 - arch.r_inner ** 3))
-        assert base.measure_estimate == pytest.approx(omega[-1] * arch.r_outer ** 2, rel=1e-12)
+            assert len(batch.points) == 64, (vertex, batch.tag)
+        omega.append(3.0 * volume.measure / (arch.r_outer ** 3 - arch.r_inner ** 3))
+        assert base.measure == pytest.approx(omega[-1] * arch.r_outer ** 2, rel=1e-12)
     gram = (math.fsum(omega) / (4.0 * math.pi)
             - math.fsum(interior_angle_table(surface)) / (2.0 * math.pi)
             + len(surface.faces) / 2.0 - 1.0)
@@ -1163,17 +1160,17 @@ def test_exact_measures_invariant_under_similarity(index, vertex_pick, quaternio
     extent = np.linalg.norm(verts, axis=1).max()
     turn = np.finfo(float).eps * (2.0 * (np.linalg.norm(shift) + extent) / feature + 4.0)
     r2, r3 = [(0.6 * rho) ** k - (0.3 * rho) ** k for k in (2, 3)]
-    perimeter = 2.0 * sample_lateral(before, 8, 1).measure_estimate / r2
+    perimeter = 2.0 * sample_lateral(before, 8, 1).measure / r2
     samplers = [(sample_lateral, 2, 2.0 * len(fids) * turn / perimeter)]
     if is_convex_vertex(base, vertex):
         assert is_convex_vertex(moved, vertex)
-        omega = 3.0 * sample_arch(before, 8, 1).measure_estimate / r3
+        omega = 3.0 * sample_arch(before, 8, 1).measure / r3
         samplers += [(sample_arch, 3, perimeter * turn / omega),
                      (lambda a, n, seed: sample_base(a.outer_base, n, seed), 2,
                       perimeter * turn / omega)]
     for sampler, power, rel in samplers:
-        want = sampler(before, 8, 1).measure_estimate * s ** power
-        got = sampler(after, 8, 1).measure_estimate
+        want = sampler(before, 8, 1).measure * s ** power
+        got = sampler(after, 8, 1).measure
         assert got == pytest.approx(want, rel=rel, abs=0.0)
 
 
@@ -1213,7 +1210,7 @@ def test_draws_match_the_choice_reference(surface, vertex, monkeypatch):
             assert np.array_equal(_link_fan(surface, v).directions(got, m),
                                   choice_fan_directions(*triangles, want, m)), (v, m)
             assert got.random() == want.random(), (v, m)
-            (pts, fids, _), = lateral_stream(arch, m, v)
+            (pts, fids), = lateral_stream(arch, m, v)
             want = _rng(v, 0)
             want_pts, want_fids = choice_lateral_draw(arch, want, m)
             assert np.array_equal(pts, want_pts) and np.array_equal(fids, want_fids), (v, m)

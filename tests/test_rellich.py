@@ -17,7 +17,6 @@ from polymix.rellich import (
     CATALOG,
     REGIONS,
     _monomial_basis,
-    arch_batches,
     arch_streams,
     catalog,
     catalog_entry,
@@ -248,23 +247,40 @@ def test_suite_matches_whole_array_reference(surface, vertex):
 
 @pytest.mark.parametrize("surface,vertex", EQUIVALENCE_ARCHES)
 def test_streams_concatenate_to_the_batches(surface, vertex):
+    # each sampler's batch is its stream gathered, bit for bit, whether the
+    # points fill part of a shard, one shard, one shard and one point, or
+    # several shards and a partial one
     arch = _arch(surface, vertex)
-    n = 2 * _DIRECT_CHUNK + 7
-    batches = (sample_arch(arch, n, 3), sample_base(arch.inner_base, n, 13),
-               sample_base(arch.outer_base, n, 14), sample_lateral(arch, n, 15))
-    assert [b.rng_seed for b in arch_batches(arch, n, 3)] == [b.rng_seed for b in batches]
-    for region, stream, batch in zip(REGIONS, arch_streams(arch, n, 3), batches):
-        shards = list(stream)
-        assert all(len(pts) <= _DIRECT_CHUNK for pts, _, _ in shards)
-        assert np.array_equal(np.concatenate([pts for pts, _, _ in shards]), batch.points), region
-        assert sum(m for _, _, m in shards) == batch.n_proposals
-        assert stream.method == batch.method
-        assert stream.proposal_measure == batch.proposal_measure
-        if region == "lateral":
-            assert np.array_equal(np.concatenate([f for _, f, _ in shards]), batch.face_ids)
-        collected = stream.collect()
-        assert np.array_equal(collected.points, batch.points)
-        assert np.array_equal(collected.weights, batch.weights)
+    for n in (1, _DIRECT_CHUNK, _DIRECT_CHUNK + 1, 2 * _DIRECT_CHUNK + 7):
+        batches = (sample_arch(arch, n, 3), sample_base(arch.inner_base, n, 13),
+                   sample_base(arch.outer_base, n, 14), sample_lateral(arch, n, 15))
+        for region, stream, batch in zip(REGIONS, arch_streams(arch, n, 3), batches):
+            key = (region, n)
+            assert (stream.rng_seed, stream.n) == (batch.rng_seed, n), key
+            shards = list(stream)
+            assert all(len(pts) <= _DIRECT_CHUNK for pts, _ in shards), key
+            assert np.array_equal(np.concatenate([pts for pts, _ in shards]), batch.points), key
+            collected = stream.collect()
+            assert np.array_equal(collected.points, batch.points), key
+            assert batch.measure == stream.measure == collected.measure, key
+            if region == "lateral":
+                assert np.array_equal(np.concatenate([f for _, f in shards]), batch.face_ids)
+                assert np.array_equal(collected.face_ids, batch.face_ids), key
+                assert np.array_equal(batch.normals,
+                                      surface.face_normals[collected.face_ids]), key
+            else:
+                assert all(f is None for _, f in shards), key
+                assert batch.face_ids is None and collected.face_ids is None, key
+
+
+def test_suite_needs_two_samples(cube_arch):
+    # one point per region leaves no sample variance to report as a stderr
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=r"need n >= 2"):
+            rellich_suite(cube_arch, catalog(1), n, seed=7)
+    ids, ests = rellich_suite(cube_arch, catalog(1), 2, seed=7)
+    assert all(np.isfinite([r.lhs_stderr, r.rhs_stderr]).all() for r in ids + ests)
+    assert len(sample_arch(cube_arch, 1, 7).points) == 1  # the samplers still draw one
 
 
 def test_every_function_independent_of_companions():
