@@ -191,16 +191,26 @@ class PolyhedralSurface:
         return float(np.linalg.norm(np.ptp(self.vertices, axis=0)))
 
     @cached_property
-    def _face_newell(self):
-        """Unnormalized Newell normal per face (norm = 2 * area)."""
-        out = np.zeros((len(self.faces), 3))
+    def _faces_by_size(self):
+        """Per face size k: ``(k, ids, corners)``, the ids of the faces of
+        k vertices and their (g, k) array of vertex indices."""
         sizes = np.array([len(face) for face in self.faces])
+        groups = []
         for k in np.unique(sizes).tolist():
             ids = np.flatnonzero(sizes == k)
-            corners = np.array([self.faces[fi] for fi in ids.tolist()])
-            # relative to one corner, so the sum does not cancel far from the origin
+            groups.append((k, ids, np.array([self.faces[fi] for fi in ids.tolist()])))
+        return tuple(groups)
+
+    @cached_property
+    def _face_newell(self):
+        """(F, 3): the Newell normal of every face, twice its area vector,
+        summed about the face's first corner so that it does not cancel far
+        from the origin; one stacked pass per face size.  For a face that is
+        not planar it is twice the area vector of the fan from that corner."""
+        out = np.zeros((len(self.faces), 3))
+        for _, ids, corners in self._faces_by_size:
             p = self.vertices[corners] - self.vertices[corners[:, :1]]
-            out[ids] = _cross(p, np.roll(p, -1, axis=1)).sum(axis=1)
+            out[ids] = _cross(p, np.concatenate([p[:, 1:], p[:, :1]], axis=1)).sum(axis=1)
         return out
 
     @cached_property
@@ -215,14 +225,21 @@ class PolyhedralSurface:
         n[ok] /= lens[ok, None]
         return n
 
-    def face_plane_deviation(self, fi):
-        """Max distance of the face's vertices to their best-fit plane."""
-        p = self.vertices[list(self.faces[fi])]
-        c = p.mean(axis=0)
-        q = p - c
-        # smallest right singular vector spans the plane normal
-        _, _, vt = np.linalg.svd(q, full_matrices=False)
-        return float(np.abs(q @ vt[-1]).max())
+    @cached_property
+    def face_plane_deviations(self):
+        """(F,) read-only: the largest distance of each face's vertices to
+        their least-squares plane, 0 for a triangle.  One stacked SVD of the
+        centred corners per face size above three; the smallest right
+        singular vector spans the plane normal."""
+        out = np.zeros(len(self.faces))
+        for k, ids, corners in self._faces_by_size:
+            if k > 3:
+                p = self.vertices[corners]
+                q = p - p.mean(axis=1, keepdims=True)
+                _, _, vt = np.linalg.svd(q, full_matrices=False)
+                out[ids] = np.abs(q @ vt[:, -1, :, None])[..., 0].max(axis=1)
+        out.flags.writeable = False
+        return out
 
     def triangulate_face(self, fi, root_offset=0):
         """Triangulate one face into vertex-index triples.
@@ -283,9 +300,19 @@ class PolyhedralSurface:
 
     @cached_property
     def signed_volume(self):
-        tris, _ = self.triangles
-        p = self.vertices[tris]
-        return float(np.einsum("ij,ij->i", p[:, 0], _cross(p[:, 1], p[:, 2])).sum() / 6.0)
+        """Enclosed volume, positive when the faces turn outward.
+
+        By the divergence theorem, ``sum_f N_f . (p_f - o) / 6`` over the
+        faces f, with ``N_f`` the Newell normal, ``p_f`` the face's first
+        corner and ``o`` the first corner of face 0 (Goldman, "Area of
+        planar polygons and volume of polyhedra", Graphics Gems II, 1991).
+        Taken about a vertex of the surface, it does not cancel far from
+        the origin.  0.0 for a surface with no faces.
+        """
+        if not self.faces:
+            return 0.0
+        first = self.vertices[[face[0] for face in self.faces]]
+        return float(np.einsum("ij,ij->i", self._face_newell, first - first[0]).sum() / 6.0)
 
 
 def midpoint_subdivide(vertices, triangles):
@@ -583,6 +610,9 @@ def validate_surface(surface):
     ``nonmanifold_vertex``, ``isolated_vertex``, ``disconnected``,
     ``nonplanar_face``, ``degenerate_face``, ``negative_volume``, and
     ``empty_surface`` (no faces and not even an isolated vertex).
+
+    No face is triangulated: areas and the volume come from the cached
+    Newell normals, plane deviations from one stacked SVD per face size.
     """
     violations = []
     inc = surface.edge_incidence
@@ -621,14 +651,12 @@ def validate_surface(surface):
     diag = surface.bbox_diagonal or 1.0
     planar_tol = PLANAR_REL_TOL * diag
     area_tol = DEGENERATE_AREA_REL_TOL * diag * diag
-    for fi, face in enumerate(surface.faces):
-        if surface.face_areas[fi] <= area_tol:
-            violations.append(Violation("degenerate_face", (fi,)))
-            continue
-        if len(face) > 3:
-            dev = surface.face_plane_deviation(fi)
-            if dev > planar_tol:
-                violations.append(Violation("nonplanar_face", (fi, dev)))
+    # a degenerate face is not also judged for planarity
+    degenerate = surface.face_areas <= area_tol
+    deviations = surface.face_plane_deviations
+    for fi in np.flatnonzero(degenerate | (deviations > planar_tol)).tolist():
+        violations.append(Violation("degenerate_face", (fi,)) if degenerate[fi]
+                          else Violation("nonplanar_face", (fi, float(deviations[fi]))))
 
     if nf and closed and oriented and surface.signed_volume <= 0.0:
         violations.append(Violation("negative_volume", (surface.signed_volume,)))

@@ -33,7 +33,8 @@ from polymix.geometry import (
     separation_radius,
 )
 from polymix.mesh import MeshError, PolyhedralSurface, validate_surface
-from polymix.partition import GeneratorSpec, enumerate_admissible, quotient_graph
+from polymix.partition import (TAU_ANGLE, GeneratorSpec, enumerate_admissible, is_monochromatic,
+                               quotient_graph)
 
 from conftest import dented_box, dented_box_solid_angle, u_pyramid, u_pyramid_solid_angle
 from sampling_reference import (
@@ -661,6 +662,71 @@ def test_reflex_inside_decisions_invariant_under_similarity(index, quaternion, s
         assert np.array_equal(after, before), vertex
 
 
+def angle_margin(surface):
+    """The least distance of an edge's angle, on either side, from
+    ``pi - TAU_ANGLE``, where admissibility starts to block the edge."""
+    angles = np.array([d.interior_angle for d in dihedral_angles(surface)])
+    both = np.concatenate([angles, 2.0 * math.pi - angles])
+    return float(np.abs(both - (math.pi - TAU_ANGLE)).min())
+
+
+# Moved 1e6 mesh units from the origin, every coordinate rounds by up to about
+# 1e-10 mesh units, and the dihedral angles move by about as much.  An edge
+# whose angle lies that close to pi - TAU_ANGLE may then change sides of it:
+# the tolerance rule at work on rounded input, not a fault.  The straight
+# edges of the split-top meshes lie exactly TAU_ANGLE from it, so only meshes
+# whose every angle keeps a margin of 1e-6 are moved.
+FAR_MESHES = (
+    [(name, fixtures.builtin(name)) for name in sorted(fixtures.BUILTIN)]
+    + [("corner-notch", REFLEX_MESHES[1]), ("notched-box-3", REFLEX_MESHES[4])]
+    + [("hull-%d" % seed, fixtures.generate_hull(seed, n_points=10)) for seed in range(3)]
+    + [("star-%d" % seed, fixtures.generate_star_sphere(seed)) for seed in range(3)]
+)
+FAR_NAMES = [name for name, _ in FAR_MESHES]
+# the rotation and shift at which the sum over triangles in absolute
+# coordinates read a negative volume for the cube, l-prism and notched box 1
+EULER_QUATERNION = tuple(Rotation.from_euler("xyz", (0.3, 0.5, 0.7)).as_quat().tolist())
+FAR_SHIFT = (1e6, 0.31e6, -0.73e6)
+
+
+def decisions(surface):
+    return (validate_surface(surface).ok,
+            [enumerate_admissible(surface, side).count for side in ("interior", "exterior")],
+            [is_monochromatic(surface, side)[0] for side in ("interior", "exterior")])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    index=st.integers(0, len(FAR_MESHES) - 1),
+    quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda q: sum(x * x for x in q) > 1e-2),
+    shift=st.tuples(*[st.floats(-1e6, 1e6)] * 3),
+)
+@example(index=FAR_NAMES.index("cube"), quaternion=EULER_QUATERNION, shift=FAR_SHIFT)
+@example(index=FAR_NAMES.index("l-prism"), quaternion=EULER_QUATERNION, shift=FAR_SHIFT)
+@example(index=FAR_NAMES.index("notched-box-1"), quaternion=EULER_QUATERNION, shift=FAR_SHIFT)
+def test_decisions_invariant_under_rigid_motion_far_from_origin(index, quaternion, shift):
+    _, base = FAR_MESHES[index]
+    assert angle_margin(base) >= 1e-6
+    rotation = Rotation.from_quat(quaternion).as_matrix()
+    moved = PolyhedralSurface(base.vertices @ rotation.T + shift, base.faces)
+    expected = decisions(base)
+    assert expected[0] and decisions(moved) == expected
+
+
+@pytest.mark.parametrize("distance", [1e6, 1e7])
+def test_fixtures_far_from_origin_keep_their_interior_counts(distance):
+    # turned and moved as in the explicit examples above, 1e7 included
+    rotation = Rotation.from_quat(EULER_QUATERNION).as_matrix()
+    shift = distance * np.array([1.0, 0.31, -0.73])
+    for name, count in [("cube", 63), ("l-prism", 127), ("notched-box-1", 255),
+                        ("square-pyramid", 31)]:
+        base = fixtures.builtin(name)
+        moved = PolyhedralSurface(base.vertices @ rotation.T + shift, base.faces)
+        assert validate_surface(moved).ok, name
+        assert enumerate_admissible(moved, "interior").count == count, name
+
+
 # ----------------------------------------------------------------------
 # sampling
 
@@ -982,7 +1048,7 @@ STAR_SPHERES = [fixtures.generate_star_sphere(seed, subdivisions)
     ids=["l-prism", "corner-notch", "notched-box-1", "notched-box-2", "notched-box-3",
          "split-top-l-prism", "split-top-notched-box", "notched-box-4"]
     + ["star-%d-sub%d" % (seed, sub) for sub in (1, 2) for seed in range(6)])
-def test_every_reflex_link_has_a_kernel_fan(surface):
+def test_every_reflex_link_is_tiled_exactly(surface):
     # the link triangles' exact measure against the rejection estimate, and
     # their points against the link winding test; some star spheres have no
     # reflex vertex

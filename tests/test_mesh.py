@@ -232,7 +232,9 @@ def test_degenerate_face_detected():
 
 def test_faceless_surface_reports_isolated_vertex():
     # no faces: no volume to judge, and no cross product of an empty array
-    d = validate_surface(parse_off("OFF\n1 0 0\n0 0 0\n"))
+    surface = parse_off("OFF\n1 0 0\n0 0 0\n")
+    assert surface.signed_volume == 0.0
+    d = validate_surface(surface)
     assert d.violations == [Violation("isolated_vertex", (0,))]
     assert (d.face_count, d.edge_count, d.euler_characteristic) == (0, 0, 1)
 
@@ -433,6 +435,28 @@ def reference_face_newell(surface):
         p = surface.vertices[list(face)] - surface.vertices[face[0]]
         out[fi] = np.cross(p, np.roll(p, -1, axis=0)).sum(axis=0)
     return out
+
+
+def reference_face_plane_deviation(surface, fi):
+    """One face: the largest distance of its vertices to their
+    least-squares plane, from one SVD of its centred corners."""
+    p = surface.vertices[list(surface.faces[fi])]
+    q = p - p.mean(axis=0)
+    # smallest right singular vector spans the plane normal
+    _, _, vt = np.linalg.svd(q, full_matrices=False)
+    return float(np.abs(q @ vt[-1]).max())
+
+
+def reference_face_plane_deviations(surface):
+    return [reference_face_plane_deviation(surface, fi) if len(face) > 3 else 0.0
+            for fi, face in enumerate(surface.faces)]
+
+
+def reference_signed_volume(surface):
+    """Sum of ``p0 . (p1 x p2) / 6`` over the triangles, in absolute
+    coordinates."""
+    p = surface.vertices[surface.triangles[0]]
+    return float(np.einsum("ij,ij->i", p[:, 0], np.cross(p[:, 1], p[:, 2])).sum() / 6.0)
 
 
 NEWELL_MESHES = (
@@ -835,9 +859,83 @@ def test_mesh_outputs_equal_reference_formulas(group, monkeypatch):
             patch.setattr(mesh, "_connectivity", reference_connectivity)
             patch.setattr(partition, "_quotient_graphs", reference_quotient_graphs)
             patch.setattr(PolyhedralSurface, "triangulate_face", reference_triangulate_face)
+            patch.setattr(PolyhedralSurface, "face_plane_deviations", property(
+                lambda s: np.array(reference_face_plane_deviations(s))))
+            patch.setattr(PolyhedralSurface, "signed_volume", property(reference_signed_volume))
             expected = validate_surface(old)
             assert json.dumps(diagnostics.to_json_dict()) == json.dumps(expected.to_json_dict())
             assert graphs == ([quotient_graph(old, side) for side in sides] if expected.ok else [])
+
+
+def turned_notched_boxes(bend):
+    """Notched boxes 1-6, each turned to 10 random orientations and moved by
+    up to about 1e6; with ``bend``, every vertex also moves by about
+    ``bend``, so that no face stays planar."""
+    rng = np.random.default_rng(3)
+    out = []
+    for k in range(1, 7):
+        box = fixtures.notched_box(k)
+        for r in Rotation.random(10, random_state=rng):
+            v = box.vertices @ r.as_matrix().T + 10.0 ** rng.uniform(0, 6) * rng.normal(size=3)
+            out.append(PolyhedralSurface(v + bend * rng.normal(size=v.shape), box.faces))
+    return out
+
+
+PLANE_FIT_MESHES = dict(REFERENCE_FORMULA_MESHES, turned=lambda: turned_notched_boxes(0.0),
+                        bent=lambda: turned_notched_boxes(1e-3))
+
+
+@pytest.mark.parametrize("group", PLANE_FIT_MESHES)
+def test_face_plane_deviations_equal_per_face_svd(group):
+    # one stacked SVD per face size gives every face the bits of its own SVD;
+    # the axis-aligned groups read exact zeros, the turned and bent ones do not
+    for surface in PLANE_FIT_MESHES[group]():
+        got = surface.face_plane_deviations
+        assert not got.flags.writeable
+        assert got.tolist() == reference_face_plane_deviations(surface)
+
+
+CLOSED_FORM_VOLUMES = [
+    ("cube", fixtures.cube, 1.0),
+    ("l-prism", fixtures.l_prism, 6.0),
+    ("notched-box-1", lambda: fixtures.notched_box(1), 10.0),
+    ("square-pyramid", fixtures.square_pyramid, 2.0 / 3.0),
+]
+
+
+@pytest.mark.parametrize("name,build,volume", CLOSED_FORM_VOLUMES,
+                         ids=[c[0] for c in CLOSED_FORM_VOLUMES])
+def test_signed_volume_equals_closed_form(name, build, volume):
+    surface = build()
+    inside_out = PolyhedralSurface(surface.vertices, [f[::-1] for f in surface.faces])
+    assert (surface.signed_volume, inside_out.signed_volume) == (volume, -volume)
+    # turned and moved 1e6 sizes away, the coordinates round by about 1e-10,
+    # but the volume is taken about a vertex of the surface; the sum over
+    # triangles in absolute coordinates (reference_signed_volume) reads
+    # -1.57 for the cube here
+    rotation = Rotation.from_euler("xyz", (0.3, 0.5, 0.7)).as_matrix()
+    far = surface.vertices @ rotation.T + 1e6 * np.array([1.0, 0.31, -0.73])
+    assert PolyhedralSurface(far, surface.faces).signed_volume == pytest.approx(volume, rel=1e-8)
+    assert (PolyhedralSurface(far, inside_out.faces).signed_volume
+            == pytest.approx(-volume, rel=1e-8))
+
+
+def test_validation_angles_and_quotients_never_triangulate(monkeypatch):
+    # the volume comes from the Newell normals and the plane fits from the
+    # corners, so no triangle is made on the way to a search record
+    def refuse(*args, **kwargs):
+        raise AssertionError("triangulated")
+
+    monkeypatch.setattr(PolyhedralSurface, "triangulate", refuse)
+    monkeypatch.setattr(PolyhedralSurface, "triangulate_face", refuse)
+    for surface in (fixtures.generate_hull(3, 9), fixtures.notched_box(2),
+                    fixtures.generate_star_sphere(5, 1, 0.2)):
+        assert validate_surface(surface).ok
+        dihedral_angles(surface)
+        for side in ("interior", "exterior"):
+            quotient_graph(surface, side)
+    with pytest.raises(AssertionError, match="triangulated"):
+        surface.triangles
 
 
 def test_plane_basis_equals_per_vector_reference():
