@@ -359,10 +359,11 @@ class ArchRegion:
 class SampleBatch:
     """Points drawn uniformly from a region of exact ``measure``.
 
-    :func:`mc_estimate` turns sums of an integrand's values at the points
-    into an integral estimate with standard error.  Lateral batches carry
-    the source face of every point (``face_ids``), and those of
-    :func:`sample_lateral` its outward unit normal (``normals``).
+    :func:`mc_estimate` turns the mean and the centred sum of squares of an
+    integrand's values at the points into an integral estimate with
+    standard error.  Lateral batches carry the source face of every point
+    (``face_ids``), and those of :func:`sample_lateral` its outward unit
+    normal (``normals``).
     """
 
     tag: str
@@ -373,13 +374,12 @@ class SampleBatch:
     normals: np.ndarray | None = field(default=None, repr=False)
 
 
-def mc_estimate(s, s2, n, measure):
-    """Integral estimate and standard error from the sum ``s`` and the sum of
-    squares ``s2`` of an integrand's values at ``n >= 2`` uniform points of a
-    region of exact ``measure``.  Works elementwise on arrays of sums."""
-    mean = s / n
-    var = np.maximum(s2 - n * mean * mean, 0.0) / (n - 1)
-    return measure * mean, measure * np.sqrt(var / n)
+def mc_estimate(mean, m2, n, measure):
+    """Integral estimate and standard error from the mean ``mean`` and the
+    centred sum of squares ``m2`` (the sum of ``(x - mean)^2``) of an
+    integrand's values at ``n >= 2`` uniform points of a region of exact
+    ``measure``.  Works elementwise on arrays."""
+    return measure * mean, measure * np.sqrt(m2 / (n - 1) / n)
 
 
 @dataclass(frozen=True)

@@ -76,10 +76,6 @@ class Partition:
     def dirichlet_faces(self):
         return tuple(i for i, l in enumerate(self.labels) if l == "D")
 
-    @property
-    def neumann_faces(self):
-        return tuple(i for i, l in enumerate(self.labels) if l == "N")
-
 
 # the slots' own setters, which a frozen dataclass's __setattr__ does not guard
 _set_labels, _set_side = Partition.labels.__set__, Partition.side.__set__

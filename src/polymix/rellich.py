@@ -25,13 +25,20 @@ Homogeneous harmonic polynomials up to degree 3 supply the test functions,
 each an exact integer coefficient table over the monomials.  The suite has
 one path: it streams the samplers' shards (at most 4096 points each)
 through one kernel, and the command line reports on the same streams
-without drawing them twice.  Per region the rows of every function's
-table stack into one (rows, functions, monomials) table, zero outside each
-function's columns, and one product of it with the monomial basis at a
-shard's points gives all values and gradients; Euler's identity X . grad u
-= degree * u gives W . grad u without a dot product, and each integrand
-keeps only its running sum and sum of squares per function, added shard
-by shard in draw order.  No per-point array outgrows a shard.
+without drawing them twice.  The kernel (:func:`_evaluate`) adds each
+polynomial's terms ``coefficient * monomial`` in table order with
+elementwise numpy, never a matrix product, and Euler's identity
+X . grad u = degree * u gives W . grad u without a dot product.
+Elementwise operations round each point on its own, so a point's integrand
+bits depend on the point and the function alone: not on the BLAS build,
+the SIMD width, the shard's width or the other functions.  Per shard, each
+integrand's mean and centred sum of squares are numpy's pairwise sums over
+a contiguous row, whose order depends on the shard's width alone; the
+shards merge in draw order by Chan, Golub & LeVeque (1979), so a constant
+integrand's stderr stays at its rounding size.  No per-point array
+outgrows a shard.  The sampled points come from numpy's transcendental
+functions, whose kernels may differ by CPU, so report bytes hold per
+machine.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    _DIRECT_CHUNK,
     ArchRegion,
     arch_stream,
     base_stream,
@@ -51,11 +57,10 @@ from .geometry import (
 )
 
 
-# the monomials x^a y^b z^c through degree 4, graded: those of degree d are
-# rows _DEGREE_START[d]:_DEGREE_START[d + 1] of a monomial basis
+# the monomials x^a y^b z^c through degree 4, graded, so that polynomials of
+# low degree read only the first rows of a monomial basis
 _MONOMIALS = tuple((a, b, d - a - b) for d in range(5)
                    for a in range(d, -1, -1) for b in range(d - a, -1, -1))
-_DEGREE_START = (0, 1, 4, 10, 20, 35)
 _INDEX = {e: k for k, e in enumerate(_MONOMIALS)}
 # each monomial past the first is a lower one times a coordinate: lower the
 # first nonzero exponent
@@ -74,14 +79,32 @@ def _monomial_basis(coords, count):
     return basis
 
 
+def _evaluate(rows, coords):
+    """Polynomials at the points ``coords`` (3, m), one output row per entry
+    of ``rows``, each a tuple of ``(monomial, coefficient)`` terms.  Every
+    row is its first term's ``coefficient * basis[monomial]``, plus each
+    further term's in its tuple's order, so a value's bits depend only on
+    its point and its own terms."""
+    basis = _monomial_basis(coords, 1 + max((k for terms in rows for k, _ in terms), default=0))
+    out = np.empty((len(rows), basis.shape[1]))
+    for acc, terms in zip(out, rows):
+        (k, c), *rest = terms or ((0, 0.0),)  # an empty row is 0 times the monomial 1
+        np.multiply(basis[k], c, out=acc)
+        for k, c in rest:
+            acc += c * basis[k]
+    return out
+
+
 class HarmonicTestFunction:
     """Named homogeneous harmonic polynomial from its exact integer terms.
 
     ``terms`` are ``(coefficient, a, b, c)`` for ``coefficient x^a y^b z^c``.
-    ``table`` holds integer coefficients over the monomial basis rows
-    ``columns`` in five rows: the value (degree d), the three gradient
-    components (degree d - 1) and ``|grad u|^2`` (degree 2d - 2).  Being
-    homogeneous, u satisfies Euler's identity ``X . grad u = d * u``.
+    ``table`` holds integer coefficients over ``_MONOMIALS`` in five rows:
+    the value (degree d), the three gradient components (degree d - 1) and
+    ``|grad u|^2`` (degree 2d - 2).  ``rows`` holds each row's nonzero
+    ``(monomial, coefficient)`` entries in monomial order, as
+    :func:`_evaluate` takes them.  Being homogeneous, u satisfies Euler's
+    identity ``X . grad u = d * u``.
     """
 
     def __init__(self, name, *terms):
@@ -95,22 +118,20 @@ class HarmonicTestFunction:
                      for c, p in value if p[axis]] for axis in range(3)]
         square = [(c * c2, tuple(map(sum, zip(p, p2))))
                   for g in gradient for c, p in g for c2, p2 in g]
-        lo = _DEGREE_START[max(d - 1, 0)]
-        self.columns = slice(lo, _DEGREE_START[max(d, 2 * d - 2) + 1])
-        table = np.zeros((5, self.columns.stop - lo))
+        table = np.zeros((5, len(_MONOMIALS)))
         for row, polynomial in enumerate([value] + gradient + [square]):
             for c, p in polynomial:
-                table[row, _INDEX[p] - lo] += c
+                table[row, _INDEX[p]] += c
         table.flags.writeable = False
         self.table = table
+        self.rows = tuple(tuple((k, c) for k, c in enumerate(row.tolist()) if c) for row in table)
 
     def __repr__(self):
         return "HarmonicTestFunction(%r)" % self.name
 
     def _rows(self, pts, rows):
         pts = np.asarray(pts, dtype=float)
-        basis = _monomial_basis(pts.reshape(-1, 3).T, self.columns.stop)[self.columns]
-        return (self.table[rows] @ basis).T.reshape(pts.shape[:-1] + (-1,))
+        return _evaluate(self.rows[rows], pts.reshape(-1, 3).T).T.reshape(pts.shape[:-1] + (-1,))
 
     def value(self, pts):
         return self._rows(pts, slice(0, 1))[..., 0]
@@ -246,20 +267,9 @@ def arch_streams(arch, n, seed):
 
 
 def sampling_report(streams):
-    """Per region of the four streams: the sampling method, the proposals
-    drawn, and the measure with its standard error.  The streams draw
-    nothing here.  Each region is sampled directly and keeps every draw, so
-    these are constants of its stream: method ``"direct"``, proposals ``n``,
-    and the exact measure with stderr 0."""
-    return {
-        region: {
-            "method": "direct",
-            "n_proposals": s.n,
-            "measure": s.measure,
-            "measure_stderr": 0.0,
-        }
-        for region, s in zip(REGIONS, streams)
-    }
+    """Per region of the four streams, the exact measure it carries.  The
+    streams draw nothing here."""
+    return {region: {"measure": s.measure} for region, s in zip(REGIONS, streams)}
 
 
 # the rows of each function's table a region's integrands read; the lateral
@@ -269,75 +279,77 @@ def sampling_report(streams):
 _REGION_ROWS = {"volume": [0], "inner": [0, 4], "outer": [0, 4], "lateral": [0, 1, 2, 3]}
 
 
-def _region_table(region, test_functions):
-    """The rows of every function's table the region reads, stacked as
-    (rows, functions, monomials) with zeros outside each function's
-    columns; the value row is times the degree, so that by Euler's identity
-    a function's first row of the product is ``|X| W . grad u``."""
-    table = np.zeros((len(_REGION_ROWS[region]), len(test_functions),
-                      max(u.columns.stop for u in test_functions)))
-    for f, u in enumerate(test_functions):
-        table[:, f, u.columns] = u.table[_REGION_ROWS[region]]
-        table[0, f] *= u.degree
-    return table
+def _region_rows(region, test_functions):
+    """The rows of every function the region's integrands read, as
+    :func:`_evaluate` takes them, row-major over (``_REGION_ROWS[region]``,
+    functions); the value row is times the degree, so that by Euler's
+    identity it evaluates to ``|X| W . grad u``."""
+    return [u.rows[i] if i else tuple((k, u.degree * c) for k, c in u.rows[0] if u.degree)
+            for i in _REGION_ROWS[region] for u in test_functions]
 
 
-def _products(table, columns, basis):
-    """The stacked table times the monomial basis, (rows, functions,
-    points).  A function's rows do not depend on the other functions.
-
-    On a full shard of at least two rows, one matrix-matrix product serves
-    every function: it sums each entry over the monomials in order, so the
-    zeros outside a function's columns add nothing.  A single row, or the
-    short last shard, takes one product per function over its own
-    ``columns``: there BLAS switches to matrix-vector and edge kernels
-    whose sums run in blocks that the zeros would shift.
-    """
-    rows, count, width = table.shape
-    m = basis.shape[1]
-    if rows > 1 and m == _DIRECT_CHUNK:
-        return (table.reshape(rows * count, width) @ basis).reshape(rows, count, m)
-    out = np.empty((rows, count, m))
-    for f, cols in enumerate(columns):
-        np.matmul(table[:, f, cols], basis[cols], out=out[:, f])
-    return out
-
-
-def _integrands(region, table, columns, pts, normals):
+def _integrands(region, rows, pts, normals):
     """The region's integrands at one shard of points relative to the
     vertex, one (functions, points) array each: for the volume the lhs
     integrand, for each boundary region the identity's then the estimate's.
-    ``normals`` (3, points) are the lateral points' outward unit normals.
+    ``rows`` are the region's from :func:`_region_rows`; ``normals``
+    (3, points) are the lateral points' outward unit normals.  Every step
+    is elementwise, so a point's integrands are the same bits whatever
+    shares its shard.
     """
     x, y, z = coords = np.ascontiguousarray(pts.T)
     r2 = x * x + y * y + z * z
     r = np.sqrt(r2)
-    rows = _products(table, columns, _monomial_basis(coords, table.shape[2]))
-    rwg = rows[0]  # |X| W . grad u
+    values = _evaluate(rows, coords).reshape(len(_REGION_ROWS[region]), -1, len(r))
+    rwg = values[0]  # |X| W . grad u
     if region == "volume":
         return (rwg * rwg * (2.0 / (r2 * r)),)
     if region != "lateral":
-        g2 = rows[1]  # the table's |grad u|^2 row
+        g2 = values[1]  # the table's |grad u|^2 row
         twice_wg2 = rwg * rwg * (2.0 / r2)
         if region == "inner":  # outward normal -W
             return twice_wg2 - g2, twice_wg2
         return g2 - twice_wg2, g2  # outer base, outward normal +W
     # lateral faces: nu . W vanishes on faces through the vertex up to
     # round-off but is kept in the integrand
-    gx, gy, gz = g = rows[1:]
+    gx, gy, gz = values[1:]
     nx, ny, nz = normals
-    if len(r) > 1:
-        g2 = gx * gx + gy * gy + gz * gz
-        dn = nx * gx + ny * gy + nz * gz
-        nuw = (nx * x + ny * y + nz * z) / r
-    else:  # einsum sums a lone point's three terms as one dot product, rounded its own way
-        g2 = np.einsum("kfm,kfm->fm", g, g)
-        dn = np.einsum("km,kfm->fm", normals, g)
-        nuw = np.einsum("km,km->m", normals, coords) / r
+    g2 = gx * gx + gy * gy + gz * gz
+    dn = nx * gx + ny * gy + nz * gz
+    nuw = (nx * x + ny * y + nz * z) / r
     dn2 = dn * dn
     # the estimate's 2 |du/dnu| |grad_t u|, with |grad_t u|^2 = |grad u|^2 - dn^2
     return (nuw * g2 - dn * rwg * (2.0 / r),
             2.0 * np.sqrt(np.maximum(dn2 * (g2 - dn2), 0.0)))
+
+
+def _region_estimates(arch, test_functions, n, seed):
+    """Per region of ``REGIONS``, the estimates and standard errors of its
+    integrands, two (integrands, functions) arrays, on the points of
+    ``arch_streams(arch, n, seed)`` taken shard by shard: each shard's mean
+    and centred sum of squares merge into the running ones in draw order by
+    Chan, Golub & LeVeque."""
+    v = arch.surface.vertices[arch.vertex]
+    normal_table = np.ascontiguousarray(arch.surface.face_normals.T)
+    out = {}
+    for region, stream in zip(REGIONS, arch_streams(arch, n, seed)):
+        rows = _region_rows(region, test_functions)
+        mean, m2 = np.zeros((2, 1 if region == "volume" else 2, len(test_functions)))
+        count = 0
+        for pts, face_ids in stream:
+            normals = None if face_ids is None else np.take(normal_table, face_ids, axis=1)
+            m = len(pts)
+            share = m / (count + m)
+            for i, x in enumerate(_integrands(region, rows, pts - v, normals)):
+                shard_mean = x.sum(axis=1) / m
+                delta = shard_mean - mean[i]
+                x -= shard_mean[:, None]  # each integrand array is the merge's own
+                x *= x
+                m2[i] += x.sum(axis=1) + delta * delta * (count * share)
+                mean[i] += delta * share
+            count += m
+        out[region] = mc_estimate(mean, m2, count, stream.measure)
+    return out
 
 
 def rellich_suite(arch, test_functions, n, seed):
@@ -347,9 +359,9 @@ def rellich_suite(arch, test_functions, n, seed):
     before evaluating u, which makes results invariant under rigid
     translation of the fixture.  The suite walks the points of
     ``arch_streams(arch, n, seed)`` shard by shard and never holds a whole
-    batch: each integrand keeps only its running sum and sum of squares per
-    test function, added shard by shard in draw order.  A standard error
-    needs a sample variance, so ``n`` must be at least 2.
+    batch: each integrand keeps only its running mean and centred sum of
+    squares per test function, merged shard by shard in draw order.  A
+    standard error needs a sample variance, so ``n`` must be at least 2.
     """
     if not isinstance(arch, ArchRegion):
         raise TypeError("arch must be an ArchRegion")
@@ -358,20 +370,7 @@ def rellich_suite(arch, test_functions, n, seed):
     test_functions = tuple(test_functions)
     if not test_functions:
         return [], []
-    v = arch.surface.vertices[arch.vertex]
-    normal_table = np.ascontiguousarray(arch.surface.face_normals.T)
-    columns = [u.columns for u in test_functions]
-    acc = {}
-    for region, stream in zip(REGIONS, arch_streams(arch, n, seed)):
-        sums = np.zeros((2, 1 if region == "volume" else 2, len(test_functions)))
-        table = _region_table(region, test_functions)
-        for pts, face_ids in stream:
-            normals = None if face_ids is None else np.take(normal_table, face_ids, axis=1)
-            for i, x in enumerate(_integrands(region, table, columns, pts - v, normals)):
-                sums[0, i] += x.sum(axis=1)
-                sums[1, i] += np.einsum("ij,ij->i", x, x)
-        acc[region] = mc_estimate(sums[0], sums[1], stream.n, stream.measure)
-
+    acc = _region_estimates(arch, test_functions, n, seed)
     (lhs, lhs_se), (inner, inner_se), (outer, outer_se), (lat, lat_se) = (
         (est.tolist(), se.tolist()) for est, se in (acc[region] for region in REGIONS))
     identities, estimates = [], []

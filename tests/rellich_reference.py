@@ -1,10 +1,10 @@
 """Reference implementations for the Rellich tests.
 
-The catalog with hand-written value and gradient lambdas, and the
-whole-array suite that integrates each region's full batch at once.  The
-library evaluates the catalog from exact coefficient tables and streams the
-suite shard by shard; these give the tests something independent to agree
-with.
+The catalog with hand-written value and gradient lambdas, the whole-array
+suite that integrates each region's full batch at once, and the shard
+kernel's integrands point by point in plain Python floats.  The library
+evaluates the catalog from exact coefficient tables and streams the suite
+shard by shard; these give the tests something independent to agree with.
 """
 
 import math
@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from polymix.geometry import ArchRegion, mc_estimate
-from polymix.rellich import EstimateResult, RellichResult, arch_streams
+from polymix.rellich import _MONOMIALS, EstimateResult, RellichResult, arch_streams
 
 
 class LambdaTestFunction:
@@ -101,7 +101,8 @@ REFERENCE_CATALOG = (
 def reference_rellich_suite(arch, test_functions, n, seed):
     """Whole-array reference: every region's whole batch at once, gathered
     from ``arch_streams(arch, n, seed)``, with W . grad u as a row-wise dot
-    product and one ``mc_estimate`` per integrand.
+    product and one ``mc_estimate`` per integrand, from the whole batch's
+    mean and centred sum of squares.
 
     Coordinates are translated so the arch vertex sits at the origin
     before evaluating u, which makes results invariant under rigid
@@ -150,7 +151,9 @@ def reference_rellich_suite(arch, test_functions, n, seed):
             dn = None if nu is None else np.einsum("ij,ij->i", nu, g)
             for key, integrand in integrands:
                 x = integrand(r=r, wg=wg, g2=g2, dn=dn, nuw=nuw)
-                acc[u.name][key] = mc_estimate(x.sum(), (x * x).sum(), len(x), batch.measure)
+                mean = x.mean()
+                acc[u.name][key] = mc_estimate(mean, ((x - mean) ** 2).sum(), len(x),
+                                               batch.measure)
 
     for u in test_functions:
         a = acc[u.name]
@@ -177,3 +180,63 @@ def reference_rellich_suite(arch, test_functions, n, seed):
         )
     ordered = [u.name for u in test_functions]
     return [identities[k] for k in ordered], [estimates[k] for k in ordered]
+
+
+def _monomials_at(point):
+    """Every monomial of ``_MONOMIALS`` at one point, each the product of a
+    lower monomial (its first nonzero exponent lowered by one) and that
+    coordinate, the chain the library's basis follows."""
+    values = {(0, 0, 0): 1.0}
+    for e in _MONOMIALS[1:]:
+        axis = next(i for i in range(3) if e[i])
+        values[e] = values[tuple(x - (i == axis) for i, x in enumerate(e))] * point[axis]
+    return [values[e] for e in _MONOMIALS]
+
+
+def _row_at(terms, basis):
+    """One polynomial at one point: its first term, plus each further term
+    in order; 0.0 for no terms."""
+    if not terms:
+        return 0.0
+    (k, c), *rest = terms
+    acc = c * basis[k]
+    for k, c in rest:
+        acc += c * basis[k]
+    return acc
+
+
+def fixed_order_integrands(region, test_functions, pts, normals=None):
+    """The shard kernel's integrands for ``region``, one (functions, points)
+    array each, evaluated point by point in Python floats in the fixed order
+    the kernel states: terms in table order from the first term's product,
+    the value row times the degree giving ``|X| W . grad u``, and each
+    integrand's operations as written.  Python floats round every operation
+    to double as numpy's elementwise loops do, with no BLAS and no SIMD."""
+    count = 1 if region == "volume" else 2
+    out = np.empty((count, len(test_functions), len(pts)))
+    for j, point in enumerate(pts.tolist()):
+        x, y, z = point
+        r2 = x * x + y * y + z * z
+        r = math.sqrt(r2)
+        basis = _monomials_at(point)
+        for f, u in enumerate(test_functions):
+            rwg = _row_at([(k, u.degree * c) for k, c in u.rows[0] if u.degree], basis)
+            if region == "volume":
+                values = (rwg * rwg * (2.0 / (r2 * r)),)
+            elif region in ("inner", "outer"):
+                g2 = _row_at(u.rows[4], basis)
+                twice_wg2 = rwg * rwg * (2.0 / r2)
+                values = ((twice_wg2 - g2, twice_wg2) if region == "inner"
+                          else (g2 - twice_wg2, g2))
+            else:
+                gx, gy, gz = (_row_at(u.rows[i], basis) for i in (1, 2, 3))
+                nx, ny, nz = normals[:, j].tolist()
+                g2 = gx * gx + gy * gy + gz * gz
+                dn = nx * gx + ny * gy + nz * gz
+                nuw = (nx * x + ny * y + nz * z) / r
+                dn2 = dn * dn
+                t = dn2 * (g2 - dn2)
+                values = (nuw * g2 - dn * rwg * (2.0 / r),
+                          2.0 * math.sqrt(t if t >= 0.0 else 0.0))
+            out[:, f, j] = values
+    return out

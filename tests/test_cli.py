@@ -176,11 +176,11 @@ def test_rellich_csv(workdir, tmp_path):
     assert len(lines) == 4
 
 
-@pytest.mark.parametrize("name, vertex, volume_method", [
-    ("l-prism", 3, "direct"),  # the notch: a reflex vertex whose link has a kernel
-    ("u-pyramid", 8, "direct"),  # an apex whose link has none
+@pytest.mark.parametrize("name, vertex", [
+    ("l-prism", 3),  # the notch: a reflex vertex whose link has a kernel
+    ("u-pyramid", 8),  # an apex whose link has none
 ])
-def test_rellich_sampling_block(workdir, tmp_path, name, vertex, volume_method):
+def test_rellich_sampling_block(workdir, tmp_path, name, vertex):
     argv = ["rellich", off(workdir, name), "--vertex", str(vertex), "--r-inner", "0.2",
             "--r-outer", "0.4", "--samples", "5000", "--seed", "4", "--u", "x"]
     code, body = run_to_file(tmp_path, argv)
@@ -190,12 +190,7 @@ def test_rellich_sampling_block(workdir, tmp_path, name, vertex, volume_method):
     streams = arch_streams(ArchRegion(read_off(off(workdir, name)), vertex, 0.2, 0.4), 5000, 4)
     assert list(sampling) == ["inner", "lateral", "outer", "volume"]
     for region, stream in zip(("volume", "inner", "outer", "lateral"), streams):
-        entry = sampling[region]
-        method = "direct" if region == "lateral" else volume_method
-        assert entry["method"] == method
-        assert entry["n_proposals"] == stream.n == 5000
-        assert entry["measure"] == stream.measure
-        assert entry["measure_stderr"] == 0.0
+        assert sampling[region] == {"measure": stream.measure}, region
 
 
 def test_rellich_memory_flat_in_samples(workdir, tmp_path):

@@ -833,7 +833,7 @@ def test_stderr_shrinks_at_root_n_rate(seed):
     for n in (20_000, 40_000):
         batch = sample_arch(arch, n, seed=seed)
         x = batch.points[:, 0]
-        se.append(mc_estimate(x.sum(), (x * x).sum(), n, batch.measure)[1])
+        se.append(mc_estimate(x.mean(), ((x - x.mean()) ** 2).sum(), n, batch.measure)[1])
     assert 0.6 <= se[1] / se[0] <= 0.8
 
 
@@ -843,7 +843,9 @@ def test_weights_sum_to_measure(cube):
     arch = ArchRegion(cube, 0, 0.25, 0.5)
     batch = sample_arch(arch, 20_000, seed=5)
     assert len(batch.points) == 20_000
-    est, stderr = mc_estimate(20_000.0, 20_000.0, 20_000, batch.measure)
+    ones = np.ones(len(batch.points))
+    mean = ones.sum() / len(ones)
+    est, stderr = mc_estimate(mean, ((ones - mean) ** 2).sum(), len(ones), batch.measure)
     assert est == pytest.approx(batch.measure, rel=1e-15) and stderr == 0.0
 
 

@@ -1,9 +1,11 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polymix import fixtures
+from polymix import fixtures, rellich
 from polymix.geometry import (
     ArchRegion,
     _DIRECT_CHUNK,
@@ -16,7 +18,10 @@ from polymix.mesh import PolyhedralSurface
 from polymix.rellich import (
     CATALOG,
     REGIONS,
-    _monomial_basis,
+    _evaluate,
+    _integrands,
+    _region_estimates,
+    _region_rows,
     arch_streams,
     catalog,
     catalog_entry,
@@ -26,7 +31,11 @@ from polymix.rellich import (
 )
 
 from conftest import u_pyramid
-from rellich_reference import REFERENCE_CATALOG, reference_rellich_suite
+from rellich_reference import (
+    REFERENCE_CATALOG,
+    fixed_order_integrands,
+    reference_rellich_suite,
+)
 
 N_UNIT = 200_000  # moderate count for unit tests; acceptance runs 1e7
 
@@ -188,8 +197,7 @@ def test_tables_match_reference_lambdas():
         np.testing.assert_allclose(u.gradient(pts), ref.gradient(pts), rtol=1e-14,
                                    atol=1e-14 * gscale, err_msg=u.name)
         g = ref.gradient(pts)
-        basis = _monomial_basis(np.ascontiguousarray(pts.T), u.columns.stop)[u.columns]
-        np.testing.assert_allclose(u.table[4] @ basis, (g * g).sum(axis=1),
+        np.testing.assert_allclose(_evaluate(u.rows[4:], pts.T)[0], (g * g).sum(axis=1),
                                    rtol=1e-13, atol=1e-13 * gscale ** 2, err_msg=u.name)
 
 
@@ -231,18 +239,76 @@ def test_suite_matches_whole_array_reference(surface, vertex):
         assert got.u_name == want.u_name
         for key in ("lhs", "rhs", "rhs_inner", "rhs_outer", "rhs_lateral"):
             if hasattr(want, key):
-                assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-12,
+                assert getattr(got, key) == pytest.approx(getattr(want, key), rel=1e-13,
                                                           abs=0.0), (got.u_name, key)
-        # a stderr comes from the sum of squares less m mean^2, which rounds
-        # to about eps times the integral's size squared when a part's
-        # integrand is constant (as |du/dnu| |grad_t u| is for u = x on the
-        # pyramid's lateral faces); both suites keep that rounding floor
+        # both suites take a stderr from centred sums of squares, so a part
+        # whose integrand is constant (as |du/dnu| |grad_t u| is for u = x on
+        # the pyramid's lateral faces) adds only its own rounding, far below
+        # 1e-15 times the integral's size
         size = max(abs(getattr(want, k, 0.0)) for k in
                    ("lhs", "rhs", "rhs_inner", "rhs_outer", "rhs_lateral"))
         for key in ("lhs_stderr", "rhs_stderr"):
             a, b = getattr(got, key), getattr(want, key)
-            assert abs(a * a - b * b) <= 1e-12 * b * b + 4.0 * np.finfo(float).eps * size ** 2, (
+            assert abs(a * a - b * b) <= 1e-13 * b * b + (1e-15 * size) ** 2, (
                 got.u_name, key, a, b)
+
+
+@pytest.mark.parametrize("surface,vertex", [
+    pytest.param(fixtures.square_pyramid(), 0, id="pyramid-apex"),
+    pytest.param(fixtures.l_prism(), 3, id="l-prism-notch"),
+])
+def test_kernel_matches_fixed_order_reference(surface, vertex):
+    # every integrand bit against a point-by-point evaluation in plain
+    # floats, on one shard per region: its first w points at shard widths
+    # 1-19, 64 and 4096, and each of its first 64 points alone, since a
+    # point's bits must not depend on what shares its shard
+    v = surface.vertices[vertex]
+    for region, stream in zip(REGIONS, arch_streams(_arch(surface, vertex), _DIRECT_CHUNK, 9)):
+        pts, face_ids = next(iter(stream))
+        pts = pts - v
+        normals = None if face_ids is None else np.ascontiguousarray(
+            surface.face_normals[face_ids].T)
+        want = fixed_order_integrands(region, catalog(3), pts, normals)
+        rows = _region_rows(region, catalog(3))
+        for part in ([slice(0, w) for w in [*range(1, 20), 64, _DIRECT_CHUNK]]
+                     + [slice(j, j + 1) for j in range(64)]):
+            got = np.array(_integrands(region, rows, pts[part],
+                                       None if normals is None else normals[:, part]))
+            assert got.tobytes() == want[..., part].tobytes(), (region, part)
+
+
+def test_rellich_module_has_no_blas_product():
+    # the kernel's bits rest on elementwise rounding, so no product that may
+    # reach BLAS (a matrix product or a dot-like reduction) may come back:
+    # no @, and no call or import of one
+    banned = {"matmul", "dot", "einsum", "tensordot", "inner"}
+    tree = ast.parse(Path(rellich.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            assert not isinstance(node.op, ast.MatMult), node.lineno
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            assert name not in banned, (name, node.lineno)
+        if isinstance(node, ast.alias):
+            assert node.name.rpartition(".")[2] not in banned, node.name
+
+
+def test_constant_integrand_stderr_at_rounding_size():
+    # at the pyramid apex the lateral estimate's integrand for u = x is one
+    # constant; shard means and centred sums of squares merged by Chan,
+    # Golub & LeVeque leave its stderr at its own rounding, where a sum of
+    # squares less n mean^2 would cancel to about 7e-10
+    arch = _arch(fixtures.square_pyramid(), 0)
+    u = catalog_entry("x")
+    n = 3 * _DIRECT_CHUNK + 1000
+    v = arch.surface.vertices[0]
+    values = {x for pts, face_ids in arch_streams(arch, n, 5)[3]
+              for x in _integrands("lateral", _region_rows("lateral", [u]), pts - v,
+                                   arch.surface.face_normals[face_ids].T)[1].ravel().tolist()}
+    assert len(values) == 1
+    est, se = _region_estimates(arch, [u], n, seed=5)["lateral"]
+    assert se[1, 0] <= 1e-15 * abs(est[1, 0])
 
 
 @pytest.mark.parametrize("surface,vertex", EQUIVALENCE_ARCHES)
