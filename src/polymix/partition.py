@@ -14,10 +14,12 @@ An edge is blocked when its side-relevant angle is >= pi - tau (tau finite,
 records `validate_partition` walks, and in one entry per tau,
 ``surface.memo[_quotient_graphs, tau]``, the quotient graphs of both
 sides, merged by one component call over a block-diagonal graph and
-served per side by `quotient_graph`.  Enumeration gathers face labels from
-class labels via `face_class` in one C-level `itemgetter` call and builds
-its partitions unchecked, in a chain of `map` calls: the side is checked
-once per enumeration and the labels come from "DN".
+served per side by `quotient_graph`.  A `Partition` built by its
+constructor checks its side and labels in one hand-written ``__init__``.
+Enumeration gathers face labels from class labels via `face_class` in one
+C-level `itemgetter` call and builds its partitions unchecked, in a chain
+of `map` calls: the side is checked once per enumeration and the labels
+come from "DN".
 """
 
 from __future__ import annotations
@@ -44,21 +46,34 @@ SIDES = ("interior", "exterior")
 MAX_ENUM_CLASSES = 30
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Partition:
+    """A Dirichlet/Neumann labeling of a surface's faces on one side.
+
+    ``labels`` is a tuple or list over "D" and "N", one per face in OFF
+    order, kept as given; ``side`` is "interior" or "exterior".
+    Construction checks the side, then the labels, and raises ValueError
+    for a side outside `SIDES` or a label other than "D" or "N"; the
+    label count is checked against a surface by `validate_partition`.
+    Enumerations build their partitions unchecked.
+    """
     labels: tuple
     side: str
 
-    def __post_init__(self):
-        if self.side not in SIDES:
+    def __init__(self, labels, side):
+        # hand-written: a generated frozen __init__ stores each field through
+        # object.__setattr__ and then calls __post_init__; the slot setters
+        # and one call are cheaper
+        if side not in SIDES:
             raise ValueError("side must be 'interior' or 'exterior'")
-        labels = self.labels
         if labels.count("D") + labels.count("N") != len(labels):
             raise ValueError("labels must be 'D' or 'N'")
+        _set_labels(self, labels)
+        _set_side(self, side)
 
     @classmethod
     def _unchecked(cls, labels, side):
-        """A partition without the checks of ``__post_init__``: for callers
+        """A partition without the checks of ``__init__``: for callers
         whose labels are a tuple over "DN" and whose side is checked."""
         self = object.__new__(cls)
         _set_labels(self, labels)
@@ -67,7 +82,13 @@ class Partition:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(labels=tuple(data["labels"]), side=data["side"])
+        """The partition of a ``{"labels": [...], "side": ...}`` object;
+        ValueError when ``data`` is not one or its labels are not iterable."""
+        try:
+            labels = tuple(data["labels"])
+        except TypeError as exc:
+            raise ValueError("a partition is an object with a list of labels") from exc
+        return cls(labels, data["side"])
 
     def to_json_dict(self):
         return {"labels": list(self.labels), "side": self.side}

@@ -305,6 +305,19 @@ def test_malformed_off_exit_2(tmp_path):
     assert main(["validate", str(bad)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("body", ["[1, 2]", '{"labels": 5, "side": "interior"}',
+                                  '{"labels": null, "side": "interior"}'],
+                         ids=["not-an-object", "labels-int", "labels-null"])
+def test_malformed_partition_file_exit_2(workdir, tmp_path, capsys, body):
+    part = tmp_path / "p.json"
+    part.write_text(body)
+    assert main(["check-partition", off(workdir, "cube"), str(part)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad partition file %s: " % part)
+    assert captured.err.count("\n") == 1
+
+
 def test_unknown_flag_exit_2(workdir, capsys):
     assert main(["validate", off(workdir, "cube"), "--frobnicate"]) == EXIT_INPUT
     capsys.readouterr()

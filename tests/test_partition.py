@@ -1,14 +1,19 @@
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polymix import fixtures
 from polymix.geometry import interior_angle_table
 from polymix.mesh import PolyhedralSurface
 from polymix.partition import (
+    SIDES,
     TAU_ANGLE,
     AdmissibilityReport,
     GeneratorSpec,
@@ -179,6 +184,71 @@ def test_partition_rejects_bad_input():
     with pytest.raises(ValueError):
         Partition(labels=("D",), side="sideways")
     assert Partition(labels=["D", "N"], side="interior").labels == ["D", "N"]
+
+
+SIDE_MESSAGE = "side must be 'interior' or 'exterior'"
+LABEL_MESSAGE = "labels must be 'D' or 'N'"
+
+
+def _as(kind, labels):
+    return tuple(labels) if kind is tuple else list(labels)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(labels=st.lists(st.sampled_from("DN"), max_size=12),
+       kind=st.sampled_from([tuple, list]), side=st.sampled_from(SIDES))
+def test_constructor_contract(labels, kind, side):
+    # the hand-written __init__ against the dataclass's own methods and
+    # the unchecked constructor on the same input
+    labels = _as(kind, labels)
+    p = Partition(labels=labels, side=side)
+    assert p.labels is labels and p.side is side
+    assert Partition(labels, side) == p
+    ref = Partition._unchecked(labels, side)
+    assert p == ref and repr(p) == repr(ref)
+    if kind is tuple:
+        assert hash(p) == hash(ref)
+    else:
+        with pytest.raises(TypeError):
+            hash(p)
+    for name in ("labels", "side"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, getattr(p, name))
+    assert dataclasses.replace(p) == p
+    assert copy.copy(p) == p
+    assert pickle.loads(pickle.dumps(p)) == p
+    match Partition(labels, side):
+        case Partition(got, got_side):
+            assert got is labels and got_side is side
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(labels=st.lists(st.sampled_from("DN"), max_size=8),
+       bad=st.one_of(st.sampled_from(["X", "d", "DN", "", None, 1, 0.5]),
+                     st.text(max_size=2).filter(lambda c: c not in ("D", "N"))),
+       at=st.integers(0, 8), kind=st.sampled_from([tuple, list]),
+       side=st.sampled_from(SIDES + ("sideways", "Interior", "")))
+def test_constructor_reports_side_before_labels(labels, bad, at, kind, side):
+    good = _as(kind, labels)
+    labels.insert(at, bad)
+    labels = _as(kind, labels)
+    if side in SIDES:
+        with pytest.raises(ValueError) as exc:
+            Partition(labels=labels, side=side)
+        assert str(exc.value) == LABEL_MESSAGE
+        assert Partition(good, side).labels == good
+    else:
+        for case in (labels, good):
+            with pytest.raises(ValueError) as exc:
+                Partition(case, side=side)
+            assert str(exc.value) == SIDE_MESSAGE
+
+
+def test_partition_init_is_hand_written():
+    # a later edit to the decorator must not bring back the generated frozen
+    # __init__ (whose code is compiled from "<string>") or a __post_init__
+    assert not hasattr(Partition, "__post_init__")
+    assert Path(Partition.__init__.__code__.co_filename).name == "partition.py"
 
 
 def test_label_count_mismatch_raises(cube):
