@@ -325,18 +325,47 @@ def midpoint_subdivide(vertices, triangles):
     is new vertex ``len(vertices) + k``.  Triangle
     ``(a, b, c)`` becomes ``(a, ab, ca), (ab, b, bc), (ca, bc, c),
     (ab, bc, ca)`` in place, so the children of a triangle stay adjacent.
+    First use comes from one argsort of the edge keys over all 3T slots:
+    an edge is first used at the least slot of its group of equal keys.
     """
+    # Each array of 3T slots below costs a pass over fresh memory, so the
+    # temporaries are few and updated in place.
     v = np.asarray(vertices, dtype=float)
     t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    ends = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    key = np.minimum(ends[:, 0], ends[:, 1]) * len(v) + np.maximum(ends[:, 0], ends[:, 1])
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # the distinct edges in order of first use
-    ab, bc, ca = (len(v) + np.argsort(order)[inverse]).reshape(-1, 3).T
-    a, b, c = t.T
-    children = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
-    new = ends[first[order]]
-    return np.vstack([v, 0.5 * (v[new[:, 0]] + v[new[:, 1]])]), children, new
+    nxt = t[:, [1, 2, 0]]  # slot (i, j) is the edge from t[i, j] to nxt[i, j]
+    key = np.minimum(t, nxt)  # min * n + max, as min * (n - 1) + t + nxt
+    key *= len(v) - 1
+    key += t
+    key += nxt
+    key = key.ravel()
+    order = np.argsort(key)
+    sorted_key = key[order]
+    start = np.empty(len(key), dtype=bool)  # sorted slot i opens a group of equal keys
+    start[:1] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=start[1:])
+    group = np.cumsum(start)
+    group -= 1
+    first = np.full(np.count_nonzero(start), len(key))
+    np.minimum.at(first, group, order)  # each edge's least slot: its first use
+    is_first = np.zeros(len(key), dtype=bool)
+    is_first[first] = True
+    rank = np.cumsum(is_first)[first]  # 1 + the edge's rank by first use
+    rank += len(v) - 1
+    mid = np.empty(len(key), dtype=np.int64)
+    mid[order] = rank[group]
+    # columns a, b, c, ab, bc, ca, taken row by row into the four children
+    children = np.concatenate([t, mid.reshape(-1, 3)], axis=1)
+    children = children.take([0, 3, 5, 3, 1, 4, 5, 4, 2, 3, 4, 5], axis=1).reshape(-1, 3)
+    slots = np.flatnonzero(is_first)
+    p, q = t.take(slots), nxt.take(slots)
+    out = np.empty((len(v) + len(slots), 3))
+    out[:len(v)] = v
+    mids = out[len(v):]
+    for k in range(3):  # gathers from one contiguous coordinate column, not (V, 3) rows
+        x = v[:, k].copy()
+        np.add(x.take(p), x.take(q), out=mids[:, k])
+    mids *= 0.5
+    return out, children, np.stack([p, q], axis=1)
 
 
 def undirected_components(n, rows, cols):

@@ -83,12 +83,15 @@ class Partition:
     @classmethod
     def from_json_dict(cls, data):
         """The partition of a ``{"labels": [...], "side": ...}`` object;
-        ValueError when ``data`` is not one or its labels are not iterable."""
+        ValueError when ``data`` is not one or its labels are not a list or
+        a tuple (a string would be split into characters)."""
         try:
-            labels = tuple(data["labels"])
-        except TypeError as exc:
-            raise ValueError("a partition is an object with a list of labels") from exc
-        return cls(labels, data["side"])
+            labels = data["labels"]
+        except TypeError:  # data is not an object
+            labels = None
+        if not isinstance(labels, (list, tuple)):
+            raise ValueError("a partition is an object with a list of labels")
+        return cls(tuple(labels), data["side"])
 
     def to_json_dict(self):
         return {"labels": list(self.labels), "side": self.side}

@@ -306,8 +306,9 @@ def test_malformed_off_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("body", ["[1, 2]", '{"labels": 5, "side": "interior"}',
-                                  '{"labels": null, "side": "interior"}'],
-                         ids=["not-an-object", "labels-int", "labels-null"])
+                                  '{"labels": null, "side": "interior"}',
+                                  '{"side": "interior", "labels": "DNDNDD"}'],
+                         ids=["not-an-object", "labels-int", "labels-null", "labels-string"])
 def test_malformed_partition_file_exit_2(workdir, tmp_path, capsys, body):
     part = tmp_path / "p.json"
     part.write_text(body)

@@ -8,7 +8,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull
 from scipy.spatial.transform import Rotation
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polymix import fixtures, mesh, partition
 from polymix.geometry import dihedral_angles, separation_radius
@@ -422,6 +422,56 @@ def test_midpoint_subdivide_on_hulls(seed, n_points):
     d = validate_surface(PolyhedralSurface(verts, children))
     assert d.ok
     assert d.euler_characteristic == validate_surface(hull).euler_characteristic
+
+
+def reference_midpoint_subdivide(vertices, triangles):
+    """Reference: the midpoints numbered through ``np.unique``'s first
+    indices and inverse, then two argsorts into order of first use."""
+    v = np.asarray(vertices, dtype=float)
+    t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    ends = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    key = np.minimum(ends[:, 0], ends[:, 1]) * len(v) + np.maximum(ends[:, 0], ends[:, 1])
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct edges in order of first use
+    ab, bc, ca = (len(v) + np.argsort(order)[inverse]).reshape(-1, 3).T
+    a, b, c = t.T
+    children = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1).reshape(-1, 3)
+    new = ends[first[order]]
+    return np.vstack([v, 0.5 * (v[new[:, 0]] + v[new[:, 1]])]), children, new
+
+
+@st.composite
+def triangle_soups(draw):
+    """``(vertices, triangles)``: open soups whose corners come from a pool
+    of 3-7 vertices, so that edges are shared in either direction, with
+    some triangles drawn again and 0-3 spare vertices no triangle uses."""
+    used, spare = draw(st.integers(3, 7)), draw(st.integers(0, 3))
+    tri = st.lists(st.integers(0, used - 1), min_size=3, max_size=3, unique=True)
+    tris = draw(st.lists(tri, max_size=12))
+    if tris:
+        tris = draw(st.permutations(tris + draw(st.lists(st.sampled_from(tris), max_size=4))))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=(used + spare, 3)), np.array(tris, dtype=dtype).reshape(-1, 3)
+
+
+SOUP_VERTS = np.random.default_rng(5).normal(size=(7, 3))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(soup=triangle_soups())
+@example(soup=(SOUP_VERTS[:3], np.zeros((0, 3), dtype=np.int64)))  # no triangles
+@example(soup=(SOUP_VERTS[:4], np.array([[2, 0, 3]])))  # one triangle, vertex 1 spare
+# a book of four pages: edge 01 used four times, alternately 0 -> 1 and 1 -> 0
+@example(soup=(SOUP_VERTS, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4], [1, 0, 5]])))
+# a triangle drawn three times
+@example(soup=(SOUP_VERTS[:4], np.array([[0, 1, 2], [2, 1, 3], [0, 1, 2], [0, 1, 2]])))
+def test_midpoint_subdivide_equals_unique_reference(soup):
+    verts, tris = soup
+    got = midpoint_subdivide(verts, tris)
+    for out, want in zip(got, reference_midpoint_subdivide(verts, tris), strict=True):
+        assert out.dtype == want.dtype
+        assert np.array_equal(out, want)
 
 
 # ----------------------------------------------------------------------
