@@ -101,16 +101,16 @@ def dihedral_angles(surface):
 
 
 def _compute_dihedral_angles(surface):
-    edges, pairs = surface.edge_list, []
-    for edge in edges:  # up to the first edge without two opposite faces
-        inc = surface.edge_incidence[edge]
-        if len(inc) != 2 or inc[0][1] == inc[1][1]:
-            break
-        (fa, fwd_a), (fb, _) = inc
-        pairs.append((fa, fb) if fwd_a else (fb, fa))
-    m = len(pairs)
-    a, b = np.array(edges[:m], dtype=np.int64).reshape(-1, 2).T
-    fa, fb = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    h, edges = surface.half_edges, surface.edge_list
+    slot = 2 * h.edge + (h.tail > h.head)  # per edge, the faces that walk it a -> b, b -> a
+    walks = np.bincount(slot, minlength=2 * len(edges)).reshape(-1, 2)
+    # up to the first edge without two opposite faces
+    m = int(np.argmax(np.append((walks != 1).any(axis=1), True)))
+    pairs = np.empty(2 * len(edges), dtype=np.int64)
+    pairs[slot] = h.face
+    pairs = pairs.reshape(-1, 2)[:m]
+    a, b = h.ends[:m].T
+    fa, fb = pairs.T
     t = surface.vertices[b] - surface.vertices[a]
     n1, n2 = surface.face_normals[fa], surface.face_normals[fb]
     # Row products as stacked (1, 3) @ (3, 1) matmuls, np.cross's own terms
@@ -133,8 +133,8 @@ def _compute_dihedral_angles(surface):
     if m < len(edges):
         raise MeshError(
             "dihedral angles need a closed oriented surface; offending edge %r" % (edges[m],))
-    return tuple([DihedralAngle(edge, faces, math.pi - math.atan2(sk, ck))
-                  for edge, faces, sk, ck in zip(edges, pairs, s.tolist(), c.tolist())])
+    return tuple([DihedralAngle(edge, tuple(faces), math.pi - math.atan2(sk, ck))
+                  for edge, faces, sk, ck in zip(edges, pairs.tolist(), s.tolist(), c.tolist())])
 
 
 def interior_angle_table(surface):
@@ -170,36 +170,25 @@ def _compute_separation_radius(surface, vertex):
     verts = surface.vertices
     p = verts[vertex]
     best = np.linalg.norm(np.delete(verts, vertex, axis=0) - p, axis=1).min(initial=np.inf)
-    edges = np.array(surface.edge_list).reshape(-1, 2)
-    a, b = np.moveaxis(verts[edges[~np.any(edges == vertex, axis=1)]], 1, 0)
+    h = surface.half_edges
+    a, b = np.moveaxis(verts[h.ends[~np.any(h.ends == vertex, axis=1)]], 1, 0)
     d = b - a
     denom = _dot(d, d)
     t = np.clip(np.divide(_dot(p - a, d), denom,
                           out=np.zeros_like(denom), where=denom != 0.0), 0.0, 1.0)
     best = min(best, np.linalg.norm(p - (a + t[:, None] * d), axis=1).min(initial=np.inf))
     far = np.ones(len(surface.faces), dtype=bool)
-    far[list(surface.vertex_faces[vertex])] = False
-    corner, following, face = surface.memo[_face_corner_table]
+    far[h.face[h.tail == vertex]] = False
     normals = surface.face_normals
-    h = _dot(p - verts[[f[0] for f in surface.faces]], normals)
+    dist = _dot(p - verts[[f[0] for f in surface.faces]], normals)
     # winding of the face boundary about the foot of the perpendicular
-    keep = far[face]
-    face = face[keep]
-    foot = p - h[face, None] * normals[face]
-    ea, eb = verts[corner[keep]] - foot, verts[following[keep]] - foot
+    keep = far[h.face]
+    face = h.face[keep]
+    foot = p - dist[face, None] * normals[face]
+    ea, eb = verts[h.tail[keep]] - foot, verts[h.head[keep]] - foot
     turn = np.arctan2(_dot(normals[face], np.cross(ea, eb)), _dot(ea, eb))
     inside = np.abs(np.bincount(face, weights=turn, minlength=len(far))) > math.pi
-    return float(min(best, np.abs(h[far & inside]).min(initial=np.inf)))
-
-
-def _face_corner_table(surface):
-    """Per face corner: its vertex, the face's next vertex, and the face."""
-    corner = np.concatenate([np.asarray(f) for f in surface.faces])
-    following = np.concatenate([np.roll(f, -1) for f in surface.faces])
-    face = np.repeat(np.arange(len(surface.faces)), [len(f) for f in surface.faces])
-    for arr in (corner, following, face):
-        arr.flags.writeable = False
-    return corner, following, face
+    return float(min(best, np.abs(dist[far & inside]).min(initial=np.inf)))
 
 
 def _point_segment_distance(p, a, b):
@@ -349,10 +338,6 @@ class ArchRegion:
     @property
     def outer_base(self):
         return ConeRegion(self.surface, self.vertex, self.r_outer)
-
-    @property
-    def lateral_face_ids(self):
-        return self.surface.vertex_faces[self.vertex]
 
 
 @dataclass

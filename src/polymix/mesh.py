@@ -9,10 +9,12 @@ outward orientation with positive enclosed volume.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -102,22 +104,34 @@ class SurfaceMemo(dict):
         return value
 
 
+class HalfEdges(NamedTuple):
+    """A row per face corner, faces in order and corners in face order: row
+    i walks face ``face[i]`` from ``tail[i]`` to its next vertex ``head[i]``
+    along edge ``edge[i]``; ``ends[e]`` is edge e's sorted vertex pair."""
+
+    tail: np.ndarray
+    head: np.ndarray
+    face: np.ndarray
+    edge: np.ndarray
+    ends: np.ndarray
+
+
 class PolyhedralSurface:
     """Immutable polygonal surface with derived connectivity.
 
     Parameters
     ----------
     vertices : (V, 3) float array
-        Vertex coordinates.
+        Vertex coordinates, finite and at most ``MAX_ABS_COORDINATE``.
     faces : sequence of index cycles
-        Each face lists its vertex indices counterclockwise as seen from
-        outside.  Faces need at least 3 distinct indices.
+        Each face lists its (integer) vertex indices counterclockwise as
+        seen from outside.  Faces need at least 3 distinct indices.
 
-    Construction only checks indexing; geometric and topological invariants
-    are reported by :func:`validate_surface`.  Instances are treated as
-    immutable; derived quantities are cached on first use, mesh-level ones
-    as cached properties and those computed in other modules in
-    :attr:`memo`, a :class:`SurfaceMemo`: ``surface.memo[compute]`` or
+    Construction only checks indexing and coordinates; geometric and
+    topological invariants are reported by :func:`validate_surface`.
+    Instances are treated as immutable; derived quantities are cached on
+    first use, mesh-level ones as cached properties and those computed in
+    other modules in :attr:`memo`, a :class:`SurfaceMemo`:
     ``surface.memo[compute, *args]`` is ``compute(surface, *args)``.
     Triangulation projects each face of more than three vertices on its
     in-plane axes, cached for all such faces from one stacked pass.
@@ -127,11 +141,13 @@ class PolyhedralSurface:
         verts = np.array(vertices, dtype=np.float64)
         if verts.ndim != 2 or verts.shape[1] != 3:
             raise MeshError("vertices must be an (V, 3) array")
+        if not (np.abs(verts) <= MAX_ABS_COORDINATE).all():
+            raise MeshError("a coordinate is not finite or exceeds %g" % MAX_ABS_COORDINATE)
         verts.flags.writeable = False
         self.vertices = verts
         clean = []
         for fi, face in enumerate(faces):
-            cyc = tuple(int(i) for i in face)
+            cyc = tuple(map(operator.index, face))  # TypeError for a float
             if len(cyc) < 3:
                 raise MeshError("face %d has fewer than 3 vertices" % fi)
             if len(set(cyc)) != len(cyc):
@@ -147,31 +163,33 @@ class PolyhedralSurface:
     # derived connectivity
 
     @cached_property
-    def edge_incidence(self):
-        """dict (a, b) with a < b -> list of (face, traverses_a_to_b)."""
-        inc = {}
-        for fi, face in enumerate(self.faces):
-            k = len(face)
-            for i in range(k):
-                a, b = face[i], face[(i + 1) % k]
-                key = (a, b) if a < b else (b, a)
-                inc.setdefault(key, []).append((fi, a < b))
-        return inc
+    def half_edges(self):
+        """The read-only :class:`HalfEdges` table that answers every edge
+        question; edges are numbered by ``np.unique`` of ``min * V + max``."""
+        tail, head = (np.fromiter(chain.from_iterable(f[s:] + f[:s] for f in self.faces), np.int64)
+                      for s in (0, 1))
+        face = np.repeat(np.arange(len(self.faces)), [len(f) for f in self.faces])
+        nv = len(self.vertices)
+        keys, edge = np.unique(np.minimum(tail, head) * nv + np.maximum(tail, head),
+                               return_inverse=True)
+        table = HalfEdges(tail, head, face, edge, np.stack([keys // nv, keys % nv], axis=1))
+        for column in table:
+            column.flags.writeable = False
+        return table
 
     @cached_property
     def edge_list(self):
-        return tuple(sorted(self.edge_incidence))
-
-    @cached_property
-    def edge_index(self):
-        return {e: i for i, e in enumerate(self.edge_list)}
+        """Per edge: its sorted vertex pair, a tuple of ints."""
+        return tuple(map(tuple, self.half_edges.ends.tolist()))
 
     @cached_property
     def edge_faces(self):
-        """Per edge (edge_list order): tuple of incident face ids."""
-        return tuple(
-            tuple(fi for fi, _ in self.edge_incidence[e]) for e in self.edge_list
-        )
+        """Per edge (edge_list order): tuple of incident face ids, in face order."""
+        h = self.half_edges
+        order = np.argsort(h.edge, kind="stable")
+        faces = h.face[order].tolist()
+        bounds = np.searchsorted(h.edge[order], np.arange(len(h.ends) + 1)).tolist()
+        return tuple(tuple(faces[i:j]) for i, j in zip(bounds, bounds[1:]))
 
     @cached_property
     def vertex_faces(self):
@@ -644,35 +662,29 @@ def validate_surface(surface):
     Newell normals, plane deviations from one stacked SVD per face size.
     """
     violations = []
-    inc = surface.edge_incidence
-
-    closed = True
-    oriented = True
-    open_ends = set()
-    for edge in surface.edge_list:
-        faces_here = inc[edge]
-        if len(faces_here) != 2:
-            violations.append(Violation("edge_face_count", (edge[0], edge[1], len(faces_here))))
-            closed = False
-            open_ends.update(edge)
-        else:
-            (f0, fwd0), (f1, fwd1) = faces_here
-            if fwd0 == fwd1:
-                violations.append(Violation("orientation", edge))
-                oriented = False
+    h = surface.half_edges
+    nv, ne, nf = len(surface.vertices), len(h.ends), len(surface.faces)
+    uses = np.bincount(h.edge, minlength=ne)
+    forward = np.bincount(h.edge[h.tail < h.head], minlength=ne)
+    # an edge of two faces is oriented when exactly one walks it forward
+    unclean = (uses != 2) | (forward != 1)
+    for e in np.flatnonzero(unclean).tolist():
+        a, b = surface.edge_list[e]
+        violations.append(Violation("edge_face_count", (a, b, int(uses[e]))) if uses[e] != 2
+                          else Violation("orientation", (a, b)))
 
     # vertex links: only judged where the incident edges are already clean,
     # so an open boundary is not double-reported
     link_pieces, face_components = _connectivity(surface)
-    for v in range(len(surface.vertices)):
-        if not surface.vertex_faces[v]:
-            violations.append(Violation("isolated_vertex", (v,)))
-        elif v not in open_ends and link_pieces[v] != 1:
-            violations.append(Violation("nonmanifold_vertex", (v,)))
+    isolated = np.bincount(h.tail, minlength=nv) == 0
+    open_end = np.zeros(nv, dtype=bool)
+    open_end[h.ends[uses != 2]] = True
+    for v in np.flatnonzero(isolated | (~open_end & (link_pieces != 1))).tolist():
+        violations.append(Violation("isolated_vertex" if isolated[v] else "nonmanifold_vertex",
+                                    (v,)))
 
     # face-adjacency connectivity (via shared edges)
-    nf = len(surface.faces)
-    if not nf and not len(surface.vertices):
+    if not nf and not nv:
         violations.append(Violation("empty_surface", ()))
     if nf and face_components != 1:
         violations.append(Violation("disconnected", (face_components,)))
@@ -687,16 +699,10 @@ def validate_surface(surface):
         violations.append(Violation("degenerate_face", (fi,)) if degenerate[fi]
                           else Violation("nonplanar_face", (fi, float(deviations[fi]))))
 
-    if nf and closed and oriented and surface.signed_volume <= 0.0:
+    if nf and not unclean.any() and surface.signed_volume <= 0.0:
         violations.append(Violation("negative_volume", (surface.signed_volume,)))
 
-    return MeshDiagnostics(
-        vertex_count=len(surface.vertices),
-        edge_count=len(surface.edge_list),
-        face_count=len(surface.faces),
-        euler_characteristic=len(surface.vertices) - len(surface.edge_list) + len(surface.faces),
-        violations=violations,
-    )
+    return MeshDiagnostics(nv, ne, nf, nv - ne + nf, violations)
 
 
 def _connectivity(surface):
@@ -704,30 +710,30 @@ def _connectivity(surface):
     number of components of the face adjacency (faces joined across shared
     edges).
 
-    Link nodes are (vertex, incident edge) pairs and each face corner joins
-    its two edges at that vertex.  Where every edge at the vertex has two
+    Link nodes are (vertex, incident edge) pairs, numbered ``2 * edge + (1
+    at the edge's larger end)``, and each face corner joins the edges its
+    face arrives and leaves by.  Where every edge at the vertex has two
     faces, every node has degree 2, so one piece means one cycle.  Both
     graphs go to one :func:`undirected_components` call as one
     block-diagonal graph, the face nodes after the 2E link nodes; its
     labels are in least-node order, so the link pieces come first and the
     first face's label is their count.
     """
-    nv, nf = len(surface.vertices), len(surface.faces)
-    edges = np.array(surface.edge_list, dtype=np.int64).reshape(-1, 2)
-    keys = edges[:, 0] * nv + edges[:, 1]  # sorted, as edge_list is
-    nodes = 2 * len(edges)
-
-    def node(v, w):  # numbered 2 * edge + (1 when v is the edge's larger end)
-        return 2 * np.searchsorted(keys, np.minimum(v, w) * nv + np.maximum(v, w)) + (v > w)
-
-    # every corner, the corner before it and the corner after it
-    v, before, after = (np.fromiter(chain.from_iterable(f[s:] + f[:s] for f in surface.faces),
-                                    np.int64) for s in (0, -1, 1))
-    joined = [(faces[0], f) for faces in surface.edge_faces for f in faces[1:]]
-    f0, f1 = np.array(joined, dtype=np.int64).reshape(-1, 2).T + nodes
+    h = surface.half_edges
+    nv, nf, nodes = len(surface.vertices), len(surface.faces), 2 * len(h.ends)
+    size = np.bincount(h.face, minlength=nf)
+    first = np.cumsum(size) - size
+    after = np.arange(1, len(h.face) + 1)  # the row of the next corner in each face
+    after[first + size - 1] = first
+    back = h.tail > h.head
+    leaves, arrives = 2 * h.edge + back, 2 * h.edge + ~back  # link nodes at tail and head
+    order = np.argsort(h.edge)  # faces that use one edge are joined in a chain
+    face = h.face[order] + nodes
+    shared = h.edge[order][1:] == h.edge[order][:-1]
     count, labels = undirected_components(
-        nodes + nf, np.concatenate([node(v, before), f0]), np.concatenate([node(v, after), f1]))
+        nodes + nf, np.concatenate([arrives, face[:-1][shared]]),
+        np.concatenate([leaves[after], face[1:][shared]]))
     pieces = int(labels[nodes]) if nf else count
     piece_vertex = np.empty(pieces, dtype=np.int64)
-    piece_vertex[labels[:nodes]] = edges.ravel()
+    piece_vertex[labels[:nodes]] = h.ends.ravel()
     return np.bincount(piece_vertex, minlength=nv), count - pieces

@@ -96,10 +96,6 @@ class Partition:
     def to_json_dict(self):
         return {"labels": list(self.labels), "side": self.side}
 
-    @property
-    def dirichlet_faces(self):
-        return tuple(i for i, l in enumerate(self.labels) if l == "D")
-
 
 # the slots' own setters, which a frozen dataclass's __setattr__ does not guard
 _set_labels, _set_side = Partition.labels.__set__, Partition.side.__set__

@@ -7,6 +7,24 @@ from polymix import fixtures
 from polymix.mesh import PolyhedralSurface
 
 
+def edge_incidence(surface):
+    """The per-corner dict walk the half-edge table must agree with:
+    (a, b) with a < b -> list of (face, traverses_a_to_b), in face order."""
+    inc = {}
+    for fi, face in enumerate(surface.faces):
+        k = len(face)
+        for i in range(k):
+            a, b = face[i], face[(i + 1) % k]
+            key = (a, b) if a < b else (b, a)
+            inc.setdefault(key, []).append((fi, a < b))
+    return inc
+
+
+def edge_index(surface):
+    """Edge -> its rank in sorted order, from :func:`edge_incidence`."""
+    return {e: i for i, e in enumerate(sorted(edge_incidence(surface)))}
+
+
 @pytest.fixture(scope="session")
 def cube():
     return fixtures.cube()

@@ -24,6 +24,8 @@ from polymix.geometry import (
     dihedral_angles,
 )
 
+from conftest import edge_index
+
 PROPOSAL_SHARD = 1 << 18  # proposals per shard of a rejection sampler
 
 
@@ -36,7 +38,8 @@ def is_convex_vertex(surface, vertex):
     angles = dihedral_angles(surface)
     # every edge at the vertex precedes it in exactly one face
     _, prev_ids, _, _ = _vertex_corners(surface, vertex)
-    return all(angles[surface.edge_index[tuple(sorted((vertex, prev)))]].interior_angle < math.pi
+    eidx = edge_index(surface)
+    return all(angles[eidx[tuple(sorted((vertex, prev)))]].interior_angle < math.pi
                for prev in prev_ids)
 
 
@@ -145,8 +148,9 @@ def rejection_sample_lateral(arch, n, seed):
     kept when inside the shell."""
     surface = arch.surface
     v = surface.vertices[arch.vertex]
-    tri_face = [fi for fi in arch.lateral_face_ids for _ in surface.triangulate_face(fi)]
-    tris = np.array([surface.vertices[list(t)] for fi in arch.lateral_face_ids
+    lateral = surface.vertex_faces[arch.vertex]
+    tri_face = [fi for fi in lateral for _ in surface.triangulate_face(fi)]
+    tris = np.array([surface.vertices[list(t)] for fi in lateral
                      for t in surface.triangulate_face(fi)])
     areas = 0.5 * np.linalg.norm(np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]),
                                  axis=1)

@@ -440,10 +440,18 @@ def malformed_off(draw):
     elif kind == "open-edge":
         del faces[draw(st.integers(0, len(faces) - 1))]
     elif kind == "huge-coordinate":
+        # drawn in the order of the former `verts[i, column] = bad`
         i = draw(st.integers(0, len(verts) - 1))
-        verts[i, draw(st.integers(0, 2))] = draw(st.sampled_from(
-            [math.nan, math.inf, -math.inf, 1e308, -1e200, 1e51]))
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e200, 1e51]))
+        column = draw(st.integers(0, 2))
     text = serialize_off(PolyhedralSurface(verts, faces))
+    if kind == "huge-coordinate":
+        # the constructor refuses the coordinate, so it goes into the text
+        lines = text.split("\n")
+        row = lines[2 + i].split()
+        row[column] = repr(bad)
+        lines[2 + i] = " ".join(row)
+        text = "\n".join(lines)
     if kind == "truncated":
         text = text[:draw(st.integers(0, len(text) - 1))]
     return text, len(faces)

@@ -36,7 +36,8 @@ from polymix.mesh import MeshError, PolyhedralSurface, validate_surface
 from polymix.partition import (TAU_ANGLE, GeneratorSpec, enumerate_admissible, is_monochromatic,
                                quotient_graph)
 
-from conftest import dented_box, dented_box_solid_angle, u_pyramid, u_pyramid_solid_angle
+from conftest import (dented_box, dented_box_solid_angle, edge_incidence, u_pyramid,
+                      u_pyramid_solid_angle)
 from sampling_reference import (
     _inside_tester,
     apex_fan_triangles,
@@ -193,8 +194,7 @@ def reference_dihedral_angles(surface):
     """
     sigma = math.copysign(1.0, surface.signed_volume)
     out = []
-    for edge in surface.edge_list:
-        (fa, fwd_a), (fb, _) = surface.edge_incidence[edge]
+    for edge, ((fa, fwd_a), (fb, _)) in sorted(edge_incidence(surface).items()):
         if not fwd_a:
             fa, fb = fb, fa
         t = surface.vertices[edge[1]] - surface.vertices[edge[0]]
@@ -218,8 +218,7 @@ def probe_dihedral_angles(surface):
     Returns ``(faces, interior_angle)`` per edge in ``edge_list`` order.
     """
     out = []
-    for edge in surface.edge_list:
-        (fa, fwd_a), (fb, _) = surface.edge_incidence[edge]
+    for edge, ((fa, fwd_a), (fb, _)) in sorted(edge_incidence(surface).items()):
         if not fwd_a:
             fa, fb = fb, fa
         pa, pb = surface.vertices[edge[0]], surface.vertices[edge[1]]

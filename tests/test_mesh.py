@@ -13,6 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from polymix import fixtures, mesh, partition
 from polymix.geometry import dihedral_angles, separation_radius
 from polymix.mesh import (
+    MAX_ABS_COORDINATE,
+    MeshError,
     OffParseError,
     PolyhedralSurface,
     Violation,
@@ -28,7 +30,7 @@ from polymix.mesh import (
 )
 from polymix.partition import GeneratorSpec, Partition, quotient_graph, validate_partition
 
-from conftest import CUBE_OFF, PYRAMID_OFF
+from conftest import CUBE_OFF, PYRAMID_OFF, edge_incidence, edge_index
 from test_geometry import REFLEX_MESHES
 
 
@@ -157,7 +159,7 @@ def disjoint_cubes(k):
 def reference_face_component_count(surface):
     """Face DFS across shared edges: the loop version of the connectivity check."""
     adj = {fi: set() for fi in range(len(surface.faces))}
-    for inc in surface.edge_incidence.values():
+    for inc in edge_incidence(surface).values():
         for fi, _ in inc:
             for fj, _ in inc:
                 if fi != fj:
@@ -278,6 +280,27 @@ def test_constructor_rejects_bad_faces():
         PolyhedralSurface(verts, [(0, 1, 1)])
 
 
+def test_constructor_takes_integer_indices_only(cube):
+    # a float index is rejected, not truncated to (3, 0, 4, 7)
+    for bad in (0.7, 1.0, np.float64(1.0)):
+        with pytest.raises(TypeError):
+            PolyhedralSurface(cube.vertices, [(3, bad, 4, 7)])
+    # numpy integer rows, as the star-sphere generator passes, are stored as ints
+    surface = PolyhedralSurface(cube.vertices, np.array(cube.faces, dtype=np.int64))
+    assert surface.faces == cube.faces
+    assert all(type(i) is int for face in surface.faces for i in face)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2 * MAX_ABS_COORDINATE])
+def test_constructor_rejects_coordinates_parse_off_rejects(cube, bad):
+    verts = cube.vertices.copy()
+    verts[5, 1] = bad
+    with pytest.raises(MeshError, match="not finite or exceeds 1e\\+50"):
+        PolyhedralSurface(verts, cube.faces)
+    verts[5, 1] = -MAX_ABS_COORDINATE  # the bound itself is accepted
+    assert PolyhedralSurface(verts, cube.faces).faces == cube.faces
+
+
 def test_diagnostics_json_shape(cube):
     d = validate_surface(cube).to_json_dict()
     assert set(d) == {"counts", "euler", "violations"}
@@ -290,7 +313,7 @@ def reference_nonmanifold_vertices(surface):
 
     Judged only at vertices whose incident edges all have two faces.
     """
-    inc = surface.edge_incidence
+    inc = edge_incidence(surface)
     bad = []
     for v in range(len(surface.vertices)):
         neighbors = {}
@@ -829,8 +852,8 @@ def reference_components(n, rows, cols):
 
 
 def reference_vertex_link_pieces(surface):
-    """Link node numbers one corner at a time, through edge_index."""
-    eidx = surface.edge_index
+    """Link node numbers one corner at a time, through the reference edge_index."""
+    eidx = edge_index(surface)
 
     def node(v, w):
         return 2 * eidx[(v, w) if v < w else (w, v)] + (v > w)
@@ -838,15 +861,15 @@ def reference_vertex_link_pieces(surface):
     joined = [(node(v, face[i - 1]), node(v, face[(i + 1) % len(face)]))
               for face in surface.faces for i, v in enumerate(face)]
     rows, cols = np.array(joined, dtype=np.int64).reshape(-1, 2).T
-    count, labels = reference_components(2 * len(surface.edge_list), rows, cols)
+    count, labels = reference_components(2 * len(eidx), rows, cols)
     piece_vertex = np.empty(count, dtype=np.int64)
-    piece_vertex[labels] = np.array(surface.edge_list, dtype=np.int64).ravel()
+    piece_vertex[labels] = np.array(list(eidx), dtype=np.int64).ravel()
     return np.bincount(piece_vertex, minlength=len(surface.vertices))
 
 
 def reference_connectivity(surface):
     """Link pieces and face-adjacency components, one scipy call per graph."""
-    joined = [(faces[0], f) for faces in surface.edge_faces for f in faces[1:]]
+    joined = [(inc[0][0], f) for inc in edge_incidence(surface).values() for f, _ in inc[1:]]
     rows, cols = np.array(joined, dtype=np.int64).reshape(-1, 2).T
     count, _ = reference_components(len(surface.faces), rows, cols)
     return reference_vertex_link_pieces(surface), count
@@ -915,6 +938,95 @@ def test_mesh_outputs_equal_reference_formulas(group, monkeypatch):
             expected = validate_surface(old)
             assert json.dumps(diagnostics.to_json_dict()) == json.dumps(expected.to_json_dict())
             assert graphs == ([quotient_graph(old, side) for side in sides] if expected.ok else [])
+
+
+def reference_validation(surface):
+    """The report of :func:`validate_surface` from the dict walk: the
+    per-edge loop for edge counts and orientation, :func:`reference_connectivity`
+    for vertex links and face components, and the surface's own face
+    geometry for planarity, degeneracy and volume."""
+    inc = edge_incidence(surface)
+    violations, open_ends = [], set()
+    for (a, b), uses in sorted(inc.items()):
+        if len(uses) != 2:
+            violations.append(Violation("edge_face_count", (a, b, len(uses))))
+            open_ends.update((a, b))
+        elif uses[0][1] == uses[1][1]:
+            violations.append(Violation("orientation", (a, b)))
+    closed_and_oriented = not violations
+    pieces, components = reference_connectivity(surface)
+    for v in range(len(surface.vertices)):
+        if not any(v in face for face in surface.faces):
+            violations.append(Violation("isolated_vertex", (v,)))
+        elif v not in open_ends and pieces[v] != 1:
+            violations.append(Violation("nonmanifold_vertex", (v,)))
+    nv, nf = len(surface.vertices), len(surface.faces)
+    if not nf and not nv:
+        violations.append(Violation("empty_surface", ()))
+    if nf and components != 1:
+        violations.append(Violation("disconnected", (components,)))
+    diag = surface.bbox_diagonal or 1.0
+    for fi in range(nf):
+        deviation = float(surface.face_plane_deviations[fi])
+        if surface.face_areas[fi] <= mesh.DEGENERATE_AREA_REL_TOL * diag * diag:
+            violations.append(Violation("degenerate_face", (fi,)))
+        elif deviation > mesh.PLANAR_REL_TOL * diag:
+            violations.append(Violation("nonplanar_face", (fi, deviation)))
+    if nf and closed_and_oriented and surface.signed_volume <= 0.0:
+        violations.append(Violation("negative_volume", (surface.signed_volume,)))
+    return mesh.MeshDiagnostics(nv, len(inc), nf, nv - len(inc) + nf, violations)
+
+
+@st.composite
+def face_soups(draw):
+    """``(vertices, faces)``: faces of 3-5 distinct corners from a pool of
+    3-7 vertices, so that edges are used once or several times in either
+    direction; some faces are drawn again, as they are or reversed, and
+    0-3 spare vertices are used by no face."""
+    used, spare = draw(st.integers(3, 7)), draw(st.integers(0, 3))
+    face = st.integers(3, min(5, used)).flatmap(
+        lambda k: st.lists(st.integers(0, used - 1), min_size=k, max_size=k, unique=True))
+    faces = draw(st.lists(face, max_size=10))
+    if faces:
+        again = draw(st.lists(st.tuples(st.sampled_from(faces), st.booleans()), max_size=3))
+        faces += [f[::-1] if flip else f for f, flip in again]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.normal(size=(used + spare, 3)), [tuple(f) for f in faces]
+
+
+CUBE = fixtures.cube()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(soup=face_soups())
+@example(soup=(np.zeros((0, 3)), []))  # no faces, no vertices
+@example(soup=(SOUP_VERTS[:3], []))  # no faces, three isolated vertices
+@example(soup=(SOUP_VERTS[:4], [(2, 0, 3)]))  # every edge used once, vertex 1 spare
+# books of three and four pages: edge 01 used three and four times
+@example(soup=(SOUP_VERTS, [(0, 1, 2), (1, 0, 3), (0, 1, 4)]))
+@example(soup=(SOUP_VERTS, [(0, 1, 2), (1, 0, 3), (0, 1, 4), (1, 0, 5)]))
+@example(soup=(SOUP_VERTS[:4], [(0, 1, 2), (0, 1, 3)]))  # a misoriented pair
+@example(soup=(CUBE.vertices, list(CUBE.faces)))  # closed and valid
+@example(soup=(CUBE.vertices, [CUBE.faces[0][::-1]] + list(CUBE.faces[1:])))  # one face flipped
+@example(soup=(CUBE.vertices, [f[::-1] for f in CUBE.faces]))  # turned inside out
+def test_half_edge_table_equals_dict_walk(soup):
+    surface = PolyhedralSurface(*soup)
+    inc = edge_incidence(surface)
+    eidx = edge_index(surface)
+    h = surface.half_edges
+    assert not any(column.flags.writeable for column in h)
+    rows = [(v, face[(i + 1) % len(face)], fi)
+            for fi, face in enumerate(surface.faces) for i, v in enumerate(face)]
+    assert list(zip(h.tail.tolist(), h.head.tolist(), h.face.tolist())) == rows
+    assert h.edge.tolist() == [eidx[(min(a, b), max(a, b))] for a, b, _ in rows]
+    assert surface.edge_list == tuple(sorted(inc))
+    assert all(type(i) is int for edge in surface.edge_list for i in edge)
+    assert surface.edge_faces == tuple(tuple(f for f, _ in inc[e]) for e in sorted(inc))
+    assert validate_surface(surface).to_json_dict() == reference_validation(surface).to_json_dict()
+    pieces, components = _connectivity(surface)
+    expected_pieces, expected_components = reference_connectivity(surface)
+    assert pieces.tolist() == expected_pieces.tolist()
+    assert components == expected_components
 
 
 def turned_notched_boxes(bend):

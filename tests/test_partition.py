@@ -27,6 +27,8 @@ from polymix.partition import (
     validate_partition,
 )
 
+from conftest import edge_incidence
+
 
 def brute_force_admissible(surface, side):
     """Oracle: filter all 2^F labelings through validate_partition."""
@@ -323,8 +325,7 @@ def reference_quotient_graph(surface, side, tau=TAU_ANGLE):
 
     angles = side_angles(surface, side)
     threshold = math.pi - tau
-    topo = [(inc[0][0], inc[1][0])
-            for inc in (surface.edge_incidence[e] for e in surface.edge_list)]
+    topo = [(inc[0][0], inc[1][0]) for _, inc in sorted(edge_incidence(surface).items())]
     for eid, (f0, f1) in enumerate(topo):
         if angles[eid] >= threshold:
             ra, rb = find(f0), find(f1)

@@ -381,7 +381,8 @@ def test_constrained_vertices_equal_loop_reference(build, part, data, closure):
         assert got == outcome(reference_constrained_vertices, verts, vertex_faces, part, data,
                               closure=closure), level
     # at level 5 every D face has vertices of its own, pinned in both modes
-    missing = any(f not in dict(data.constants or ()) for f in part.dirichlet_faces)
+    missing = any(f not in dict(data.constants or ()) for f, label in enumerate(part.labels)
+                  if label == "D")
     assert isinstance(got, str) == (data.kind == "face_constants" and missing)
 
 
