@@ -10,12 +10,8 @@ from .geometry import (
     ArchRegion,
     ConeRegion,
     DihedralAngle,
-    SampleBatch,
     contains_point,
     dihedral_angles,
-    sample_arch,
-    sample_base,
-    sample_lateral,
     separation_radius,
 )
 from .mesh import (
@@ -88,7 +84,6 @@ __all__ = [
     "PolyhedralSurface",
     "QuotientGraph",
     "RefinedSurface",
-    "SampleBatch",
     "SearchReport",
     "SectorSolution",
     "TraceData",
@@ -111,9 +106,6 @@ __all__ = [
     "rellich_estimate",
     "rellich_identity",
     "rellich_suite",
-    "sample_arch",
-    "sample_base",
-    "sample_lateral",
     "search_both_monochromatic",
     "separation_radius",
     "serialize_off",

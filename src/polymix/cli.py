@@ -224,8 +224,7 @@ def cmd_rellich(args):
         _emit(args, reporting.csv_report(header, rows, cfg))
     else:
         result = {"identity": [r.to_json_dict() for r in identities],
-                  "sampling": rellich.sampling_report(
-                      rellich.arch_streams(arch, args.samples, args.seed))}
+                  "sampling": rellich.sampling_report(arch, funcs, args.samples, args.seed)}
         if args.estimate:
             result["estimate"] = [e.to_json_dict() for e in estimates]
         _emit(args, reporting.json_report(result, cfg))

@@ -11,7 +11,6 @@ property tests.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .mesh import PolyhedralSurface, _cross, midpoint_subdivide
 
@@ -149,6 +148,8 @@ def open_box():
 
 def generate_hull(seed, n_points=8):
     """Convex hull of random unit-sphere points, outward triangle faces."""
+    from scipy.spatial import ConvexHull  # here, so that only its callers pay for the import
+
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x48)))
     pts = rng.normal(size=(int(n_points), 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]

@@ -1,5 +1,5 @@
 """Dihedral angles, vertex separation radii, containment tests, and
-Monte Carlo sampling of vertex cones, cone bases, and arches.
+Monte Carlo sampling of vertex links and the faces at a vertex.
 
 Angles are measured inside the solid: an edge of a convex solid has
 interior angle < pi, a reflex (notch) edge has interior angle > pi, and
@@ -10,13 +10,14 @@ all triangles (:func:`contains_points`), exact up to rounding and free of
 ray directions.  Sampling is seeded and deterministic, and drawn in
 shards, each from its own generator: a :class:`SampleStream` hands a
 sampler's shards of points out one at a time to a consumer that reduces
-as it goes, and ``sample_*`` gather the same shards into one
-:class:`SampleBatch`.  Every region is sampled directly: lateral faces as
-polar wedges, arches and cone bases through spherical triangles that tile
-the vertex cone, cut from its link by a sweep of meridians
+as it goes.  Both samplers draw directly, at unit distance from the
+vertex: :func:`link_stream` directions through spherical triangles that
+tile the vertex cone, cut from its link by a sweep of meridians
 (:func:`_link_triangles`) at convex and reflex vertices alike, including
-cones with no kernel and cones in no open hemisphere.  The points are
-uniform over the region, and stream and batch carry its exact measure.
+cones with no kernel and cones in no open hemisphere, and
+:func:`lateral_stream` polar angles in the corner wedges of the faces at
+the vertex.  The points are uniform, and each stream carries its exact
+measure.
 """
 
 from __future__ import annotations
@@ -340,43 +341,15 @@ class ArchRegion:
         return ConeRegion(self.surface, self.vertex, self.r_outer)
 
 
-@dataclass
-class SampleBatch:
-    """Points drawn uniformly from a region of exact ``measure``.
-
-    :func:`mc_estimate` turns the mean and the centred sum of squares of an
-    integrand's values at the points into an integral estimate with
-    standard error.  Lateral batches carry the source face of every point
-    (``face_ids``), and those of :func:`sample_lateral` its outward unit
-    normal (``normals``).
-    """
-
-    tag: str
-    points: np.ndarray
-    rng_seed: int
-    measure: float
-    face_ids: np.ndarray | None = None
-    normals: np.ndarray | None = field(default=None, repr=False)
-
-
-def mc_estimate(mean, m2, n, measure):
-    """Integral estimate and standard error from the mean ``mean`` and the
-    centred sum of squares ``m2`` (the sum of ``(x - mean)^2``) of an
-    integrand's values at ``n >= 2`` uniform points of a region of exact
-    ``measure``.  Works elementwise on arrays."""
-    return measure * mean, measure * np.sqrt(m2 / (n - 1) / n)
-
-
 @dataclass(frozen=True)
 class SampleStream:
-    """A sampler's draws shard by shard, before they are gathered into a batch.
+    """A sampler's draws shard by shard.
 
     Iterating yields ``(points, face_ids or None)`` per shard in draw order,
     at most ``_DIRECT_CHUNK`` points from one generator and ``n`` points in
-    all, uniform over a region of exact ``measure``.  :meth:`collect`
-    concatenates the shards into the sampler's batch, so a consumer that
-    walks the stream sees exactly the batch's points while holding one
-    shard at a time.  Each iteration draws afresh from the seed.
+    all, uniform over a region of exact ``measure``, so a consumer that
+    reduces as it goes holds one shard at a time.  Each iteration draws
+    afresh from the seed.
     """
 
     tag: str
@@ -387,21 +360,6 @@ class SampleStream:
 
     def __iter__(self):
         return self.shards()
-
-    def collect(self):
-        """The whole stream as one :class:`SampleBatch`."""
-        points = np.empty((self.n, 3))
-        face_ids = None
-        start = 0
-        for pts, fids in self:
-            stop = start + len(pts)
-            points[start:stop] = pts
-            if fids is not None:
-                if face_ids is None:
-                    face_ids = np.empty(self.n, dtype=fids.dtype)
-                face_ids[start:stop] = fids
-            start = stop
-        return SampleBatch(self.tag, points, self.rng_seed, self.measure, face_ids)
 
 
 def _vertex_corners(surface, vertex):
@@ -621,92 +579,47 @@ def _check_count(n):
     return int(n)
 
 
-def base_stream(cone, n, seed):
-    """Uniform points on the cone base, the part of the sphere
-    |X - v| = radius inside the solid, as a :class:`SampleStream`.
-
-    The directions are drawn directly from the triangles of the vertex
-    link (:func:`_link_fan`), and the measure is exactly ``Omega r^2``.
-    """
-    n = _check_count(n)
-    v, r = cone.surface.vertices[cone.vertex], cone.radius
-    fan = _link_fan(cone.surface, cone.vertex)
-    return _direct_stream("base-sphere", seed, fan.solid_angle * r * r, n,
-                          lambda g, m: (v + r * fan.directions(g, m), None))
-
-
-def arch_stream(arch, n, seed):
-    """Uniform volume points in the arch, the solid within the shell, as a
-    :class:`SampleStream`.
+def link_stream(surface, vertex, n, seed):
+    """Uniform unit directions in the cone at `vertex`, as a
+    :class:`SampleStream` whose measure is exactly the cone's solid angle.
 
     The directions are drawn directly from the triangles of the vertex link
-    and the radii from the inverse CDF ``cbrt(r^3 + u (R^3 - r^3))``; the
-    measure is exactly ``Omega (R^3 - r^3) / 3``.
+    (:func:`_link_fan`).
     """
     n = _check_count(n)
-    v = arch.surface.vertices[arch.vertex]
-    r3, R3 = arch.r_inner ** 3, arch.r_outer ** 3
-    fan = _link_fan(arch.surface, arch.vertex)
-
-    def draw(g, m):
-        d = fan.directions(g, m)
-        return v + np.cbrt(r3 + g.random(m) * (R3 - r3))[:, None] * d, None
-
-    return _direct_stream("arch-volume", seed, fan.solid_angle * (R3 - r3) / 3.0, n, draw)
+    fan = _link_fan(surface, vertex)
+    return _direct_stream("link", seed, fan.solid_angle, n,
+                          lambda g, m: (fan.directions(g, m), None))
 
 
-def lateral_stream(arch, n, seed):
-    """Uniform points on the faces at the vertex within the shell, as a
+def lateral_stream(surface, vertex, n, seed):
+    """Uniform unit directions on the faces at `vertex`, as a
     :class:`SampleStream` whose shards carry the source face of every point.
 
-    Inside the separation ball each face at the vertex is its corner wedge
-    of angle ``theta_f`` in (0, 2*pi), turning counterclockwise about the
-    outward normal from the face's next vertex to its previous one.  A draw
-    picks a face with probability proportional to ``theta_f``, from the kept
-    CDF of ``theta`` as :class:`_LinkFan` picks a triangle, and a point in
-    polar form (``phi = theta_f u``, ``rho = sqrt(r^2 + u' (R^2 - r^2))``);
-    the measure is exactly ``sum theta_f (R^2 - r^2) / 2``.
+    Each face at the vertex is its corner wedge of angle ``theta_f`` in
+    (0, 2*pi), turning counterclockwise about the outward normal from the
+    face's next vertex to its previous one.  A draw picks a face with
+    probability proportional to ``theta_f``, from the kept CDF of ``theta``
+    as :class:`_LinkFan` picks a triangle, and a polar angle
+    ``phi = theta_f u``; the point is the unit vector at ``phi`` in the face,
+    relative to the vertex.  The measure is exactly ``sum theta_f``, the
+    length of the unit arcs the points are uniform on.
     """
     n = _check_count(n)
-    surface = arch.surface
-    v = surface.vertices[arch.vertex]
-    fids, _, prev, succ = _vertex_corners(surface, arch.vertex)
+    fids, _, prev, succ = _vertex_corners(surface, vertex)
     turned = np.cross(surface.face_normals[fids], succ)  # succ turned a quarter counterclockwise
     theta = np.mod(np.arctan2(_dot(turned, prev), _dot(succ, prev)), 2.0 * math.pi)
     cdf = (theta / theta.sum()).cumsum()
     cdf /= cdf[-1]
-    r2, R2 = arch.r_inner ** 2, arch.r_outer ** 2
     succ, turned = succ.T.copy(), turned.T.copy()  # vectors as columns
 
     def draw(g, m):
         k = cdf.searchsorted(g.random(m), side="right")
-        u, w = g.random((2, m))
-        phi = np.take(theta, k) * u
-        rho = np.sqrt(r2 + w * (R2 - r2))
-        pts = v[:, None] + rho * (np.cos(phi) * np.take(succ, k, axis=1)
-                                  + np.sin(phi) * np.take(turned, k, axis=1))
+        phi = np.take(theta, k) * g.random(m)
+        pts = np.cos(phi) * np.take(succ, k, axis=1) + np.sin(phi) * np.take(turned, k, axis=1)
         return pts.T, np.take(fids, k)
 
-    return _direct_stream("lateral-surface", seed, float(theta.sum()) * (R2 - r2) / 2.0, n, draw)
-
-
-def sample_base(cone, n, seed):
-    """All of :func:`base_stream` as one :class:`SampleBatch`."""
-    return base_stream(cone, n, seed).collect()
-
-
-def sample_arch(arch, n, seed):
-    """All of :func:`arch_stream` as one :class:`SampleBatch`."""
-    return arch_stream(arch, n, seed).collect()
-
-
-def sample_lateral(arch, n, seed):
-    """All of :func:`lateral_stream` as one :class:`SampleBatch`, with the
-    source face of every point (``face_ids``) and its outward unit normal
-    (``normals``)."""
-    batch = lateral_stream(arch, n, seed).collect()
-    batch.normals = arch.surface.face_normals[batch.face_ids]
-    return batch
+    return _direct_stream("lateral", seed, float(theta.sum()), n, draw)
 
 
 # ----------------------------------------------------------------------

@@ -13,26 +13,50 @@ one-sided estimate
     lhs <= int_{B(v,R)} |grad u|^2 + 2 int_{B(v,r)} (W . grad u)^2
            + 2 int_{lateral} |du/dnu| |grad_t u| ds.
 
-Both sides are integrated by Monte Carlo on shared samples: one stream
-of n >= 2 points per region (volume, inner and outer base, lateral
-faces), drawn directly and carrying the region's exact measure (see the
-geometry module's docstring).  Each integral is that measure times the
-integrand's mean, with the standard error of the mean from the sample
-variance.  The 1/|X| volume weight is bounded on the arch (|X| >= r), so
-plain sampling needs no singularity handling.
+Every test function u is a homogeneous harmonic polynomial of degree p,
+so by Euler's identity X . grad u = p u, W . grad u = p u(W) |X|^(p-1),
+and each volume and base integrand is a power of |X| times a function of
+the direction alone.  The radial integrals then have closed forms, and
+only the link needs sampling.  With Omega the cone's solid angle and the
+means over n >= 2 unit directions drawn directly from the link (see the
+geometry module's docstring) of U = (p u)^2 and G = |grad u|^2:
+
+    lhs        = (R^2p - r^2p) / p * Omega * mean(U)
+    inner base =            r^2p * Omega * mean(2 U - G)
+    outer base =            R^2p * Omega * mean(G - 2 U)
+
+and the estimate's inner and outer rows are 2 U and G.  On each lateral
+face wedge both integrands are rho^(2p-2) times a function of the polar
+angle, so one stream of n polar angles at unit radius, of measure
+sum theta (the wedges' corner angles), gives
+
+    lateral    = (R^2p - r^2p) / 2p * sum(theta) * mean(integrand).
+
+The radial powers are formed by multiplication, so a power-of-two scale
+of the mesh and radii scales every number by a power of two exactly.  At
+degree 0 every integrand is 0, and so is every estimate.
+
+Each estimate is a weighted sum of its stream's means, and its standard
+error comes from the centred co-moments of (U, G) on the link, and of
+the identity's and the estimate's integrands on the lateral.  The volume
+and both bases share their directions, so their errors are correlated:
+the rhs standard errors and ``combined_stderr`` (of the identity's
+residual, and of the estimate's slack) are those of the paired
+per-direction sums, combined in quadrature with the lateral's, not a
+root-sum-square over the parts.
 
 Homogeneous harmonic polynomials up to degree 3 supply the test functions,
-each an exact integer coefficient table over the monomials.  The suite has
-one path: it streams the samplers' shards (at most 4096 points each)
+each an exact integer coefficient table over the monomials.  The suite
+streams the shards (at most 4096 points each) of the link and the lateral
 through one kernel, and the command line reports on the same streams
-without drawing them twice.  The kernel (:func:`_evaluate`) adds each
+without drawing them.  The kernel (:func:`_evaluate`) adds each
 polynomial's terms ``coefficient * monomial`` in table order with
 elementwise numpy, never a matrix product, and Euler's identity
 X . grad u = degree * u gives W . grad u without a dot product.
 Elementwise operations round each point on its own, so a point's integrand
 bits depend on the point and the function alone: not on the BLAS build,
 the SIMD width, the shard's width or the other functions.  Per shard, each
-integrand's mean and centred sum of squares are numpy's pairwise sums over
+integrand's mean and centred co-moments are numpy's pairwise sums over
 a contiguous row, whose order depends on the shard's width alone; the
 shards merge in draw order by Chan, Golub & LeVeque (1979), so a constant
 integrand's stderr stays at its rounding size.  No per-point array
@@ -43,18 +67,11 @@ machine.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    ArchRegion,
-    arch_stream,
-    base_stream,
-    lateral_stream,
-    mc_estimate,
-)
+from .geometry import ArchRegion, lateral_stream, link_stream
 
 
 # the monomials x^a y^b z^c through degree 4, graded, so that polynomials of
@@ -184,14 +201,11 @@ class RellichResult:
     rhs_inner: float
     rhs_outer: float
     rhs_lateral: float
+    combined_stderr: float  # of the residual
 
     @property
     def residual(self):
         return self.lhs - self.rhs
-
-    @property
-    def combined_stderr(self):
-        return math.hypot(self.lhs_stderr, self.rhs_stderr)
 
     @property
     def relative_residual(self):
@@ -230,14 +244,11 @@ class EstimateResult:
     lhs_stderr: float
     rhs: float
     rhs_stderr: float
+    combined_stderr: float  # of the slack
 
     @property
     def slack(self):
         return self.rhs - self.lhs
-
-    @property
-    def combined_stderr(self):
-        return math.hypot(self.lhs_stderr, self.rhs_stderr)
 
     def to_json_dict(self):
         return {
@@ -256,111 +267,178 @@ class EstimateResult:
 
 REGIONS = ("volume", "inner", "outer", "lateral")
 
-
-def arch_streams(arch, n, seed):
-    """One stream of n points per region, in the order of ``REGIONS``; seeds
-    derive from (seed, region index)."""
-    seed = int(seed)
-    return (arch_stream(arch, n, seed), base_stream(arch.inner_base, n, (seed << 2) + 1),
-            base_stream(arch.outer_base, n, (seed << 2) + 2),
-            lateral_stream(arch, n, (seed << 2) + 3))
-
-
-def sampling_report(streams):
-    """Per region of the four streams, the exact measure it carries.  The
-    streams draw nothing here."""
-    return {region: {"measure": s.measure} for region, s in zip(REGIONS, streams)}
-
-
-# the rows of each function's table a region's integrands read; the lateral
+# the rows of each function's table a stream's integrands read; the lateral
 # estimate takes |grad u|^2 - (du/dnu)^2, which vanishes where grad u is
 # normal to the face, so there |grad u|^2 is summed from the same gradient
 # rows as du/dnu and cancels to the rounding of those rows alone
-_REGION_ROWS = {"volume": [0], "inner": [0, 4], "outer": [0, 4], "lateral": [0, 1, 2, 3]}
+_STREAM_ROWS = {"link": [0, 4], "lateral": [0, 1, 2, 3]}
 
 
-def _region_rows(region, test_functions):
-    """The rows of every function the region's integrands read, as
-    :func:`_evaluate` takes them, row-major over (``_REGION_ROWS[region]``,
+def _streams(arch, n, seed):
+    """The suite's two streams of n draws: unit directions on the link, and
+    polar angles of the lateral faces at unit radius; seeds derive from
+    ``seed``, the link's being ``seed`` itself."""
+    seed = int(seed)
+    return (link_stream(arch.surface, arch.vertex, n, seed),
+            lateral_stream(arch.surface, arch.vertex, n, (seed << 2) + 3))
+
+
+def _radial_factors(arch, degree):
+    """Per region of ``REGIONS``, the radial factor a degree-p function's
+    estimates carry: ``(R^2p - r^2p) / p``, ``r^2p``, ``R^2p`` and
+    ``(R^2p - r^2p) / 2p``.  The powers are products of ``r * r``, so a
+    power-of-two scale of the radii scales them exactly.  At degree 0 the
+    volume and lateral factors are 0, since every integrand vanishes."""
+    r2, R2 = arch.r_inner * arch.r_inner, arch.r_outer * arch.r_outer
+    r2p = R2p = 1.0
+    for _ in range(degree):
+        r2p *= r2
+        R2p *= R2
+    shell = (R2p - r2p) / degree if degree else 0.0
+    return shell, r2p, R2p, 0.5 * shell
+
+
+def sampling_report(arch, test_functions, n, seed):
+    """What the suite draws, and the radial factor each region's estimates
+    carry per degree; draws nothing."""
+    link, lateral = _streams(arch, n, seed)
+    degrees = sorted({u.degree for u in test_functions})
+    factors = {p: _radial_factors(arch, p) for p in degrees}
+    return {
+        "link": {"measure": link.measure, "draws": link.n},
+        "lateral": {"measure": lateral.measure, "draws": lateral.n},
+        "regions": {region: {"stream": "lateral" if region == "lateral" else "link",
+                             "radial_factor": {str(p): factors[p][i] for p in degrees}}
+                    for i, region in enumerate(REGIONS)},
+    }
+
+
+def _stream_rows(stream, test_functions):
+    """The rows of every function the stream's integrands read, as
+    :func:`_evaluate` takes them, row-major over (``_STREAM_ROWS[stream]``,
     functions); the value row is times the degree, so that by Euler's
     identity it evaluates to ``|X| W . grad u``."""
     return [u.rows[i] if i else tuple((k, u.degree * c) for k, c in u.rows[0] if u.degree)
-            for i in _REGION_ROWS[region] for u in test_functions]
+            for i in _STREAM_ROWS[stream] for u in test_functions]
 
 
-def _integrands(region, rows, pts, normals):
-    """The region's integrands at one shard of points relative to the
-    vertex, one (functions, points) array each: for the volume the lhs
-    integrand, for each boundary region the identity's then the estimate's.
-    ``rows`` are the region's from :func:`_region_rows`; ``normals``
-    (3, points) are the lateral points' outward unit normals.  Every step
-    is elementwise, so a point's integrands are the same bits whatever
-    shares its shard.
+def _integrands(stream, rows, pts, normals=None):
+    """The stream's two integrands at one shard of points relative to the
+    vertex, a (2, functions, points) array: on the link, at unit
+    directions, ``U = (p u)^2`` and ``G = |grad u|^2``; on the lateral faces,
+    at unit radius, the identity's integrand then the estimate's.  ``rows``
+    are the stream's from :func:`_stream_rows`; ``normals`` (3, points) are
+    the lateral points' outward unit normals.  Every step is elementwise, so
+    a point's integrands are the same bits whatever shares its shard.
     """
     x, y, z = coords = np.ascontiguousarray(pts.T)
-    r2 = x * x + y * y + z * z
-    r = np.sqrt(r2)
-    values = _evaluate(rows, coords).reshape(len(_REGION_ROWS[region]), -1, len(r))
+    values = _evaluate(rows, coords).reshape(len(_STREAM_ROWS[stream]), -1, len(x))
     rwg = values[0]  # |X| W . grad u
-    if region == "volume":
-        return (rwg * rwg * (2.0 / (r2 * r)),)
-    if region != "lateral":
-        g2 = values[1]  # the table's |grad u|^2 row
-        twice_wg2 = rwg * rwg * (2.0 / r2)
-        if region == "inner":  # outward normal -W
-            return twice_wg2 - g2, twice_wg2
-        return g2 - twice_wg2, g2  # outer base, outward normal +W
+    if stream == "link":
+        rwg *= rwg
+        return values
     # lateral faces: nu . W vanishes on faces through the vertex up to
     # round-off but is kept in the integrand
+    r = np.sqrt(x * x + y * y + z * z)
     gx, gy, gz = values[1:]
     nx, ny, nz = normals
     g2 = gx * gx + gy * gy + gz * gz
     dn = nx * gx + ny * gy + nz * gz
     nuw = (nx * x + ny * y + nz * z) / r
     dn2 = dn * dn
+    out = np.empty((2,) + g2.shape)
+    np.subtract(nuw * g2, dn * rwg * (2.0 / r), out=out[0])
     # the estimate's 2 |du/dnu| |grad_t u|, with |grad_t u|^2 = |grad u|^2 - dn^2
-    return (nuw * g2 - dn * rwg * (2.0 / r),
-            2.0 * np.sqrt(np.maximum(dn2 * (g2 - dn2), 0.0)))
+    np.multiply(2.0, np.sqrt(np.maximum(dn2 * (g2 - dn2), 0.0)), out=out[1])
+    return out
+
+
+def _moments(stream, rows, normal_table, count):
+    """The means (2, functions) of the stream's two integrands and their
+    centred co-moments, the sums of ``(x - mean) (y - mean)`` over (x, x),
+    (x, y) and (y, y), a (3, functions) array, taken shard by shard: each
+    shard's merge into the running ones in draw order by Chan, Golub &
+    LeVeque."""
+    mean, co = np.zeros((2, count)), np.zeros((3, count))
+    seen = 0
+    for pts, face_ids in stream:
+        normals = None if face_ids is None else np.take(normal_table, face_ids, axis=1)
+        x = _integrands(stream.tag, rows, pts, normals)
+        m = x.shape[2]
+        share = m / (seen + m)
+        shard_mean = x.sum(axis=2) / m
+        d0, d1 = delta = shard_mean - mean
+        x -= shard_mean[:, :, None]  # the integrand array is the merge's own
+        x0, x1 = x
+        weight = seen * share
+        co[0] += (x0 * x0).sum(axis=1) + d0 * d0 * weight
+        co[1] += (x0 * x1).sum(axis=1) + d0 * d1 * weight
+        co[2] += (x1 * x1).sum(axis=1) + d1 * d1 * weight
+        mean += delta * share
+        seen += m
+    return mean, co, seen
+
+
+def _weighted(weights, moments):
+    """The integral ``a mean_x + b mean_y`` of weights ``(a, b)`` on a
+    stream's two means, and the variance of that estimate."""
+    (a, b), ((mx, my), (cxx, cxy, cyy), n) = weights, moments
+    q = a * a * cxx + 2.0 * a * b * cxy + b * b * cyy
+    return a * mx + b * my, np.maximum(q, 0.0) / (n - 1) / n
 
 
 def _region_estimates(arch, test_functions, n, seed):
     """Per region of ``REGIONS``, the estimates and standard errors of its
-    integrands, two (integrands, functions) arrays, on the points of
-    ``arch_streams(arch, n, seed)`` taken shard by shard: each shard's mean
-    and centred sum of squares merge into the running ones in draw order by
-    Chan, Golub & LeVeque."""
-    v = arch.surface.vertices[arch.vertex]
+    integrals, two (integrals, functions) arrays: for the volume the lhs,
+    for each boundary region the identity's part then the estimate's.
+    Under ``"paired"``, a (4, functions) array of the standard errors of
+    sums whose parts share the link's directions: the identity's rhs and
+    residual, then the estimate's rhs and slack.  The points are those of
+    ``_streams(arch, n, seed)``, taken shard by shard."""
+    link, lateral = streams = _streams(arch, n, seed)
     normal_table = np.ascontiguousarray(arch.surface.face_normals.T)
+    count = len(test_functions)
+    link_moments, lateral_moments = (
+        _moments(s, _stream_rows(s.tag, test_functions), normal_table, count) for s in streams)
+    shell, r2p, R2p, side = np.array([_radial_factors(arch, u.degree)
+                                      for u in test_functions]).T
+    zero = np.zeros(count)
+    # weights on the link's means of (U, G), then on the lateral's of its
+    # (identity, estimate) integrands
+    volume = np.array([shell * link.measure, zero])
+    inner = np.array([2.0 * r2p * link.measure, -r2p * link.measure])
+    inner_estimate = np.array([2.0 * r2p * link.measure, zero])
+    outer = np.array([-2.0 * R2p * link.measure, R2p * link.measure])
+    outer_estimate = np.array([zero, R2p * link.measure])
+    lat = np.array([side * lateral.measure, zero])
+    lat_estimate = np.array([zero, side * lateral.measure])
     out = {}
-    for region, stream in zip(REGIONS, arch_streams(arch, n, seed)):
-        rows = _region_rows(region, test_functions)
-        mean, m2 = np.zeros((2, 1 if region == "volume" else 2, len(test_functions)))
-        count = 0
-        for pts, face_ids in stream:
-            normals = None if face_ids is None else np.take(normal_table, face_ids, axis=1)
-            m = len(pts)
-            share = m / (count + m)
-            for i, x in enumerate(_integrands(region, rows, pts - v, normals)):
-                shard_mean = x.sum(axis=1) / m
-                delta = shard_mean - mean[i]
-                x -= shard_mean[:, None]  # each integrand array is the merge's own
-                x *= x
-                m2[i] += x.sum(axis=1) + delta * delta * (count * share)
-                mean[i] += delta * share
-            count += m
-        out[region] = mc_estimate(mean, m2, count, stream.measure)
+    for region, integrals, moments in (("volume", [volume], link_moments),
+                                       ("inner", [inner, inner_estimate], link_moments),
+                                       ("outer", [outer, outer_estimate], link_moments),
+                                       ("lateral", [lat, lat_estimate], lateral_moments)):
+        values, variances = zip(*(_weighted(w, moments) for w in integrals))
+        out[region] = np.array(values), np.sqrt(variances)
+
+    def paired(link_weights, lateral_weights):
+        return np.sqrt(_weighted(link_weights, link_moments)[1]
+                       + _weighted(lateral_weights, lateral_moments)[1])
+
+    base, base_estimate = inner + outer, inner_estimate + outer_estimate
+    out["paired"] = np.array([paired(base, lat), paired(volume - base, lat),
+                              paired(base_estimate, lat_estimate),
+                              paired(base_estimate - volume, lat_estimate)])
     return out
 
 
 def rellich_suite(arch, test_functions, n, seed):
     """Identity and estimate reports for many u on shared samples.
 
-    Coordinates are translated so the arch vertex sits at the origin
-    before evaluating u, which makes results invariant under rigid
-    translation of the fixture.  The suite walks the points of
-    ``arch_streams(arch, n, seed)`` shard by shard and never holds a whole
-    batch: each integrand keeps only its running mean and centred sum of
-    squares per test function, merged shard by shard in draw order.  A
+    Points are drawn relative to the arch vertex, which makes results
+    invariant under rigid translation of the fixture.  The suite walks the
+    points of ``_streams(arch, n, seed)`` shard by shard and never holds a
+    whole batch: each stream keeps only its running means and centred
+    co-moments per test function, merged shard by shard in draw order.  A
     standard error needs a sample variance, so ``n`` must be at least 2.
     """
     if not isinstance(arch, ArchRegion):
@@ -371,23 +449,24 @@ def rellich_suite(arch, test_functions, n, seed):
     if not test_functions:
         return [], []
     acc = _region_estimates(arch, test_functions, n, seed)
-    (lhs, lhs_se), (inner, inner_se), (outer, outer_se), (lat, lat_se) = (
+    (lhs, lhs_se), (inner, _), (outer, _), (lat, _) = (
         (est.tolist(), se.tolist()) for est, se in (acc[region] for region in REGIONS))
+    rhs_se, residual_se, estimate_se, slack_se = acc["paired"].tolist()
     identities, estimates = [], []
     for f, u in enumerate(test_functions):
         common = dict(vertex=arch.vertex, r_inner=arch.r_inner, r_outer=arch.r_outer,
                       u_name=u.name, lhs=lhs[0][f], lhs_stderr=lhs_se[0][f])
         identities.append(RellichResult(
             **common,
-            rhs=inner[0][f] + outer[0][f] + lat[0][f],
-            rhs_stderr=math.sqrt(inner_se[0][f] ** 2 + outer_se[0][f] ** 2 + lat_se[0][f] ** 2),
+            rhs=inner[0][f] + outer[0][f] + lat[0][f], rhs_stderr=rhs_se[f],
             rhs_inner=inner[0][f], rhs_outer=outer[0][f], rhs_lateral=lat[0][f],
+            combined_stderr=residual_se[f],
         ))
-        # the 2x factors already sit inside the inner and lateral integrands
+        # the 2x factors already sit inside the inner and lateral estimates
         estimates.append(EstimateResult(
             **common,
-            rhs=outer[1][f] + inner[1][f] + lat[1][f],
-            rhs_stderr=math.sqrt(outer_se[1][f] ** 2 + inner_se[1][f] ** 2 + lat_se[1][f] ** 2),
+            rhs=outer[1][f] + inner[1][f] + lat[1][f], rhs_stderr=estimate_se[f],
+            combined_stderr=slack_se[f],
         ))
     return identities, estimates
 

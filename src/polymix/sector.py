@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import qmc
 
 TWO_PI = 2.0 * math.pi
 
@@ -172,6 +170,8 @@ def truncated_energy(solution, epsilon):
         closed = 0.25 * math.log(1.0 / epsilon)
     else:
         closed = b * b * (epsilon ** (2.0 * b - 1.0) - 1.0) / (1.0 - 2.0 * b)
+    from scipy import integrate  # here, so that only its callers pay for the import
+
     quad, err = integrate.quad(
         lambda r: (b * r ** (b - 1.0)) ** 2, epsilon, 1.0, limit=200
     )
@@ -321,6 +321,8 @@ def estimate_ntmax(solution, cone, n, seed):
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    from scipy.stats import qmc  # here, so that only its callers pay for the import
+
     sob = qmc.Sobol(d=3, scramble=True, seed=np.random.default_rng(
         np.random.SeedSequence((int(seed), 0x7C0))))
     p = cone.base_point

@@ -1,18 +1,21 @@
 """Reference implementations for the Rellich tests.
 
 The catalog with hand-written value and gradient lambdas, the whole-array
-suite that integrates each region's full batch at once, and the shard
+suite that integrates each stream's full batch at once, and the shard
 kernel's integrands point by point in plain Python floats.  The library
 evaluates the catalog from exact coefficient tables and streams the suite
-shard by shard; these give the tests something independent to agree with.
+shard by shard, with standard errors from merged co-moments; these give
+the tests something independent to agree with.
 """
 
 import math
 
 import numpy as np
 
-from polymix.geometry import ArchRegion, mc_estimate
-from polymix.rellich import _MONOMIALS, EstimateResult, RellichResult, arch_streams
+from polymix.geometry import ArchRegion
+from polymix.rellich import _MONOMIALS, EstimateResult, RellichResult, _streams
+
+from sampling_reference import collect
 
 
 class LambdaTestFunction:
@@ -98,88 +101,75 @@ REFERENCE_CATALOG = (
 
 
 
-def reference_rellich_suite(arch, test_functions, n, seed):
-    """Whole-array reference: every region's whole batch at once, gathered
-    from ``arch_streams(arch, n, seed)``, with W . grad u as a row-wise dot
-    product and one ``mc_estimate`` per integrand, from the whole batch's
-    mean and centred sum of squares.
+def _mean_and_variance(x):
+    """The mean of the per-point values ``x`` and the variance of that
+    mean, from the whole array's centred sum of squares."""
+    mean = x.mean()
+    return mean, ((x - mean) ** 2).sum() / (len(x) - 1) / len(x)
 
-    Coordinates are translated so the arch vertex sits at the origin
-    before evaluating u, which makes results invariant under rigid
-    translation of the fixture.
+
+def reference_rellich_suite(arch, test_functions, n, seed):
+    """Whole-array reference: each of the two streams of
+    ``_streams(arch, n, seed)`` gathered whole, W . grad u as a row-wise
+    dot product, radial factors as powers, and every integral the mean of
+    its own per-point values over the whole batch.  A standard error comes
+    from the centred sum of squares of the per-point values of exactly the
+    sum it belongs to: the identity's rhs and residual and the estimate's
+    rhs and slack add their link parts point by point, with no co-moments,
+    and add the lateral's variance.
     """
     if not isinstance(arch, ArchRegion):
         raise TypeError("arch must be an ArchRegion")
-    n = int(n)
-    v = arch.surface.vertices[arch.vertex]
-    identities = {}
-    estimates = {}
-    acc = {
-        u.name: {"vertex": arch.vertex, "r_inner": arch.r_inner, "r_outer": arch.r_outer}
-        for u in test_functions
-    }
-
-    volume, inner, outer, lateral = [s.collect() for s in arch_streams(arch, n, seed)]
-    # per batch: (key, integrand) pairs; the integrands take the per-point
-    # |X|, W . grad u, |grad u|^2 and, on the lateral faces, nu . grad u and
-    # nu . W
-    regions = (
-        # volume side: 2 (W . grad u)^2 / |X|
-        (volume, (("lhs", lambda r, wg, **_: 2.0 * wg * wg / r),)),
-        # inner base, outward normal -W
-        (inner, (("inner_id", lambda wg, g2, **_: -g2 + 2.0 * wg * wg),
-                 ("inner_est", lambda wg, **_: 2.0 * wg * wg))),
-        # outer base, outward normal +W
-        (outer, (("outer_id", lambda wg, g2, **_: g2 - 2.0 * wg * wg),
-                 ("outer_est", lambda g2, **_: g2))),
-        # lateral faces: nu from face geometry; nu . W vanishes on faces
-        # through the vertex up to round-off but is kept in the integrand
-        (lateral, (("lat_id", lambda wg, g2, dn, nuw, **_: nuw * g2 - 2.0 * dn * wg),
-                   ("lat_est", lambda g2, dn, **_:
-                       2.0 * np.abs(dn) * np.sqrt(np.maximum(g2 - dn * dn, 0.0))))),
-    )
-    for batch, integrands in regions:
-        pts = batch.points - v
-        r = np.linalg.norm(pts, axis=1)
-        w = pts / r[:, None]
-        nu = None if batch.face_ids is None else arch.surface.face_normals[batch.face_ids]
-        nuw = None if nu is None else np.einsum("ij,ij->i", nu, w)
-        for u in test_functions:
-            g = u.gradient(pts)
-            wg = np.einsum("ij,ij->i", w, g)
-            g2 = np.einsum("ij,ij->i", g, g)
-            dn = None if nu is None else np.einsum("ij,ij->i", nu, g)
-            for key, integrand in integrands:
-                x = integrand(r=r, wg=wg, g2=g2, dn=dn, nuw=nuw)
-                mean = x.mean()
-                acc[u.name][key] = mc_estimate(mean, ((x - mean) ** 2).sum(), len(x),
-                                               batch.measure)
-
+    link, lateral = (collect(s) for s in _streams(arch, int(n), seed))
+    d = link.points
+    w = d / np.linalg.norm(d, axis=1)[:, None]
+    pts = lateral.points
+    r = np.linalg.norm(pts, axis=1)
+    nu = arch.surface.face_normals[lateral.face_ids]
+    # nu . W vanishes on faces through the vertex up to round-off but is
+    # kept in the integrand
+    nuw = np.einsum("ij,ij->i", nu, pts / r[:, None])
+    identities, estimates = [], []
     for u in test_functions:
-        a = acc[u.name]
-        rhs = a["inner_id"][0] + a["outer_id"][0] + a["lat_id"][0]
-        rhs_se = math.sqrt(a["inner_id"][1] ** 2 + a["outer_id"][1] ** 2 + a["lat_id"][1] ** 2)
-        identities[u.name] = RellichResult(
-            vertex=a["vertex"], r_inner=a["r_inner"], r_outer=a["r_outer"],
-            u_name=u.name,
-            lhs=a["lhs"][0], lhs_stderr=a["lhs"][1],
-            rhs=rhs, rhs_stderr=rhs_se,
-            rhs_inner=a["inner_id"][0], rhs_outer=a["outer_id"][0],
-            rhs_lateral=a["lat_id"][0],
-        )
+        p = u.degree
+        r2p, R2p = arch.r_inner ** (2 * p), arch.r_outer ** (2 * p)
+        shell = (R2p - r2p) / p if p else 0.0
+        # the link at unit directions: U = (W . grad u)^2, G = |grad u|^2
+        g = u.gradient(d)
+        wg = np.einsum("ij,ij->i", w, g)
+        big_u, big_g = wg * wg, np.einsum("ij,ij->i", g, g)
+        volume = shell * link.measure * big_u
+        inner = r2p * link.measure * (2.0 * big_u - big_g)  # outward normal -W
+        outer = R2p * link.measure * (big_g - 2.0 * big_u)  # outward normal +W
+        inner_est, outer_est = r2p * link.measure * 2.0 * big_u, R2p * link.measure * big_g
+        # the lateral faces at unit radius
+        g = u.gradient(pts)
+        g2 = np.einsum("ij,ij->i", g, g)
+        dn = np.einsum("ij,ij->i", nu, g)
+        wg = np.einsum("ij,ij->i", pts, g) / r
+        side = 0.5 * shell * lateral.measure
+        lat = side * (nuw * g2 - 2.0 * dn * wg)
+        lat_est = side * 2.0 * np.abs(dn) * np.sqrt(np.maximum(g2 - dn * dn, 0.0))
+
+        lhs, lhs_var = _mean_and_variance(volume)
+        (rhs_inner, _), (rhs_outer, _), (rhs_lat, lat_var) = map(_mean_and_variance,
+                                                                (inner, outer, lat))
+        (est_inner, _), (est_outer, _), (est_lat, lat_est_var) = map(
+            _mean_and_variance, (inner_est, outer_est, lat_est))
+        paired = lambda x, lateral_var: math.sqrt(_mean_and_variance(x)[1] + lateral_var)
+        common = dict(vertex=arch.vertex, r_inner=arch.r_inner, r_outer=arch.r_outer,
+                      u_name=u.name, lhs=lhs, lhs_stderr=math.sqrt(lhs_var))
+        identities.append(RellichResult(
+            **common, rhs=rhs_inner + rhs_outer + rhs_lat,
+            rhs_stderr=paired(inner + outer, lat_var),
+            rhs_inner=rhs_inner, rhs_outer=rhs_outer, rhs_lateral=rhs_lat,
+            combined_stderr=paired(volume - inner - outer, lat_var)))
         # the 2x factors already sit inside the inner and lateral integrands
-        rhs_e = a["outer_est"][0] + a["inner_est"][0] + a["lat_est"][0]
-        rhs_e_se = math.sqrt(
-            a["outer_est"][1] ** 2 + a["inner_est"][1] ** 2 + a["lat_est"][1] ** 2
-        )
-        estimates[u.name] = EstimateResult(
-            vertex=a["vertex"], r_inner=a["r_inner"], r_outer=a["r_outer"],
-            u_name=u.name,
-            lhs=a["lhs"][0], lhs_stderr=a["lhs"][1],
-            rhs=rhs_e, rhs_stderr=rhs_e_se,
-        )
-    ordered = [u.name for u in test_functions]
-    return [identities[k] for k in ordered], [estimates[k] for k in ordered]
+        estimates.append(EstimateResult(
+            **common, rhs=est_outer + est_inner + est_lat,
+            rhs_stderr=paired(inner_est + outer_est, lat_est_var),
+            combined_stderr=paired(inner_est + outer_est - volume, lat_est_var)))
+    return identities, estimates
 
 
 def _monomials_at(point):
@@ -205,30 +195,24 @@ def _row_at(terms, basis):
     return acc
 
 
-def fixed_order_integrands(region, test_functions, pts, normals=None):
-    """The shard kernel's integrands for ``region``, one (functions, points)
-    array each, evaluated point by point in Python floats in the fixed order
-    the kernel states: terms in table order from the first term's product,
-    the value row times the degree giving ``|X| W . grad u``, and each
-    integrand's operations as written.  Python floats round every operation
-    to double as numpy's elementwise loops do, with no BLAS and no SIMD."""
-    count = 1 if region == "volume" else 2
-    out = np.empty((count, len(test_functions), len(pts)))
+def fixed_order_integrands(stream, test_functions, pts, normals=None):
+    """The shard kernel's integrands for ``stream``, a (2, functions,
+    points) array, evaluated point by point in Python floats in the fixed
+    order the kernel states: terms in table order from the first term's
+    product, the value row times the degree giving ``|X| W . grad u``, and
+    each integrand's operations as written.  Python floats round every
+    operation to double as numpy's elementwise loops do, with no BLAS and no
+    SIMD."""
+    out = np.empty((2, len(test_functions), len(pts)))
     for j, point in enumerate(pts.tolist()):
         x, y, z = point
-        r2 = x * x + y * y + z * z
-        r = math.sqrt(r2)
         basis = _monomials_at(point)
         for f, u in enumerate(test_functions):
             rwg = _row_at([(k, u.degree * c) for k, c in u.rows[0] if u.degree], basis)
-            if region == "volume":
-                values = (rwg * rwg * (2.0 / (r2 * r)),)
-            elif region in ("inner", "outer"):
-                g2 = _row_at(u.rows[4], basis)
-                twice_wg2 = rwg * rwg * (2.0 / r2)
-                values = ((twice_wg2 - g2, twice_wg2) if region == "inner"
-                          else (g2 - twice_wg2, g2))
+            if stream == "link":
+                values = (rwg * rwg, _row_at(u.rows[4], basis))
             else:
+                r = math.sqrt(x * x + y * y + z * z)
                 gx, gy, gz = (_row_at(u.rows[i], basis) for i in (1, 2, 3))
                 nx, ny, nz = normals[:, j].tolist()
                 g2 = gx * gx + gy * gy + gz * gz

@@ -1,32 +1,156 @@
 """Reference samplers for the geometry tests.
 
-Rejection sampling against the link winding test, with its own
-proposal-counting record, and the fan of the link from the normalized sum
-of its arc starts.  The library samples every vertex cone directly
-through the triangles of :func:`_link_triangles`; these give the tests
-something independent to agree with: rejection estimates the measure and
-draws the points without any decomposition of the cone, and the fan is
-the decomposition the meridian sweep must reproduce bit for bit wherever
-the sum sees every arc positively.
+Region samplers over the library's draws, rejection sampling against the
+link winding test, with its own proposal-counting record, and the fan of
+the link from the normalized sum of its arc starts.  The library draws
+only unit directions: on the vertex link, through the triangles of
+:func:`_link_triangles`, and on the faces at the vertex.  The region
+samplers put those directions at radii in the cone bases, the arch and
+the lateral faces within the shell, as whole batches.  The rest give the
+tests something independent to agree with: rejection estimates the
+measure and draws the points without any decomposition of the cone, and
+the fan is the decomposition the meridian sweep must reproduce bit for
+bit wherever the sum sees every arc positively.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from polymix.geometry import (
+    SampleStream,
     _DIRECT_CHUNK,
+    _check_count,
+    _direct_stream,
     _link_arcs,
+    _link_fan,
     _rng,
     _vertex_corners,
     dihedral_angles,
+    lateral_stream,
+    link_stream,
 )
 
 from conftest import edge_index
 
 PROPOSAL_SHARD = 1 << 18  # proposals per shard of a rejection sampler
+
+
+@dataclass
+class SampleBatch:
+    """Points drawn uniformly from a region of exact ``measure``.
+
+    :func:`mc_estimate` turns the mean and the centred sum of squares of an
+    integrand's values at the points into an integral estimate with
+    standard error.  Lateral batches carry the source face of every point
+    (``face_ids``), and those of :func:`sample_lateral` its outward unit
+    normal (``normals``).
+    """
+
+    tag: str
+    points: np.ndarray
+    rng_seed: int
+    measure: float
+    face_ids: np.ndarray | None = None
+    normals: np.ndarray | None = field(default=None, repr=False)
+
+
+def mc_estimate(mean, m2, n, measure):
+    """Integral estimate and standard error from the mean ``mean`` and the
+    centred sum of squares ``m2`` (the sum of ``(x - mean)^2``) of an
+    integrand's values at ``n >= 2`` uniform points of a region of exact
+    ``measure``.  Works elementwise on arrays."""
+    return measure * mean, measure * np.sqrt(m2 / (n - 1) / n)
+
+
+def collect(stream):
+    """A whole :class:`SampleStream` as one :class:`SampleBatch`: its shards
+    concatenated in draw order."""
+    points = np.empty((stream.n, 3))
+    face_ids = None
+    start = 0
+    for pts, fids in stream:
+        stop = start + len(pts)
+        points[start:stop] = pts
+        if fids is not None:
+            if face_ids is None:
+                face_ids = np.empty(stream.n, dtype=fids.dtype)
+            face_ids[start:stop] = fids
+        start = stop
+    return SampleBatch(stream.tag, points, stream.rng_seed, stream.measure, face_ids)
+
+
+def base_stream(cone, n, seed):
+    """Uniform points on the cone base, the part of the sphere
+    |X - v| = radius inside the solid: the link directions of
+    :func:`link_stream` at that radius, of measure exactly ``Omega r^2``."""
+    v, r = cone.surface.vertices[cone.vertex], cone.radius
+    link = link_stream(cone.surface, cone.vertex, n, seed)
+
+    def shards():
+        for d, _ in link:
+            yield v + r * d, None
+
+    return SampleStream("base-sphere", link.rng_seed, link.n, link.measure * r * r, shards)
+
+
+def arch_stream(arch, n, seed):
+    """Uniform volume points in the arch, the solid within the shell.
+
+    Per shard, the directions come from the vertex link's triangles as
+    :func:`link_stream` draws them, and then, from the same generator, the
+    radii by the inverse CDF ``cbrt(r^3 + u (R^3 - r^3))``; the measure is
+    exactly ``Omega (R^3 - r^3) / 3``.
+    """
+    n = _check_count(n)
+    v = arch.surface.vertices[arch.vertex]
+    r3, R3 = arch.r_inner ** 3, arch.r_outer ** 3
+    fan = _link_fan(arch.surface, arch.vertex)
+
+    def draw(g, m):
+        d = fan.directions(g, m)
+        return v + np.cbrt(r3 + g.random(m) * (R3 - r3))[:, None] * d, None
+
+    return _direct_stream("arch-volume", seed, fan.solid_angle * (R3 - r3) / 3.0, n, draw)
+
+
+def shell_lateral_stream(arch, n, seed):
+    """Uniform points on the faces at the vertex within the shell: the unit
+    points of :func:`lateral_stream`, each at the radius
+    ``rho = sqrt(r^2 + w (R^2 - r^2))``, with ``w`` uniform from a second
+    generator per shard; the measure is exactly ``sum theta_f (R^2 - r^2) / 2``."""
+    v = arch.surface.vertices[arch.vertex]
+    r2, R2 = arch.r_inner ** 2, arch.r_outer ** 2
+    lateral = lateral_stream(arch.surface, arch.vertex, n, seed)
+
+    def shards():
+        for shard, (e, fids) in enumerate(lateral):
+            rho = np.sqrt(r2 + _rng(seed, shard, 1).random(len(e)) * (R2 - r2))
+            yield v + rho[:, None] * e, fids
+
+    return SampleStream("lateral-surface", lateral.rng_seed, lateral.n,
+                        lateral.measure * (R2 - r2) / 2.0, shards)
+
+
+def sample_base(cone, n, seed):
+    """All of :func:`base_stream` as one :class:`SampleBatch`."""
+    return collect(base_stream(cone, n, seed))
+
+
+def sample_arch(arch, n, seed):
+    """All of :func:`arch_stream` as one :class:`SampleBatch`."""
+    return collect(arch_stream(arch, n, seed))
+
+
+def sample_lateral(arch, n, seed):
+    """All of :func:`shell_lateral_stream` as one :class:`SampleBatch`, with
+    the source face of every point (``face_ids``) and its outward unit
+    normal (``normals``)."""
+    batch = collect(shell_lateral_stream(arch, n, seed))
+    batch.normals = arch.surface.face_normals[batch.face_ids]
+    return batch
 
 
 def is_convex_vertex(surface, vertex):
@@ -227,21 +351,16 @@ def choice_fan_directions(a, b, c, rng, m):
     return (bk - drop * bk + tangent).T
 
 
-def choice_lateral_draw(arch, rng, m):
-    """``m`` points and their faces on the lateral faces of ``arch``, as
-    the library drew them before it kept a CDF: ``Generator.choice`` with
-    the corner angles as weights picks the faces."""
-    surface = arch.surface
-    v = surface.vertices[arch.vertex]
-    fids, _, prev, succ = _vertex_corners(surface, arch.vertex)
+def choice_lateral_draw(surface, vertex, rng, m):
+    """``m`` unit points and their faces on the faces at ``vertex``, as the
+    library drew them before it kept a CDF: ``Generator.choice`` with the
+    corner angles as weights picks the faces."""
+    fids, _, prev, succ = _vertex_corners(surface, vertex)
     turned = np.cross(surface.face_normals[fids], succ)
     theta = np.mod(np.arctan2(np.einsum("ij,ij->i", turned, prev),
                               np.einsum("ij,ij->i", succ, prev)), 2.0 * math.pi)
-    r2, R2 = arch.r_inner ** 2, arch.r_outer ** 2
     succ, turned = succ.T.copy(), turned.T.copy()
     k = rng.choice(len(fids), size=m, p=theta / theta.sum())
-    u, w = rng.random((2, m))
-    phi = theta[k] * u
-    rho = np.sqrt(r2 + w * (R2 - r2))
-    pts = v[:, None] + rho * (np.cos(phi) * succ[:, k] + np.sin(phi) * turned[:, k])
+    phi = theta[k] * rng.random(m)
+    pts = np.cos(phi) * succ[:, k] + np.sin(phi) * turned[:, k]
     return pts.T, fids[k]

@@ -3,18 +3,21 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import polymix
 from polymix import fixtures, trace_energy
 from polymix.cli import EXIT_INPUT, EXIT_OK, EXIT_VALIDATION, build_parser, main, parse_angle
 from polymix.geometry import ArchRegion
 from polymix.mesh import PolyhedralSurface, read_off, serialize_off, write_off
 from polymix.partition import Partition
-from polymix.rellich import arch_streams
+from polymix.rellich import _streams
 
 from conftest import u_pyramid
 
@@ -187,10 +190,19 @@ def test_rellich_sampling_block(workdir, tmp_path, name, vertex):
     assert code == EXIT_OK
     sampling = json.loads(body)["result"]["sampling"]
     # the report reads the streams the suite integrates over, not a second draw
-    streams = arch_streams(ArchRegion(read_off(off(workdir, name)), vertex, 0.2, 0.4), 5000, 4)
-    assert list(sampling) == ["inner", "lateral", "outer", "volume"]
-    for region, stream in zip(("volume", "inner", "outer", "lateral"), streams):
-        assert sampling[region] == {"measure": stream.measure}, region
+    arch = ArchRegion(read_off(off(workdir, name)), vertex, 0.2, 0.4)
+    streams = _streams(arch, 5000, 4)
+    assert list(sampling) == ["lateral", "link", "regions"]
+    for stream in streams:
+        assert sampling[stream.tag] == {"draws": 5000, "measure": stream.measure}, stream.tag
+    # u = x has degree 1: the radial factors are R^2 - r^2, r^2, R^2, (R^2 - r^2) / 2
+    r2, R2 = 0.2 * 0.2, 0.4 * 0.4
+    assert sampling["regions"] == {
+        "inner": {"radial_factor": {"1": r2}, "stream": "link"},
+        "lateral": {"radial_factor": {"1": 0.5 * (R2 - r2)}, "stream": "lateral"},
+        "outer": {"radial_factor": {"1": R2}, "stream": "link"},
+        "volume": {"radial_factor": {"1": R2 - r2}, "stream": "link"},
+    }
 
 
 def test_rellich_memory_flat_in_samples(workdir, tmp_path):
@@ -565,3 +577,17 @@ def test_reports_byte_identical(case, workdir, tmp_path):
 def test_json_floats_use_17_significant_digits(workdir, tmp_path):
     _, body = run_to_file(tmp_path, ["angles", off(workdir, "cube")])
     assert b"1.5707963267948966" in body  # pi/2 at full precision
+
+
+def test_cli_start_up_leaves_heavy_scipy_modules_unimported():
+    # scipy.stats (quasi-random points), scipy.integrate (sector quadrature)
+    # and scipy.spatial (convex hulls) serve one library function each, so
+    # importing the command line must not pay for them
+    heavy = ("scipy.stats", "scipy.integrate", "scipy.spatial")
+    src = os.path.dirname(os.path.dirname(polymix.__file__))
+    code = ("import sys, polymix.cli; print(' '.join(m for m in %r if m in sys.modules))"
+            % (heavy,))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.split() == [], out.stdout

