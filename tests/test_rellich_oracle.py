@@ -193,7 +193,7 @@ def test_suite_within_five_stderrs_of_the_oracle(surface, vertex):
             "rhs_estimate": (est.rhs, est.rhs_stderr),
             "slack": (est.slack, est.combined_stderr),
         }
-        for k, region in enumerate(("inner", "outer", "lateral")):
+        for region in ("inner", "outer", "lateral"):
             value, stderr = regions[region]
             got[region] = (value[0, f], stderr[0, f])
             got[region + "_estimate"] = (value[1, f], stderr[1, f])
