@@ -60,7 +60,6 @@ from .trace_energy import (
     TraceData,
     full_restriction_norm,
     minimal_extension_energy,
-    refine,
     refinement_study,
 )
 
@@ -101,7 +100,6 @@ __all__ = [
     "minimal_extension_energy",
     "parse_off",
     "quotient_graph",
-    "refine",
     "refinement_study",
     "rellich_estimate",
     "rellich_identity",

@@ -71,7 +71,7 @@ def _read_partition(path, side_override=None):
         p = Partition.from_json_dict(data)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError among them
         raise InputError("bad partition file %s: %s" % (path, exc)) from exc
     if side_override and side_override != p.side:
         p = Partition(labels=p.labels, side=side_override)
@@ -206,11 +206,14 @@ def cmd_rellich(args):
         raise InputError(str(exc)) from exc
     if args.u == "all":
         funcs = rellich.catalog(args.max_degree)
+        if not funcs:
+            raise InputError("empty catalog selection: --max-degree %s selects no test function"
+                             % args.max_degree)
     else:
         try:
             funcs = (rellich.catalog_entry(args.u),)
         except KeyError as exc:
-            raise InputError(str(exc)) from exc
+            raise InputError(exc.args[0]) from exc
     identities, estimates = rellich.rellich_suite(arch, funcs, args.samples, args.seed)
     cfg = _config_dict(
         args, mesh=args.mesh, vertex=args.vertex,
@@ -363,7 +366,7 @@ def cmd_fixtures(args):
         try:
             surface = fixtures.builtin(name)
         except KeyError as exc:
-            raise InputError(str(exc)) from exc
+            raise InputError(exc.args[0]) from exc
         path = os.path.join(args.out_dir, "%s.off" % name)
         write_off(path, surface)
         written.append(path)

@@ -83,14 +83,19 @@ class Partition:
     @classmethod
     def from_json_dict(cls, data):
         """The partition of a ``{"labels": [...], "side": ...}`` object;
-        ValueError when ``data`` is not one or its labels are not a list or
-        a tuple (a string would be split into characters)."""
+        ValueError when ``data`` is not one, lacks either key, or its labels
+        are not a list or a tuple (a string would be split into
+        characters)."""
         try:
             labels = data["labels"]
         except TypeError:  # data is not an object
             labels = None
+        except KeyError:
+            raise ValueError("a partition object needs a 'labels' key") from None
         if not isinstance(labels, (list, tuple)):
             raise ValueError("a partition is an object with a list of labels")
+        if "side" not in data:
+            raise ValueError("a partition object needs a 'side' key")
         return cls(tuple(labels), data["side"])
 
     def to_json_dict(self):

@@ -34,14 +34,16 @@ sum theta (the wedges' corner angles), gives
 
 The radial powers are formed by multiplication, so a power-of-two scale
 of the mesh and radii scales every number by a power of two exactly.  At
-degree 0 every integrand is 0, and so is every estimate.
+degree 0 every integrand is 0, and so is every estimate: such functions
+never enter the kernel, and a suite of them alone walks neither stream.
 
 Each estimate is a weighted sum of its stream's means, and its standard
 error comes from the centred co-moments of (U, G) on the link, and of
-the identity's and the estimate's integrands on the lateral.  The volume
-and both bases share their directions, so their errors are correlated:
-the rhs standard errors and ``combined_stderr`` (of the identity's
-residual, and of the estimate's slack) are those of the paired
+the identity's and the estimate's integrands on the lateral, where no
+estimate weighs both, so that their cross co-moment is never formed.  The
+volume and both bases share their directions, so their errors are
+correlated: the rhs standard errors and ``combined_stderr`` (of the
+identity's residual, and of the estimate's slack) are those of the paired
 per-direction sums, combined in quadrature with the lateral's, not a
 root-sum-square over the parts.
 
@@ -49,10 +51,12 @@ Homogeneous harmonic polynomials up to degree 3 supply the test functions,
 each an exact integer coefficient table over the monomials.  The suite
 streams the shards (at most 4096 points each) of the link and the lateral
 through one kernel, and the command line reports on the same streams
-without drawing them.  The kernel (:func:`_evaluate`) adds each
-polynomial's terms ``coefficient * monomial`` in table order with
-elementwise numpy, never a matrix product, and Euler's identity
-X . grad u = degree * u gives W . grad u without a dot product.
+without drawing them.  Each stream's shards reuse one workspace of flat
+buffers as wide as its widest shard, which the kernel writes in place.
+The kernel (:func:`_evaluate`) adds each polynomial's terms
+``coefficient * monomial`` in table order with elementwise numpy, never a
+matrix product, and Euler's identity X . grad u = degree * u gives
+W . grad u without a dot product.
 Elementwise operations round each point on its own, so a point's integrand
 bits depend on the point and the function alone: not on the BLAS build,
 the SIMD width, the shard's width or the other functions.  Per shard, each
@@ -71,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArchRegion, lateral_stream, link_stream
+from .geometry import _DIRECT_CHUNK, ArchRegion, lateral_stream, link_stream
 
 
 # the monomials x^a y^b z^c through degree 4, graded, so that polynomials of
@@ -86,29 +90,47 @@ _PARENT = tuple(_INDEX[tuple(x - (i == k) for i, x in enumerate(e))]
                 for e, k in zip(_MONOMIALS[1:], _AXIS))
 
 
-def _monomial_basis(coords, count):
-    """The first `count` monomials at the points ``coords`` (3, m), one row
-    each, in the order of ``_MONOMIALS``."""
-    basis = np.empty((count, coords.shape[1]))
-    basis[0] = 1.0
-    for k in range(1, count):
-        np.multiply(basis[_PARENT[k - 1]], coords[_AXIS[k - 1]], out=basis[k])
-    return basis
+def _monomial_basis(coords, out):
+    """The first ``len(out)`` monomials at the points ``coords`` (3, m), one
+    row of ``out`` each, in the order of ``_MONOMIALS``."""
+    out[0] = 1.0
+    for k in range(1, len(out)):
+        np.multiply(out[_PARENT[k - 1]], coords[_AXIS[k - 1]], out=out[k])
+    return out
 
 
-def _evaluate(rows, coords):
+def _take(work, name, rows, m):
+    """Buffer ``name`` of the workspace ``work`` (see :func:`_workspace`) as
+    a (rows, m) array: its first ``rows * m`` entries, the layout a fresh
+    array of that shape has, so a reduction over it takes the same order.
+    Without a workspace, a fresh array."""
+    if work is None:
+        return np.empty((rows, m))
+    return work[name][:rows * m].reshape(rows, m)
+
+
+def _basis_size(rows):
+    """The number of leading monomials the rows' terms read."""
+    return 1 + max((k for terms in rows for k, _ in terms), default=0)
+
+
+def _evaluate(rows, coords, work=None):
     """Polynomials at the points ``coords`` (3, m), one output row per entry
     of ``rows``, each a tuple of ``(monomial, coefficient)`` terms.  Every
     row is its first term's ``coefficient * basis[monomial]``, plus each
     further term's in its tuple's order, so a value's bits depend only on
-    its point and its own terms."""
-    basis = _monomial_basis(coords, 1 + max((k for terms in rows for k, _ in terms), default=0))
-    out = np.empty((len(rows), basis.shape[1]))
+    its point and its own terms.  The basis and the output are the
+    workspace ``work``'s ``"basis"`` and ``"values"`` rows, or fresh arrays
+    without one."""
+    m = coords.shape[1]
+    basis = _monomial_basis(coords, _take(work, "basis", _basis_size(rows), m))
+    out = _take(work, "values", len(rows), m)
+    term = np.empty(m)
     for acc, terms in zip(out, rows):
         (k, c), *rest = terms or ((0, 0.0),)  # an empty row is 0 times the monomial 1
         np.multiply(basis[k], c, out=acc)
         for k, c in rest:
-            acc += c * basis[k]
+            acc += np.multiply(basis[k], c, out=term)
     return out
 
 
@@ -322,17 +344,33 @@ def _stream_rows(stream, test_functions):
             for i in _STREAM_ROWS[stream] for u in test_functions]
 
 
-def _integrands(stream, rows, pts, normals=None):
+def _workspace(stream, rows, width):
+    """The buffers of the stream's kernel and co-moments at shards of at
+    most ``width`` points: the monomial basis, the :func:`_evaluate` output,
+    and one scratch row per function, which holds the lateral kernel's
+    partial sums and then each co-moment's products; the lateral kernel's
+    ``|grad u|^2`` and ``du/dnu`` rows besides."""
+    count = len(rows) // len(_STREAM_ROWS[stream])
+    sizes = {"basis": _basis_size(rows), "values": len(rows), "scratch": count}
+    if stream == "lateral":
+        sizes.update(g2=count, dn=count)
+    return {name: np.empty(k * width) for name, k in sizes.items()}
+
+
+def _integrands(stream, rows, pts, normals=None, work=None):
     """The stream's two integrands at one shard of points relative to the
     vertex, a (2, functions, points) array: on the link, at unit
     directions, ``U = (p u)^2`` and ``G = |grad u|^2``; on the lateral faces,
     at unit radius, the identity's integrand then the estimate's.  ``rows``
     are the stream's from :func:`_stream_rows`; ``normals`` (3, points) are
-    the lateral points' outward unit normals.  Every step is elementwise, so
-    a point's integrands are the same bits whatever shares its shard.
+    the lateral points' outward unit normals; ``work`` is the stream's
+    :func:`_workspace`, which the result lives in until its next shard, or
+    by default fresh arrays.  Every step is elementwise, so a point's
+    integrands are the same bits whatever shares its shard.
     """
     x, y, z = coords = np.ascontiguousarray(pts.T)
-    values = _evaluate(rows, coords).reshape(len(_STREAM_ROWS[stream]), -1, len(x))
+    m = len(x)
+    values = _evaluate(rows, coords, work).reshape(len(_STREAM_ROWS[stream]), -1, m)
     rwg = values[0]  # |X| W . grad u
     if stream == "link":
         rwg *= rwg
@@ -342,14 +380,23 @@ def _integrands(stream, rows, pts, normals=None):
     r = np.sqrt(x * x + y * y + z * z)
     gx, gy, gz = values[1:]
     nx, ny, nz = normals
-    g2 = gx * gx + gy * gy + gz * gz
-    dn = nx * gx + ny * gy + nz * gz
+    count = len(rwg)
+    g2, dn, scratch = (_take(work, name, count, m) for name in ("g2", "dn", "scratch"))
+    np.multiply(gx, gx, out=g2)
+    g2 += np.multiply(gy, gy, out=scratch)
+    g2 += np.multiply(gz, gz, out=scratch)
+    np.multiply(nx, gx, out=dn)
+    dn += np.multiply(ny, gy, out=scratch)
+    dn += np.multiply(nz, gz, out=scratch)
     nuw = (nx * x + ny * y + nz * z) / r
-    dn2 = dn * dn
-    out = np.empty((2,) + g2.shape)
-    np.subtract(nuw * g2, dn * rwg * (2.0 / r), out=out[0])
+    # the gradient rows are spent: the integrands take their place
+    out = values[1:3]
+    np.multiply(np.multiply(dn, rwg, out=scratch), 2.0 / r, out=scratch)
+    np.subtract(np.multiply(nuw, g2, out=out[0]), scratch, out=out[0])
     # the estimate's 2 |du/dnu| |grad_t u|, with |grad_t u|^2 = |grad u|^2 - dn^2
-    np.multiply(2.0, np.sqrt(np.maximum(dn2 * (g2 - dn2), 0.0)), out=out[1])
+    dn2 = np.multiply(dn, dn, out=dn)
+    tangent = np.multiply(dn2, np.subtract(g2, dn2, out=g2), out=g2)
+    np.multiply(2.0, np.sqrt(np.maximum(tangent, 0.0, out=tangent), out=tangent), out=out[1])
     return out
 
 
@@ -358,25 +405,29 @@ def _moments(stream, rows, normal_table, count):
     centred co-moments, the sums of ``(x - mean) (y - mean)`` over (x, x),
     (x, y) and (y, y), a (3, functions) array, taken shard by shard: each
     shard's merge into the running ones in draw order by Chan, Golub &
-    LeVeque."""
+    LeVeque.  No lateral estimate weighs both lateral integrands, so there
+    the (x, y) co-moment is left 0.  One :func:`_workspace` as wide as the
+    stream's widest shard serves every shard."""
+    work = _workspace(stream.tag, rows, min(stream.n, _DIRECT_CHUNK))
+    pairs = ((0, 0), (0, 1), (1, 1)) if stream.tag == "link" else ((0, 0), (1, 1))
     mean, co = np.zeros((2, count)), np.zeros((3, count))
     seen = 0
     for pts, face_ids in stream:
         normals = None if face_ids is None else np.take(normal_table, face_ids, axis=1)
-        x = _integrands(stream.tag, rows, pts, normals)
+        x = _integrands(stream.tag, rows, pts, normals, work)
         m = x.shape[2]
         share = m / (seen + m)
         shard_mean = x.sum(axis=2) / m
-        d0, d1 = delta = shard_mean - mean
+        delta = shard_mean - mean
         x -= shard_mean[:, :, None]  # the integrand array is the merge's own
-        x0, x1 = x
         weight = seen * share
-        co[0] += (x0 * x0).sum(axis=1) + d0 * d0 * weight
-        co[1] += (x0 * x1).sum(axis=1) + d0 * d1 * weight
-        co[2] += (x1 * x1).sum(axis=1) + d1 * d1 * weight
+        product = _take(work, "scratch", count, m)
+        for i, j in pairs:
+            co[i + j] += (np.multiply(x[i], x[j], out=product).sum(axis=1)
+                          + delta[i] * delta[j] * weight)
         mean += delta * share
         seen += m
-    return mean, co, seen
+    return mean, co
 
 
 def _weighted(weights, moments):
@@ -398,8 +449,15 @@ def _region_estimates(arch, test_functions, n, seed):
     link, lateral = streams = _streams(arch, n, seed)
     normal_table = np.ascontiguousarray(arch.surface.face_normals.T)
     count = len(test_functions)
-    link_moments, lateral_moments = (
-        _moments(s, _stream_rows(s.tag, test_functions), normal_table, count) for s in streams)
+    # every integrand of a degree-0 function is 0: only the others enter the
+    # kernel, and with none left neither stream is walked
+    live = [f for f, u in enumerate(test_functions) if u.degree]
+    link_moments, lateral_moments = stats = [
+        (np.zeros((2, count)), np.zeros((3, count)), s.n) for s in streams]
+    if live:
+        for s, (mean, co, _) in zip(streams, stats):
+            rows = _stream_rows(s.tag, [test_functions[f] for f in live])
+            mean[:, live], co[:, live] = _moments(s, rows, normal_table, len(live))
     shell, r2p, R2p, side = np.array([_radial_factors(arch, u.degree)
                                       for u in test_functions]).T
     zero = np.zeros(count)

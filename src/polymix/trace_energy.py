@@ -109,13 +109,6 @@ def _refinement_chain(base, fan_offset):
         parents += (new,)
 
 
-def refine(base, level, fan_offset=0):
-    """Fan/ear triangulate every face, then refine `level` times."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    return next(islice(_refinement_chain(base, fan_offset), int(level), None))
-
-
 # ----------------------------------------------------------------------
 # trace data
 

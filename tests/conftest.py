@@ -1,10 +1,12 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from polymix import fixtures
 from polymix.mesh import PolyhedralSurface
+from polymix.trace_energy import _refinement_chain
 
 
 def edge_incidence(surface):
@@ -23,6 +25,12 @@ def edge_incidence(surface):
 def edge_index(surface):
     """Edge -> its rank in sorted order, from :func:`edge_incidence`."""
     return {e: i for i, e in enumerate(sorted(edge_incidence(surface)))}
+
+
+def refine(base, level, fan_offset=0):
+    """Level `level` of the library's refinement chain of `base`: every face
+    fan/ear triangulated, then midpoint-refined `level` times."""
+    return next(islice(_refinement_chain(base, fan_offset), int(level), None))
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from polymix.mesh import PolyhedralSurface, read_off, serialize_off, write_off
 from polymix.partition import Partition
 from polymix.rellich import _streams
 
-from conftest import u_pyramid
+from conftest import refine, u_pyramid
 
 SUBCOMMANDS = [
     "validate", "angles", "check-partition", "enumerate", "monochromatic",
@@ -286,7 +286,7 @@ def test_trace_energy_export_is_the_finest_solve(tmp_path):
                                         "3", "--fan-offset", "1", "--export-extension",
                                         str(out)])
     assert code == EXIT_OK
-    rs = trace_energy.refine(fixtures.square_pyramid(), 3, fan_offset=1)
+    rs = refine(fixtures.square_pyramid(), 3, fan_offset=1)
     res = trace_energy.minimal_extension_energy(
         rs, part, trace_energy.TraceData.face_constants({0: 1.0, 2: 0.0}))
     assert out.read_text() == trace_energy.export_off_with_scalars(rs, res.values)
@@ -329,6 +329,42 @@ def test_malformed_partition_file_exit_2(workdir, tmp_path, capsys, body):
     assert captured.out == ""
     assert captured.err.startswith("error: bad partition file %s: " % part)
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("body, key", [('{"side": "interior"}', "labels"),
+                                       ('{"labels": ["D", "N", "N", "N", "N", "N"]}', "side")])
+def test_partition_file_missing_key_named(workdir, tmp_path, capsys, body, key):
+    part = tmp_path / "p.json"
+    part.write_text(body)
+    assert main(["check-partition", off(workdir, "cube"), str(part)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: bad partition file %s: a partition object needs a '%s' key\n" % (part, key))
+
+
+def test_unknown_test_function_message(workdir, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    argv = ["rellich", off(workdir, "cube"), "--vertex", "0", "--r-inner", "0.25",
+            "--r-outer", "0.5", "--u", "nope", "--output", str(out)]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: no harmonic test function named 'nope'\n"
+    assert not out.exists()
+
+
+def test_unknown_fixture_message(tmp_path, capsys):
+    assert main(["fixtures", "--out-dir", str(tmp_path), "--names", "nope"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: unknown fixture 'nope' (have: %s)\n" % (
+        ", ".join(sorted(fixtures.BUILTIN)))
+
+
+def test_rellich_empty_catalog_selection_exit_2(workdir, tmp_path, capsys):
+    # no test function means nothing verified, so the command refuses it
+    out = tmp_path / "x.json"
+    argv = ["rellich", off(workdir, "cube"), "--vertex", "0", "--r-inner", "0.25",
+            "--r-outer", "0.5", "--u", "all", "--max-degree", "-1", "--output", str(out)]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: empty catalog selection: --max-degree -1 selects no test function\n")
+    assert not out.exists()
 
 
 def test_unknown_flag_exit_2(workdir, capsys):

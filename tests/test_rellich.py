@@ -22,6 +22,7 @@ from polymix.rellich import (
     _region_estimates,
     _stream_rows,
     _streams,
+    _workspace,
     catalog,
     catalog_entry,
     rellich_estimate,
@@ -301,6 +302,63 @@ def test_kernel_matches_fixed_order_reference(surface, vertex):
             got = _integrands(stream.tag, rows, pts[part],
                               None if normals is None else normals[:, part])
             assert got.tobytes() == want[..., part].tobytes(), (stream.tag, part)
+
+
+@pytest.mark.parametrize("surface,vertex", [
+    pytest.param(fixtures.square_pyramid(), 0, id="pyramid-apex"),
+    pytest.param(fixtures.l_prism(), 3, id="l-prism-notch"),
+])
+def test_workspace_matches_fresh_arrays(surface, vertex):
+    # one workspace through a full shard, narrow ones, then a full one
+    # again gives each shard the bits fresh arrays give it: a narrow shard
+    # reads nothing a wider one left behind, nor a wide one a narrow one's
+    for stream in _streams(_arch(surface, vertex), _DIRECT_CHUNK, 9):
+        pts, face_ids = next(iter(stream))
+        normals = None if face_ids is None else np.ascontiguousarray(
+            surface.face_normals[face_ids].T)
+        rows = _stream_rows(stream.tag, catalog(3))
+        work = _workspace(stream.tag, rows, _DIRECT_CHUNK)
+        for w in [_DIRECT_CHUNK, *range(1, 20), 64, _DIRECT_CHUNK]:
+            part = slice(0, w)
+            part_normals = None if normals is None else normals[:, part]
+            want = _integrands(stream.tag, rows, pts[part], part_normals)
+            got = _integrands(stream.tag, rows, pts[part], part_normals, work)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (stream.tag, w)
+
+
+def _estimated_numbers(result):
+    # every number the suite estimates for one function, past the arch's own
+    doc = result.to_json_dict()
+    for key in ("vertex", "r_inner", "r_outer", "u"):
+        del doc[key]
+    doc.update(doc.pop("rhs_parts", {}))
+    return doc
+
+
+def test_constant_function_is_exact_positive_zeros_beside_others():
+    # "1" never enters the kernel: its numbers are +0.0, and every other
+    # function's are the same with it as without it
+    arch = ArchRegion(fixtures.l_prism(), 3, 0.25, 0.5)
+    whole = rellich_suite(arch, catalog(3), 5000, seed=17)
+    rest = rellich_suite(arch, catalog(3)[1:], 5000, seed=17)
+    assert catalog(3)[0].name == "1"
+    for results, others in zip(whole, rest):
+        assert results[1:] == others
+        for key, value in _estimated_numbers(results[0]).items():
+            assert value == 0.0 and np.copysign(1.0, value) == 1.0, key
+
+
+def test_degree_zero_suite_draws_nothing(cube_arch, monkeypatch):
+    # with only degree-0 functions neither stream is walked, and every
+    # number is 0
+    def walked(*args):
+        raise AssertionError("a stream was walked")
+
+    monkeypatch.setattr(rellich, "_moments", walked)
+    ids, ests = rellich_suite(cube_arch, [catalog_entry("1")] * 2, 50_000, seed=3)
+    assert len(ids) == len(ests) == 2
+    for res in ids + ests:
+        assert set(_estimated_numbers(res).values()) == {0.0}
 
 
 def test_rellich_module_has_no_blas_product():

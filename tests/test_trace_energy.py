@@ -25,7 +25,6 @@ from polymix.trace_energy import (
     full_restriction_norm,
     lumped_mass,
     minimal_extension_energy,
-    refine,
     refinement_study,
     solve_constrained,
     _Hierarchy,
@@ -34,6 +33,8 @@ from polymix.trace_energy import (
     _prolongation,
     _v_cycle,
 )
+
+from conftest import refine
 
 
 def cube_partition(d_faces):
