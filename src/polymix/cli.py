@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import sys
+from itertools import islice
 
 from . import fixtures, partition, rellich, reporting, sector, trace_energy
 from .geometry import ArchRegion, GeometryError, angles_csv_rows
@@ -35,7 +36,7 @@ class InputError(Exception):
 
 
 def parse_angle(text):
-    """Angle literal: plain radians or a 'pi'-suffixed rational multiple."""
+    """Angle literal: plain radians or a decimal multiple of pi, like '1.5pi'."""
     s = str(text).strip().lower()
     if s.endswith("pi"):
         head = s[:-2].strip()
@@ -117,21 +118,11 @@ def cmd_angles(args):
     surface = _read_mesh(args.mesh)
     cfg = _config_dict(args, mesh=args.mesh)
     rows = angles_csv_rows(surface)
+    header = ("edge_id", "v0", "v1", "face0", "face1", "interior_angle", "exterior_angle")
     if args.format == "csv":
-        header = ("edge_id", "v0", "v1", "face0", "face1", "interior_angle", "exterior_angle")
         _emit(args, reporting.csv_report(header, rows, cfg))
     else:
-        result = {
-            "edges": [
-                {
-                    "edge_id": r[0], "v0": r[1], "v1": r[2],
-                    "face0": r[3], "face1": r[4],
-                    "interior_angle": r[5], "exterior_angle": r[6],
-                }
-                for r in rows
-            ]
-        }
-        _emit(args, reporting.json_report(result, cfg))
+        _emit(args, reporting.json_report({"edges": [dict(zip(header, r)) for r in rows]}, cfg))
     return EXIT_OK
 
 
@@ -151,14 +142,12 @@ def cmd_check_partition(args):
 
 
 def cmd_enumerate(args):
+    if args.list_limit < 0:
+        raise InputError("--list-limit must be >= 0, got %d" % args.list_limit)
     surface = _read_mesh(args.mesh)
     adm = enumerate_admissible(surface, args.side, tau=args.tau_angle)
-    listed = []
-    if args.list_limit > 0 and adm.quotient.class_count <= partition.MAX_ENUM_CLASSES:
-        for i, p in enumerate(adm):
-            if i >= args.list_limit:
-                break
-            listed.append("".join(p.labels))
+    listed = (["".join(p.labels) for p in islice(adm, args.list_limit)]
+              if adm.quotient.class_count <= partition.MAX_ENUM_CLASSES else [])
     cfg = _config_dict(args, mesh=args.mesh, tau_angle=args.tau_angle)
     result = {
         "side": args.side,
@@ -239,7 +228,7 @@ def cmd_sector_blowup(args):
         alpha = parse_angle(args.alpha)
         sol = sector.SectorSolution(alpha)
     except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise InputError("bad --alpha %r: %s" % (args.alpha, exc)) from exc
     if args.eps_list:
         try:
             epsilons = tuple(float(e) for e in args.eps_list.split(","))

@@ -5,19 +5,21 @@ Angles are measured inside the solid: an edge of a convex solid has
 interior angle < pi, a reflex (notch) edge has interior angle > pi, and
 interior + exterior = 2*pi per edge.  Each angle comes from the edge's
 own geometry (two face normals and the edge direction), never from a
-global inside test.  Containment is the generalized winding number over
-all triangles (:func:`contains_points`), exact up to rounding and free of
-ray directions.  Sampling is seeded and deterministic, and drawn in
-shards, each from its own generator: a :class:`SampleStream` hands a
-sampler's shards of points out one at a time to a consumer that reduces
-as it goes.  Both samplers draw directly, at unit distance from the
-vertex: :func:`link_stream` directions through spherical triangles that
-tile the vertex cone, cut from its link by a sweep of meridians
-(:func:`_link_triangles`) at convex and reflex vertices alike, including
-cones with no kernel and cones in no open hemisphere, and
-:func:`lateral_stream` polar angles in the corner wedges of the faces at
-the vertex.  The points are uniform, and each stream carries its exact
-measure.
+global inside test.  All edges' face pairs and angles are one read-only
+:func:`edge_table` per surface, which the partition layer reads directly;
+only :func:`dihedral_angles` builds records from it.  Containment is the
+generalized winding number over all triangles (:func:`contains_points`),
+exact up to rounding and free of ray directions.  Sampling is seeded and
+deterministic, and drawn in shards, each from its own generator: a
+:class:`SampleStream` hands a sampler's shards of points out one at a
+time to a consumer that reduces as it goes.  Both samplers draw directly,
+at unit distance from the vertex: :func:`link_stream` directions through
+spherical triangles that tile the vertex cone, cut from its link by a
+sweep of meridians (:func:`_link_triangles`) at convex and reflex
+vertices alike, including cones with no kernel and cones in no open
+hemisphere, and :func:`lateral_stream` polar angles in the corner wedges
+of the faces at the vertex.  The points are uniform, and each stream
+carries its exact measure.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +77,15 @@ def _unit(x):
 # dihedral angles
 
 
+class EdgeTable(NamedTuple):
+    """Per edge, in ``surface.edge_list`` order, read-only: ``faces``, the
+    (E, 2) face pair ``(fa, fb)`` in walk order (``fa`` walks the edge
+    ``a -> b``), and ``interior``, the (E,) interior angle."""
+
+    faces: np.ndarray
+    interior: np.ndarray
+
+
 @dataclass(frozen=True)
 class DihedralAngle:
     edge: tuple
@@ -85,12 +97,12 @@ class DihedralAngle:
         return 2.0 * math.pi - self.interior_angle
 
 
-def dihedral_angles(surface):
-    """One :class:`DihedralAngle` per edge, in ``surface.edge_list`` order,
-    computed in one array pass and cached per surface.
+def edge_table(surface):
+    """The surface's :class:`EdgeTable`, computed in one array pass and kept
+    in its memo.
 
-    With ``faces = (fa, fb)``, where ``fa`` walks the edge ``a -> b``, unit
-    edge direction ``t`` from ``a`` to ``b`` and outward normals ``n1``, ``n2``:
+    With unit edge direction ``t`` from ``a`` to ``b`` and outward normals
+    ``n1``, ``n2`` of ``fa``, ``fb``:
     ``interior = pi - atan2(sigma * (n1 x n2) . t, n1 . n2)``.  The sign
     ``sigma`` of the enclosed volume makes the formula hold on inward-oriented
     surfaces as well.  The first offending edge in ``edge_list`` order decides
@@ -98,10 +110,18 @@ def dihedral_angles(surface):
     :class:`DegenerateEdgeError` where it is a knife edge (normals opposite to
     within ``KNIFE_EDGE_SINE_TOL``) or the surface encloses no volume.
     """
-    return surface.memo[_compute_dihedral_angles]
+    return surface.memo[_compute_edge_table]
 
 
-def _compute_dihedral_angles(surface):
+def dihedral_angles(surface):
+    """One :class:`DihedralAngle` per edge, in ``surface.edge_list`` order,
+    built from :func:`edge_table` (whose errors it raises)."""
+    faces, interior = edge_table(surface)
+    return tuple(map(DihedralAngle, surface.edge_list, map(tuple, faces.tolist()),
+                     interior.tolist()))
+
+
+def _compute_edge_table(surface):
     h, edges = surface.half_edges, surface.edge_list
     slot = 2 * h.edge + (h.tail > h.head)  # per edge, the faces that walk it a -> b, b -> a
     walks = np.bincount(slot, minlength=2 * len(edges)).reshape(-1, 2)
@@ -134,19 +154,10 @@ def _compute_dihedral_angles(surface):
     if m < len(edges):
         raise MeshError(
             "dihedral angles need a closed oriented surface; offending edge %r" % (edges[m],))
-    return tuple([DihedralAngle(edge, tuple(faces), math.pi - math.atan2(sk, ck))
-                  for edge, faces, sk, ck in zip(edges, pairs.tolist(), s.tolist(), c.tolist())])
-
-
-def interior_angle_table(surface):
-    """Interior angles as a read-only array indexed like ``surface.edge_list``;
-    built once per surface from :func:`dihedral_angles` and kept in its memo."""
-    return surface.memo[_interior_angle_table]
-
-
-def _interior_angle_table(surface):
-    table = np.array([d.interior_angle for d in dihedral_angles(surface)])
-    table.flags.writeable = False
+    table = EdgeTable(pairs, np.array([math.pi - math.atan2(sk, ck)
+                                       for sk, ck in zip(s.tolist(), c.tolist())]))
+    for column in table:
+        column.flags.writeable = False
     return table
 
 
@@ -627,11 +638,8 @@ def lateral_stream(surface, vertex, n, seed):
 
 
 def angles_csv_rows(surface):
-    """Rows (edge_id, v0, v1, face0, face1, interior_angle, exterior_angle)."""
-    rows = []
-    for eid, d in enumerate(dihedral_angles(surface)):
-        rows.append(
-            (eid, d.edge[0], d.edge[1], d.faces[0], d.faces[1],
-             d.interior_angle, d.exterior_angle)
-        )
-    return rows
+    """Rows (edge_id, v0, v1, face0, face1, interior_angle, exterior_angle),
+    faces in walk order."""
+    faces, interior = edge_table(surface)
+    return [(eid, a, b, fa, fb, angle, 2.0 * math.pi - angle) for eid, ((a, b), (fa, fb), angle)
+            in enumerate(zip(surface.edge_list, faces.tolist(), interior.tolist()))]

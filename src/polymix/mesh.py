@@ -183,15 +183,6 @@ class PolyhedralSurface:
         return tuple(map(tuple, self.half_edges.ends.tolist()))
 
     @cached_property
-    def edge_faces(self):
-        """Per edge (edge_list order): tuple of incident face ids, in face order."""
-        h = self.half_edges
-        order = np.argsort(h.edge, kind="stable")
-        faces = h.face[order].tolist()
-        bounds = np.searchsorted(h.edge[order], np.arange(len(h.ends) + 1)).tolist()
-        return tuple(tuple(faces[i:j]) for i, j in zip(bounds, bounds[1:]))
-
-    @cached_property
     def vertex_faces(self):
         vf = [[] for _ in range(len(self.vertices))]
         for fi, face in enumerate(self.faces):

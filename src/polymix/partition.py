@@ -8,8 +8,10 @@ the exterior problem).  Edges at or beyond the threshold forbid a label
 change, which merges their faces into quotient classes; admissible
 labelings are exactly the labelings constant on classes, minus all-N.
 
-An edge is blocked when its side-relevant angle is >= pi - tau (tau finite,
->= 0); only blocked edges can violate.  Each surface keeps in its memo,
+Each edge's face pair and interior angle come as arrays from the surface's
+`geometry.edge_table`.  An edge is blocked when its side-relevant angle is
+>= pi - tau (tau finite, >= 0); only blocked edges can violate, and a
+violation names its faces in ascending order.  Each surface keeps in its memo,
 ``surface.memo[compute, side, tau]``, the blocked mask and the violation
 records `validate_partition` walks, and in one entry per tau,
 ``surface.memo[_quotient_graphs, tau]``, the quotient graphs of both
@@ -33,7 +35,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import fixtures
-from .geometry import interior_angle_table, _rng
+from .geometry import edge_table, _rng
 from .mesh import undirected_components, validate_surface
 
 # Angles within TAU_ANGLE of pi count as >= pi: the boundary case must be
@@ -131,10 +133,10 @@ def _check_side(side):
 
 
 def side_angles(surface, side):
-    """Side-relevant angle per edge: interior, the surface's read-only memoized
-    table itself; exterior, a new array of ``2 pi`` minus it."""
+    """Side-relevant angle per edge: interior, the read-only column of the
+    surface's :func:`edge_table` itself; exterior, a new array 2 pi minus it."""
     _check_side(side)
-    interior = interior_angle_table(surface)
+    interior = edge_table(surface).interior
     return interior if side == "interior" else 2.0 * math.pi - interior
 
 
@@ -149,11 +151,13 @@ def _blocked_edges(surface, side, tau):
 
 
 def _violation_table(surface, side, tau):
-    """Per blocked edge, in edge order: (f0, f1, violation record (edge, (f0, f1), angle))."""
-    blocked = surface.memo[_blocked_edges, side, tau]
-    angles, faces = side_angles(surface, side).tolist(), surface.edge_faces
-    return tuple((*faces[e], (surface.edge_list[e], faces[e], angles[e]))
-                 for e in np.flatnonzero(blocked).tolist())
+    """Per blocked edge, in edge order: (f0, f1, violation record (edge, (f0, f1), angle)),
+    with f0 < f1, not the edge table's walk order."""
+    blocked = np.flatnonzero(surface.memo[_blocked_edges, side, tau])
+    faces = np.sort(edge_table(surface).faces[blocked], axis=1).tolist()
+    angles, edges = side_angles(surface, side)[blocked].tolist(), surface.edge_list
+    return tuple((f0, f1, (edges[e], (f0, f1), angle))
+                 for e, (f0, f1), angle in zip(blocked.tolist(), faces, angles))
 
 
 def validate_partition(surface, partition, tau=TAU_ANGLE):
@@ -206,7 +210,7 @@ def _quotient_graphs(surface, tau):
     whose labels, in least-node order, number the interior classes first."""
     nf = len(surface.faces)
     inner, outer = (surface.memo[_blocked_edges, side, tau] for side in SIDES)
-    f0, f1 = np.array(surface.edge_faces, dtype=np.int64).reshape(-1, 2).T
+    f0, f1 = edge_table(surface).faces.T
     count, labels = undirected_components(2 * nf, np.concatenate([f0[inner], f0[outer] + nf]),
                                           np.concatenate([f1[inner], f1[outer] + nf]))
     # components are numbered in order of their least face, the class order;
@@ -372,8 +376,11 @@ def search_both_monochromatic(spec, budget):
     """Examine up to `budget` generated meshes for double monochromaticity.
 
     An exploration harness: it reports what it saw and never claims
-    nonexistence.  Invalid generated meshes are skipped and counted.
+    nonexistence.  Invalid generated meshes are skipped and counted; a
+    negative `budget` raises ValueError.
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0, got %d" % budget)
     records = []
     skipped = 0
     examined = 0

@@ -136,6 +136,9 @@ class TraceData:
     @classmethod
     def face_constants(cls, mapping):
         items = tuple(sorted((int(f), float(v)) for f, v in dict(mapping).items()))
+        for f, v in items:
+            if not np.isfinite(v):
+                raise ValueError("the constant of face %d is not finite: %r" % (f, v))
         return cls(kind="face_constants", constants=items)
 
 

@@ -117,6 +117,35 @@ def test_check_partition_strict_inadmissible(workdir, tmp_path):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("name", ["l-prism", "hull"])
+def test_angles_in_walk_order_violations_in_face_order(workdir, tmp_path, name):
+    # the angles report gives each edge's faces in walk order, face0 walking
+    # v0 -> v1; check-partition gives a violating edge's faces ascending
+    if name == "hull":
+        write_off(str(tmp_path / "hull.off"), fixtures.generate_hull(5, n_points=9))
+        mesh = str(tmp_path / "hull.off")
+    else:
+        mesh = off(workdir, name)
+    faces = read_off(mesh).faces
+    _, body = run_to_file(tmp_path, ["angles", mesh])
+    rows = json.loads(body)["result"]["edges"]
+    for r in rows:
+        cycle = faces[r["face0"]]
+        assert cycle[(cycle.index(r["v0"]) + 1) % len(cycle)] == r["v1"], r
+    descending = [(r["face0"], r["face1"]) for r in rows if r["face0"] > r["face1"]]
+    assert descending
+    # on the exterior side every convex edge is blocked: the one D face
+    # violates at each of its convex edges, a descending one among them
+    fa, fb = descending[0]
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({"side": "exterior",
+                                "labels": ["D" if f == fa else "N" for f in range(len(faces))]}))
+    _, body = run_to_file(tmp_path, ["check-partition", mesh, str(part)], "check")
+    violating = [v["faces"] for v in json.loads(body)["result"]["violating_edges"]]
+    assert [fb, fa] in violating
+    assert all(f0 < f1 for f0, f1 in violating), violating
+
+
 def test_monochromatic_cube_exterior(workdir, tmp_path):
     code, body = run_to_file(
         tmp_path, ["monochromatic", off(workdir, "cube"), "--side", "exterior"]
@@ -426,6 +455,42 @@ def test_rellich_one_sample_exit_2(workdir, tmp_path, capsys):
 def test_bad_alpha_exit_2(tmp_path):
     assert main(["sector-blowup", "--alpha", "0.5pi",
                  "--output", str(tmp_path / "x.json")]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("literal, reason", [
+    ("3/2pi", "could not convert string to float: '3/2'"),  # a decimal factor, not a fraction
+    ("pie", "could not convert string to float: 'pie'"),
+    ("0.5pi", "aperture must lie in [pi, 2*pi), got 1.5708"),
+])
+def test_bad_alpha_literal_named(capsys, literal, reason):
+    assert main(["sector-blowup", "--alpha", literal]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad --alpha %r: %s\n" % (literal, reason)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["search", "--family", "hulls", "--budget", "-3"], "budget must be >= 0, got -3"),
+    (["enumerate", "{cube}", "--side", "interior", "--list-limit", "-1"],
+     "--list-limit must be >= 0, got -1"),
+], ids=["search-budget", "enumerate-list-limit"])
+def test_negative_count_is_an_input_error(workdir, capsys, argv, message):
+    assert main([a.format(cube=off(workdir, "cube")) for a in argv]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("value, shown", [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf")])
+def test_trace_energy_non_finite_constant_exit_2(workdir, tmp_path, capsys, value, shown):
+    part = tmp_path / "p.json"
+    part.write_text(json.dumps({"side": "interior", "labels": ["D", "N", "D", "N", "N"]}))
+    argv = ["trace-energy", off(workdir, "square-pyramid"), str(part),
+            "--data", "constants:0=1,2=" + value, "--levels", "2"]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the constant of face 2 is not finite: %s\n" % shown
 
 
 LONE_VERTEX_OFF = "OFF\n1 0 0\n0 0 0\n"

@@ -13,7 +13,7 @@ from polymix.geometry import (
     ConeRegion,
     DegenerateEdgeError,
     _LinkFan,
-    _compute_dihedral_angles,
+    _compute_edge_table,
     _link_arcs,
     _link_fan,
     _link_triangles,
@@ -23,7 +23,7 @@ from polymix.geometry import (
     contains_point,
     contains_points,
     dihedral_angles,
-    interior_angle_table,
+    edge_table,
     lateral_stream,
     point_face_distance,
     separation_radius,
@@ -173,17 +173,20 @@ def test_first_offending_edge_decides_the_error(build, error, message):
     with pytest.raises((MeshError, DegenerateEdgeError)) as info:
         dihedral_angles(surface)
     assert type(info.value) is error and str(info.value) == message
-    assert _compute_dihedral_angles not in surface.memo
+    assert _compute_edge_table not in surface.memo
 
 
-def test_interior_angle_table_kept_read_only(cube):
+def test_edge_table_kept_read_only(cube):
     surface = PolyhedralSurface(cube.vertices, cube.faces)
-    table = interior_angle_table(surface)
-    assert interior_angle_table(surface) is table
+    table = edge_table(surface).interior
+    assert edge_table(surface).interior is table
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0] = 0.0
     assert table.tolist() == [d.interior_angle for d in dihedral_angles(surface)]
+    faces = edge_table(surface).faces
+    assert not faces.flags.writeable
+    assert [tuple(f) for f in faces.tolist()] == [d.faces for d in dihedral_angles(surface)]
 
 
 def reference_dihedral_angles(surface):
@@ -1174,7 +1177,7 @@ def test_every_vertex_sampled_directly_with_exact_measures(surface):
         omega.append(3.0 * volume.measure / (arch.r_outer ** 3 - arch.r_inner ** 3))
         assert base.measure == pytest.approx(omega[-1] * arch.r_outer ** 2, rel=1e-12)
     gram = (math.fsum(omega) / (4.0 * math.pi)
-            - math.fsum(interior_angle_table(surface)) / (2.0 * math.pi)
+            - math.fsum(edge_table(surface).interior) / (2.0 * math.pi)
             + len(surface.faces) / 2.0 - 1.0)
     assert abs(gram) <= 1e-12, gram
 

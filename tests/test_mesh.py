@@ -877,7 +877,8 @@ def reference_connectivity(surface):
 
 def reference_quotient_graphs(surface, tau):
     """Each side's quotient graph from its own scipy call."""
-    f0, f1 = np.array(surface.edge_faces, dtype=np.int64).reshape(-1, 2).T
+    topo = [(inc[0][0], inc[1][0]) for _, inc in sorted(edge_incidence(surface).items())]
+    f0, f1 = np.array(topo, dtype=np.int64).reshape(-1, 2).T
     graphs = {}
     for side in partition.SIDES:
         blocked = surface.memo[partition._blocked_edges, side, tau]
@@ -1021,7 +1022,6 @@ def test_half_edge_table_equals_dict_walk(soup):
     assert h.edge.tolist() == [eidx[(min(a, b), max(a, b))] for a, b, _ in rows]
     assert surface.edge_list == tuple(sorted(inc))
     assert all(type(i) is int for edge in surface.edge_list for i in edge)
-    assert surface.edge_faces == tuple(tuple(f for f, _ in inc[e]) for e in sorted(inc))
     assert validate_surface(surface).to_json_dict() == reference_validation(surface).to_json_dict()
     pieces, components = _connectivity(surface)
     expected_pieces, expected_components = reference_connectivity(surface)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polymix import fixtures
-from polymix.geometry import interior_angle_table
+from polymix.geometry import edge_table
 from polymix.mesh import PolyhedralSurface
 from polymix.partition import (
     SIDES,
@@ -121,7 +121,7 @@ def test_monochromatic_iff_count_one():
 
 def test_side_duality(cube, l_prism, pyramid):
     for surface in (cube, l_prism, pyramid):
-        interior = interior_angle_table(surface)
+        interior = edge_table(surface).interior
         for angle in interior:
             blocks_int = angle >= math.pi - TAU_ANGLE
             blocks_ext = (2 * math.pi - angle) >= math.pi - TAU_ANGLE
@@ -299,8 +299,8 @@ def reference_validate_partition(surface, partition, tau=TAU_ANGLE):
         )
     threshold = math.pi - tau
     violating = []
-    for edge, (f0, f1), angle in zip(surface.edge_list, surface.edge_faces,
-                                     side_angles(surface, partition.side)):
+    for (edge, ((f0, _), (f1, _))), angle in zip(sorted(edge_incidence(surface).items()),
+                                                side_angles(surface, partition.side)):
         if labels[f0] != labels[f1] and angle >= threshold:
             violating.append((edge, (f0, f1), float(angle)))
     d_empty = "D" not in labels
@@ -508,6 +508,12 @@ def test_search_budget_zero_empty():
     assert report.meshes_examined == 0
     assert report.records == ()
     assert report.both_monochromatic_found == ()
+
+
+@pytest.mark.parametrize("budget", [-1, -2])
+def test_search_negative_budget_rejected(budget):
+    with pytest.raises(ValueError, match=r"^budget must be >= 0, got %d$" % budget):
+        search_both_monochromatic(GeneratorSpec(family="hulls", seed=1), budget)
 
 
 def test_search_star_spheres_runs():

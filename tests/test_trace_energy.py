@@ -1021,5 +1021,8 @@ def test_face_constants_requires_coverage(pyramid):
 def test_trace_data_validation():
     with pytest.raises(ValueError):
         TraceData.coordinate("w")
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="^the constant of face 2 is not finite: "):
+            TraceData.face_constants({0: 1.0, 2: bad, 3: 0.0})
     td = TraceData.face_constants({3: 1.0, 1: 0.5})
     assert td.constants == ((1, 0.5), (3, 1.0))
