@@ -10,7 +10,6 @@ from .geometry import (
     ArchRegion,
     ConeRegion,
     DihedralAngle,
-    contains_point,
     dihedral_angles,
     separation_radius,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "blowup_report",
     "catalog",
     "check_harmonic",
-    "contains_point",
     "dihedral_angles",
     "enumerate_admissible",
     "estimate_ntmax",

@@ -291,7 +291,14 @@ def _parse_trace_data(spec_text):
         mapping = {}
         for item in rest.split(","):
             face, _, val = item.partition("=")
-            mapping[int(face)] = float(val)
+            try:
+                face, val = int(face), float(val)
+            except ValueError:
+                raise InputError("bad --data item %r in %r (use constants:F=V,...)"
+                                 % (item, spec_text)) from None
+            if face in mapping:
+                raise InputError("bad --data %r: face %d is given twice" % (spec_text, face))
+            mapping[face] = val
         return trace_energy.TraceData.face_constants(mapping)
     raise InputError("bad --data spec %r (use coordinate:AXIS or constants:F=V,...)" % spec_text)
 

@@ -1,5 +1,5 @@
-"""Dihedral angles, vertex separation radii, containment tests, and
-Monte Carlo sampling of vertex links and the faces at a vertex.
+"""Dihedral angles, vertex separation radii, and Monte Carlo sampling of
+vertex links and the faces at a vertex.
 
 Angles are measured inside the solid: an edge of a convex solid has
 interior angle < pi, a reflex (notch) edge has interior angle > pi, and
@@ -7,10 +7,8 @@ interior + exterior = 2*pi per edge.  Each angle comes from the edge's
 own geometry (two face normals and the edge direction), never from a
 global inside test.  All edges' face pairs and angles are one read-only
 :func:`edge_table` per surface, which the partition layer reads directly;
-only :func:`dihedral_angles` builds records from it.  Containment is the
-generalized winding number over all triangles (:func:`contains_points`),
-exact up to rounding and free of ray directions.  Sampling is seeded and
-deterministic, and drawn in shards, each from its own generator: a
+only :func:`dihedral_angles` builds records from it.  Sampling is seeded
+and deterministic, and drawn in shards, each from its own generator: a
 :class:`SampleStream` hands a sampler's shards of points out one at a
 time to a consumer that reduces as it goes.  Both samplers draw directly,
 at unit distance from the vertex: :func:`link_stream` directions through
@@ -31,17 +29,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import MeshError, PolyhedralSurface, plane_basis
+from .mesh import MeshError, PolyhedralSurface
 
 # An edge whose face normals point apart with a cross-product component
 # below this is a knife edge: its interior angle is 0 or 2*pi, and the
 # sign of a rounding error would pick between them.
 KNIFE_EDGE_SINE_TOL = 1e-12
-
-# Boundary band for contains_point, relative to the bounding-box diagonal:
-# the winding number jumps across a face, so points this close are reported
-# as boundary rather than classified.
-BOUNDARY_REL_TOL = 1e-12
 
 # Cone and arch radii must stay below this fraction of the separation radius.
 RADIUS_SAFETY_FACTOR = 0.9
@@ -201,89 +194,6 @@ def _compute_separation_radius(surface, vertex):
     turn = np.arctan2(_dot(normals[face], np.cross(ea, eb)), _dot(ea, eb))
     inside = np.abs(np.bincount(face, weights=turn, minlength=len(far))) > math.pi
     return float(min(best, np.abs(dist[far & inside]).min(initial=np.inf)))
-
-
-def _point_segment_distance(p, a, b):
-    d = b - a
-    denom = float(d @ d)
-    t = 0.0 if denom == 0.0 else float(np.clip((p - a) @ d / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * d)))
-
-
-def point_face_distance(surface, p, fi):
-    """Distance from a point to the closed polygonal face `fi`."""
-    face = surface.faces[fi]
-    n = surface.face_normals[fi]
-    base = surface.vertices[face[0]]
-    h = float((p - base) @ n)
-    foot = p - h * n
-    if _face_contains_projected(surface, fi, foot):
-        return abs(h)
-    k = len(face)
-    return min(
-        _point_segment_distance(p, surface.vertices[face[i]], surface.vertices[face[(i + 1) % k]])
-        for i in range(k)
-    )
-
-
-def _face_contains_projected(surface, fi, q):
-    # crossing-number test in the face plane
-    u, w = plane_basis(surface.face_normals[fi])
-    face = surface.faces[fi]
-    base = surface.vertices[face[0]]
-    pts = surface.vertices[list(face)] - base
-    poly = np.column_stack([pts @ u, pts @ w])
-    x, y = float((q - base) @ u), float((q - base) @ w)
-    inside = False
-    k = len(poly)
-    for i in range(k):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % k]
-        if (y1 > y) != (y2 > y):
-            xt = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < xt:
-                inside = not inside
-    return inside
-
-
-# ----------------------------------------------------------------------
-# point containment
-
-
-def contains_point(surface, point):
-    """Classify a point as ``'inside'``, ``'outside'`` or ``'boundary'``.
-
-    Boundary means within ``BOUNDARY_REL_TOL * bbox diagonal`` of some face;
-    otherwise the winding number of :func:`contains_points` decides.
-    """
-    p = np.asarray(point, dtype=float)
-    tol = BOUNDARY_REL_TOL * (surface.bbox_diagonal or 1.0)
-    for fi in range(len(surface.faces)):
-        if point_face_distance(surface, p, fi) <= tol:
-            return "boundary"
-    return "inside" if bool(contains_points(surface, p[None, :])[0]) else "outside"
-
-
-def contains_points(surface, points):
-    """Vectorized strict-inside test (boundary not detected).
-
-    Sums the signed solid angle of every triangle seen from the point (Van
-    Oosterom & Strackee): ``2 atan2(a.(b x c), |a||b||c| + (a.b)|c| +
-    (b.c)|a| + (c.a)|b|)`` with ``a, b, c`` the corners relative to the
-    point.  That generalized winding number is +-4*pi inside a closed surface
-    of either orientation and 0 outside, so ``|sum| > 2*pi`` decides.
-    """
-    pts = np.asarray(points, dtype=float)
-    tris, _ = surface.triangles
-    total = np.zeros(len(pts))
-    for corners in surface.vertices[tris]:
-        a, b, c = corners[:, None, :] - pts
-        la, lb, lc = (np.linalg.norm(x, axis=1) for x in (a, b, c))
-        det = np.einsum("ij,ij->i", a, np.cross(b, c))
-        den = (la * lb * lc + np.einsum("ij,ij->i", a, b) * lc
-               + np.einsum("ij,ij->i", b, c) * la + np.einsum("ij,ij->i", c, a) * lb)
-        total += 2.0 * np.arctan2(det, den)
-    return np.abs(total) > 2.0 * math.pi
 
 
 # ----------------------------------------------------------------------

@@ -12,12 +12,16 @@ Each edge's face pair and interior angle come as arrays from the surface's
 `geometry.edge_table`.  An edge is blocked when its side-relevant angle is
 >= pi - tau (tau finite, >= 0); only blocked edges can violate, and a
 violation names its faces in ascending order.  Each surface keeps in its memo,
-``surface.memo[compute, side, tau]``, the blocked mask and the violation
-records `validate_partition` walks, and in one entry per tau,
-``surface.memo[_quotient_graphs, tau]``, the quotient graphs of both
-sides, merged by one component call over a block-diagonal graph and
-served per side by `quotient_graph`.  A `Partition` built by its
-constructor checks its side and labels in one hand-written ``__init__``.
+``surface.memo[compute, side, tau]``, the blocked mask and, for
+`validate_partition`, the blocked edges' violation records with two
+`itemgetter`s over their lower and higher faces: validation decides from one
+comparison of the two gathered label tuples, and a report builds its
+violation records from them only when its ``violating_edges`` is read.
+One entry per tau, ``surface.memo[_quotient_graphs, tau]``, holds the
+quotient graphs of both sides, merged by one component call over a
+block-diagonal graph and served per side by `quotient_graph`.  A
+`Partition` built by its constructor checks its side and labels in one
+hand-written ``__init__``.
 Enumeration gathers face labels from class labels via `face_class` in one
 C-level `itemgetter` call and builds its partitions unchecked, in a chain
 of `map` calls: the side is checked once per enumeration and the labels
@@ -29,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import islice, product, repeat
+from itertools import compress, islice, product, repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -108,12 +112,45 @@ class Partition:
 _set_labels, _set_side = Partition.labels.__set__, Partition.side.__set__
 
 
-@dataclass(slots=True)
 class AdmissibilityReport:
-    admissible: bool
-    side: str
-    dirichlet_empty: bool
-    violating_edges: tuple  # ((a, b), (face0, face1), side-relevant angle)
+    """The verdict on one labeling: ``admissible``, ``side``,
+    ``dirichlet_empty`` and ``violating_edges``, a tuple of
+    ((a, b), (face0, face1), side-relevant angle) records in edge order.
+
+    `validate_partition` decides the verdict alone; on an inadmissible
+    labeling it keeps the labels of the blocked edges' low and high faces,
+    gathered at the call, and builds ``violating_edges`` from them on its
+    first read.  Reports compare equal when their four fields do.
+    """
+
+    __slots__ = ("admissible", "side", "dirichlet_empty", "_violating", "_pending")
+
+    def __init__(self, admissible, side, dirichlet_empty, violating_edges):
+        self.admissible = admissible
+        self.side = side
+        self.dirichlet_empty = dirichlet_empty
+        self._violating = violating_edges
+        self._pending = None
+
+    @property
+    def violating_edges(self):
+        if self._pending is not None:
+            records, low, high = self._pending
+            self._violating = tuple(compress(records, map(operator.ne, low, high)))
+            self._pending = None
+        return self._violating
+
+    def _fields(self):
+        return self.admissible, self.side, self.dirichlet_empty, self.violating_edges
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return ("%s(admissible=%r, side=%r, dirichlet_empty=%r, violating_edges=%r)"
+                % ((self.__class__.__qualname__,) + self._fields()))
 
     def to_json_dict(self):
         return {
@@ -151,13 +188,19 @@ def _blocked_edges(surface, side, tau):
 
 
 def _violation_table(surface, side, tau):
-    """Per blocked edge, in edge order: (f0, f1, violation record (edge, (f0, f1), angle)),
-    with f0 < f1, not the edge table's walk order."""
+    """None when no edge is blocked; else, over the blocked edges in edge
+    order, the violation records (edge, (f0, f1), angle), f0 < f1 and not the
+    edge table's walk order, and two itemgetters gathering a labeling's labels
+    at the f0s and at the f1s (a bare label for a single blocked edge)."""
     blocked = np.flatnonzero(surface.memo[_blocked_edges, side, tau])
-    faces = np.sort(edge_table(surface).faces[blocked], axis=1).tolist()
+    if not len(blocked):
+        return None
+    faces = np.sort(edge_table(surface).faces[blocked], axis=1)
     angles, edges = side_angles(surface, side)[blocked].tolist(), surface.edge_list
-    return tuple((f0, f1, (edges[e], (f0, f1), angle))
-                 for e, (f0, f1), angle in zip(blocked.tolist(), faces, angles))
+    records = tuple((edges[e], (f0, f1), angle)
+                    for e, (f0, f1), angle in zip(blocked.tolist(), faces.tolist(), angles))
+    low, high = faces.T.tolist()
+    return records, operator.itemgetter(*low), operator.itemgetter(*high)
 
 
 def validate_partition(surface, partition, tau=TAU_ANGLE):
@@ -165,7 +208,10 @@ def validate_partition(surface, partition, tau=TAU_ANGLE):
 
     `tau` is the conservative angle tolerance: a label change is rejected
     whenever the side-relevant angle reaches pi - tau.  A non-finite or
-    negative `tau` raises ValueError.
+    negative `tau` raises ValueError.  The verdict is one comparison of the
+    labels gathered at the blocked edges' two faces; the violation records
+    are built from those labels when the report's ``violating_edges`` is
+    first read.
     """
     labels = partition.labels
     if len(labels) != len(surface.faces):
@@ -173,11 +219,16 @@ def validate_partition(surface, partition, tau=TAU_ANGLE):
             "partition has %d labels for %d faces" % (len(labels), len(surface.faces))
         )
     table = surface.memo[_violation_table, partition.side, tau]
-    violating = (tuple([record for f0, f1, record in table if labels[f0] != labels[f1]])
-                 if table else ())
+    if table is not None:
+        records, low, high = table
+        low, high = low(labels), high(labels)
+        if low != high:
+            # positional: keyword arguments cost a quarter of a call here
+            report = AdmissibilityReport(False, partition.side, "D" not in labels, None)
+            report._pending = records, low, high
+            return report
     d_empty = "D" not in labels
-    # positional: keyword arguments cost a quarter of a call here
-    return AdmissibilityReport(not d_empty and not violating, partition.side, d_empty, violating)
+    return AdmissibilityReport(not d_empty, partition.side, d_empty, ())
 
 
 # ----------------------------------------------------------------------

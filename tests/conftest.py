@@ -3,10 +3,16 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from polymix import fixtures
 from polymix.mesh import PolyhedralSurface
 from polymix.trace_energy import _refinement_chain
+
+# every property test draws the same examples on every run and has no time
+# limit per example; each test sets its own max_examples
+settings.register_profile("polymix", derandomize=True, deadline=None)
+settings.load_profile("polymix")
 
 
 def edge_incidence(surface):

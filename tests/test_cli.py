@@ -493,6 +493,24 @@ def test_trace_energy_non_finite_constant_exit_2(workdir, tmp_path, capsys, valu
     assert captured.err == "error: the constant of face 2 is not finite: %s\n" % shown
 
 
+@pytest.mark.parametrize("data, message", [
+    ("constants:0=1,0=5,2=0", "bad --data 'constants:0=1,0=5,2=0': face 0 is given twice"),
+    ("constants:", "bad --data item '' in 'constants:' (use constants:F=V,...)"),
+    ("constants:0", "bad --data item '0' in 'constants:0' (use constants:F=V,...)"),
+    ("constants:a=1", "bad --data item 'a=1' in 'constants:a=1' (use constants:F=V,...)"),
+    ("constants:0=1,", "bad --data item '' in 'constants:0=1,' (use constants:F=V,...)"),
+], ids=["repeated-face", "empty", "no-value", "bad-face", "trailing-comma"])
+def test_trace_energy_bad_constants_item_exit_2(workdir, tmp_path, capsys, data, message):
+    part = tmp_path / "p.json"
+    part.write_text(json.dumps({"side": "interior", "labels": ["D", "N", "D", "N", "N"]}))
+    argv = ["trace-energy", off(workdir, "square-pyramid"), str(part),
+            "--data", data, "--levels", "1"]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 LONE_VERTEX_OFF = "OFF\n1 0 0\n0 0 0\n"
 EMPTY_OFF = "OFF\n0 0 0\n"
 
@@ -582,7 +600,7 @@ FUZZ_ARGV = [
 ]
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(case=malformed_off())
 def test_malformed_off_never_raises(case):
     # every subcommand that reads a mesh exits 0, 1 or 2, with an error line
@@ -611,7 +629,7 @@ TAU_ARGV = [
 ]
 
 
-@settings(derandomize=True, max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(
     base=st.sampled_from(FUZZ_BASES),
     tau=st.one_of(st.sampled_from(["nan", "inf", "-inf", "1e400"]),

@@ -17,18 +17,14 @@ from polymix.geometry import (
     _link_arcs,
     _link_fan,
     _link_triangles,
-    _point_segment_distance,
     _rng,
     _vertex_corners,
-    contains_point,
-    contains_points,
     dihedral_angles,
     edge_table,
     lateral_stream,
-    point_face_distance,
     separation_radius,
 )
-from polymix.mesh import MeshError, PolyhedralSurface, validate_surface
+from polymix.mesh import MeshError, PolyhedralSurface, plane_basis, validate_surface
 from polymix.partition import (TAU_ANGLE, GeneratorSpec, enumerate_admissible, is_monochromatic,
                                quotient_graph)
 
@@ -296,7 +292,7 @@ PROPERTY_MESHES = [fixtures.builtin(name) for name in sorted(fixtures.BUILTIN)] 
 ]
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     index=st.integers(0, len(PROPERTY_MESHES) - 1),
     quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
@@ -414,6 +410,91 @@ def test_separation_radius_matches_loop_reference(build):
 
 # ----------------------------------------------------------------------
 # containment
+
+
+# Boundary band for contains_point, relative to the bounding-box diagonal:
+# the winding number jumps across a face, so points this close are reported
+# as boundary rather than classified.
+BOUNDARY_REL_TOL = 1e-12
+
+
+def _point_segment_distance(p, a, b):
+    d = b - a
+    denom = float(d @ d)
+    t = 0.0 if denom == 0.0 else float(np.clip((p - a) @ d / denom, 0.0, 1.0))
+    return float(np.linalg.norm(p - (a + t * d)))
+
+
+def point_face_distance(surface, p, fi):
+    """Distance from a point to the closed polygonal face `fi`."""
+    face = surface.faces[fi]
+    n = surface.face_normals[fi]
+    base = surface.vertices[face[0]]
+    h = float((p - base) @ n)
+    foot = p - h * n
+    if _face_contains_projected(surface, fi, foot):
+        return abs(h)
+    k = len(face)
+    return min(
+        _point_segment_distance(p, surface.vertices[face[i]], surface.vertices[face[(i + 1) % k]])
+        for i in range(k)
+    )
+
+
+def _face_contains_projected(surface, fi, q):
+    # crossing-number test in the face plane
+    u, w = plane_basis(surface.face_normals[fi])
+    face = surface.faces[fi]
+    base = surface.vertices[face[0]]
+    pts = surface.vertices[list(face)] - base
+    poly = np.column_stack([pts @ u, pts @ w])
+    x, y = float((q - base) @ u), float((q - base) @ w)
+    inside = False
+    k = len(poly)
+    for i in range(k):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % k]
+        if (y1 > y) != (y2 > y):
+            xt = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            if x < xt:
+                inside = not inside
+    return inside
+
+
+def contains_point(surface, point):
+    """Classify a point as ``'inside'``, ``'outside'`` or ``'boundary'``.
+
+    Boundary means within ``BOUNDARY_REL_TOL * bbox diagonal`` of some face;
+    otherwise the winding number of :func:`contains_points` decides.
+    """
+    p = np.asarray(point, dtype=float)
+    tol = BOUNDARY_REL_TOL * (surface.bbox_diagonal or 1.0)
+    for fi in range(len(surface.faces)):
+        if point_face_distance(surface, p, fi) <= tol:
+            return "boundary"
+    return "inside" if bool(contains_points(surface, p[None, :])[0]) else "outside"
+
+
+def contains_points(surface, points):
+    """Vectorized strict-inside test (boundary not detected).
+
+    Sums the signed solid angle of every triangle seen from the point (Van
+    Oosterom & Strackee): ``2 atan2(a.(b x c), |a||b||c| + (a.b)|c| +
+    (b.c)|a| + (c.a)|b|)`` with ``a, b, c`` the corners relative to the
+    point.  That generalized winding number is +-4*pi inside a closed surface
+    of either orientation and 0 outside, so ``|sum| > 2*pi`` decides.
+    """
+    pts = np.asarray(points, dtype=float)
+    tris, _ = surface.triangles
+    total = np.zeros(len(pts))
+    for corners in surface.vertices[tris]:
+        a, b, c = corners[:, None, :] - pts
+        la, lb, lc = (np.linalg.norm(x, axis=1) for x in (a, b, c))
+        det = np.einsum("ij,ij->i", a, np.cross(b, c))
+        den = (la * lb * lc + np.einsum("ij,ij->i", a, b) * lc
+               + np.einsum("ij,ij->i", b, c) * la + np.einsum("ij,ij->i", c, a) * lb)
+        total += 2.0 * np.arctan2(det, den)
+    return np.abs(total) > 2.0 * math.pi
 
 
 def test_contains_point_cube_cases(cube):
@@ -638,7 +719,7 @@ REFLEX_PROBES = [
 ]
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     index=st.integers(0, len(REFLEX_MESHES) - 1),
     quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
@@ -697,7 +778,7 @@ def decisions(surface):
             [is_monochromatic(surface, side)[0] for side in ("interior", "exterior")])
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     index=st.integers(0, len(FAR_MESHES) - 1),
     quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
@@ -1089,7 +1170,7 @@ def test_angles_keep_reference_bits_on_search_meshes(family, sizes):
 FAN_MESHES = REFLEX_MESHES + [STAR_SPHERES[6], u_pyramid(), dented_box()]
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     index=st.integers(0, len(FAN_MESHES) - 1),
     quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
@@ -1185,7 +1266,7 @@ def test_every_vertex_sampled_directly_with_exact_measures(surface):
 SIMILARITY_MESHES = PROPERTY_MESHES + [needle(), fixtures.notched_box(1)]
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     index=st.integers(0, len(SIMILARITY_MESHES) - 1),
     vertex_pick=st.integers(0, 1 << 16),

@@ -424,7 +424,7 @@ def test_star_sphere_equals_dict_walk_reference(subdivisions):
         assert surface.faces == tuple(faces), seed
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2**31 - 1), n_points=st.integers(4, 24))
 def test_midpoint_subdivide_on_hulls(seed, n_points):
     hull = fixtures.generate_hull(seed, n_points)
@@ -481,7 +481,7 @@ def triangle_soups(draw):
 SOUP_VERTS = np.random.default_rng(5).normal(size=(7, 3))
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(soup=triangle_soups())
 @example(soup=(SOUP_VERTS[:3], np.zeros((0, 3), dtype=np.int64)))  # no triangles
 @example(soup=(SOUP_VERTS[:4], np.array([[2, 0, 3]])))  # one triangle, vertex 1 spare
@@ -998,7 +998,7 @@ def face_soups(draw):
 CUBE = fixtures.cube()
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(soup=face_soups())
 @example(soup=(np.zeros((0, 3)), []))  # no faces, no vertices
 @example(soup=(SOUP_VERTS[:3], []))  # no faces, three isolated vertices

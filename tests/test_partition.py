@@ -196,7 +196,7 @@ def _as(kind, labels):
     return tuple(labels) if kind is tuple else list(labels)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(labels=st.lists(st.sampled_from("DN"), max_size=12),
        kind=st.sampled_from([tuple, list]), side=st.sampled_from(SIDES))
 def test_constructor_contract(labels, kind, side):
@@ -224,7 +224,7 @@ def test_constructor_contract(labels, kind, side):
             assert got is labels and got_side is side
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(labels=st.lists(st.sampled_from("DN"), max_size=8),
        bad=st.one_of(st.sampled_from(["X", "d", "DN", "", None, 1, 0.5]),
                      st.text(max_size=2).filter(lambda c: c not in ("D", "N"))),
@@ -409,6 +409,76 @@ def test_near_flat_edge_blocked_by_tau():
                 assert got.admissible is not blocked
             q = quotient_graph(surface, side, tau=tau)
             assert (q.face_class[0] == q.face_class[1]) is blocked
+
+
+LAZY_MESHES = [m for m in SMALL_MESHES if m[0] in ("l-prism", "notched-box-1", "hull-7")]
+
+
+@pytest.mark.parametrize("name,build", LAZY_MESHES, ids=[m[0] for m in LAZY_MESHES])
+def test_report_read_for_the_verdict_first_equals_reference(name, build):
+    # the verdict alone first, then the violations, the repr and the JSON
+    surface = build()
+    for side in SIDES:
+        for labels in itertools.product("DN", repeat=len(surface.faces)):
+            p = Partition(labels=labels, side=side)
+            expected = reference_validate_partition(surface, p)
+            got = validate_partition(surface, p)
+            assert got.admissible is expected.admissible, labels
+            assert got.violating_edges == expected.violating_edges, labels
+            assert repr(got) == repr(expected)
+            assert got.to_json_dict() == expected.to_json_dict()
+            # a report read first through its JSON form or its repr
+            assert validate_partition(surface, p).to_json_dict() == expected.to_json_dict()
+            assert repr(validate_partition(surface, p)) == repr(expected)
+
+
+def test_report_keeps_the_labels_at_call_time(l_prism):
+    labels = ["D"] * 8
+    labels[3] = "N"  # faces 2 and 3 meet at the reflex notch edge
+    p = Partition(labels=labels, side="interior")
+    expected = reference_validate_partition(l_prism, Partition(tuple(labels), "interior"))
+    report = validate_partition(l_prism, p)
+    assert not report.admissible
+    labels[3], labels[0] = "D", "N"  # the caller's list changes after the call
+    assert report == expected
+    assert [faces for _, faces, _ in report.violating_edges] == [(2, 3)]
+    assert validate_partition(l_prism, p) != expected
+
+
+def test_report_from_the_constructor_equals_the_validated_one(l_prism):
+    labels = ("D",) * 3 + ("N",) + ("D",) * 4
+    edge = next(e for e, inc in edge_incidence(l_prism).items()
+                if {f for f, _ in inc} == {2, 3})
+    angle = float(side_angles(l_prism, "interior")[l_prism.edge_list.index(edge)])
+    direct = AdmissibilityReport(admissible=False, side="interior", dirichlet_empty=False,
+                                 violating_edges=((edge, (2, 3), angle),))
+    assert validate_partition(l_prism, Partition(labels=labels, side="interior")) == direct
+    assert direct == validate_partition(l_prism, Partition(labels=labels, side="interior"))
+    admissible = AdmissibilityReport(admissible=True, side="interior", dirichlet_empty=False,
+                                     violating_edges=())
+    assert validate_partition(l_prism, Partition(("D",) * 8, "interior")) == admissible
+    assert admissible != direct
+    assert admissible != AdmissibilityReport(True, "exterior", False, ())
+    # equality is over the four fields of one class, and a report has no hash
+    assert admissible != (True, "interior", False, ())
+    assert admissible != admissible.to_json_dict()
+    with pytest.raises(TypeError):
+        hash(admissible)
+
+
+def test_single_blocked_edge_is_a_bare_label():
+    # interior, tau = 1e-8: only the split edge (8, 9) of faces 0 and 1 is
+    # blocked, so each gather is one bare label rather than a tuple
+    surface = split_cube(drop=math.tan(5e-9 / 2) / 2)
+    tau = 1e-8
+    assert int(np.count_nonzero(side_angles(surface, "interior") >= math.pi - tau)) == 1
+    for labels in itertools.product("DN", repeat=len(surface.faces)):
+        p = Partition(labels=labels, side="interior")
+        got = validate_partition(surface, p, tau=tau)
+        expected = reference_validate_partition(surface, p, tau=tau)
+        assert got.admissible is expected.admissible
+        assert got == expected
+        assert bool(got.violating_edges) is (labels[0] != labels[1])
 
 
 @pytest.mark.parametrize("name,build", REFERENCE_MESHES, ids=[m[0] for m in REFERENCE_MESHES])

@@ -167,7 +167,7 @@ SCALE_ARCHES = [(fixtures.cube(), 0), (fixtures.square_pyramid(), 0), (fixtures.
                 (u_pyramid(), 8)]
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(index=st.integers(0, len(SCALE_ARCHES) - 1), k=st.integers(-6, 6))
 def test_power_of_two_scale_is_exact_for_every_degree(index, k):
     # scaling the mesh and both radii by 2^k keeps the link directions and

@@ -239,7 +239,7 @@ def test_study_triangulates_once_and_subdivides_once_per_level(monkeypatch, pyra
     assert rep.refined.level == 4
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     name=st.sampled_from(sorted(DYADIC_MESHES) + sorted(HULLS) + ["tetrahedron"]),
     quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
