@@ -38,8 +38,6 @@ from .rellich import (
     CATALOG,
     HarmonicTestFunction,
     catalog,
-    rellich_estimate,
-    rellich_identity,
     rellich_suite,
 )
 from .sector import (
@@ -57,7 +55,6 @@ from .trace_energy import (
     EnergyReport,
     RefinedSurface,
     TraceData,
-    full_restriction_norm,
     minimal_extension_energy,
     refinement_study,
 )
@@ -93,14 +90,11 @@ __all__ = [
     "estimate_ntmax",
     "eval_b",
     "eval_grad_b",
-    "full_restriction_norm",
     "is_monochromatic",
     "minimal_extension_energy",
     "parse_off",
     "quotient_graph",
     "refinement_study",
-    "rellich_estimate",
-    "rellich_identity",
     "rellich_suite",
     "search_both_monochromatic",
     "separation_radius",

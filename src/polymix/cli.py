@@ -322,6 +322,15 @@ def cmd_trace_energy(args):
         surface = _read_mesh(args.mesh)
         part = _read_partition(args.partition)
         data = _parse_trace_data(args.data)
+        # the library ignores constants off the Dirichlet faces; from the
+        # command line one is a mistake
+        for face, _ in data.constants or ():
+            if not 0 <= face < len(surface.faces):
+                raise InputError("bad --data %r: the mesh has no face %d (it has faces 0 to %d)"
+                                 % (args.data, face, len(surface.faces) - 1))
+            if face < len(part.labels) and part.labels[face] != "D":
+                raise InputError("bad --data %r: face %d is Neumann and takes no constant"
+                                 % (args.data, face))
         levels = tuple(range(0, args.levels + 1))
     if args.levels is not None and args.study:
         levels = tuple(l for l in levels if l <= args.levels)
@@ -386,10 +395,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples=None, seeded=False):
+    def common(p, samples=None, seeded=False, csv=False):
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="report format (default json)")
+        if csv:
+            p.add_argument("--format", choices=("json", "csv"), default="json",
+                           help="report format (default json)")
         if seeded:
             p.add_argument("--seed", type=int, default=0, help="root RNG seed")
         if samples is not None:
@@ -404,7 +414,7 @@ def build_parser():
 
     p = sub.add_parser("angles", help="dihedral angle table per edge")
     p.add_argument("mesh")
-    common(p)
+    common(p, csv=True)
     p.set_defaults(func=cmd_angles)
 
     p = sub.add_parser("check-partition", help="admissibility of a D/N labeling")
@@ -455,7 +465,7 @@ def build_parser():
                    help="catalog degree cap when --u all (default 2)")
     p.add_argument("--estimate", action="store_true",
                    help="include the one-sided estimate report")
-    common(p, samples=100_000, seeded=True)
+    common(p, samples=100_000, seeded=True, csv=True)
     p.set_defaults(func=cmd_rellich)
 
     p = sub.add_parser("sector-blowup", help="truncated-energy blow-up of the sector solution")
@@ -463,7 +473,7 @@ def build_parser():
                    help="sector aperture in [pi, 2pi): radians or 'pi' literals like 1.5pi")
     p.add_argument("--eps", type=float, help="single truncation radius")
     p.add_argument("--eps-list", help="comma-separated truncation radii (>=3 enables the fit)")
-    common(p)
+    common(p, csv=True)
     p.set_defaults(func=cmd_sector_blowup)
 
     p = sub.add_parser("trace-energy", help="discrete extension-energy refinement study")
@@ -478,7 +488,7 @@ def build_parser():
                    help="pin the closed Dirichlet region (default) or leave D/N edges free")
     p.add_argument("--export-extension",
                    help="write the finest-level extension as OFF-with-scalars here")
-    common(p)
+    common(p, csv=True)
     p.set_defaults(func=cmd_trace_energy)
 
     p = sub.add_parser("fixtures", help="materialize the built-in meshes as OFF files")

@@ -123,25 +123,6 @@ def notched_box(notches=1, height=2.0):
     return _prism(poly, height)
 
 
-def two_tetrahedra_shared_vertex():
-    """Two closed tetrahedra glued at one vertex: non-manifold fixture."""
-    t = regular_tetrahedron()
-    v = np.asarray(t.vertices)
-    shift = v[0] * 2.0  # second copy touches the first only at vertex 0
-    verts = np.vstack([v, (shift - v)[1:]])
-    faces = list(t.faces)
-    remap = {0: 0, 1: 4, 2: 5, 3: 6}
-    for f in t.faces:
-        faces.append(tuple(remap[i] for i in reversed(f)))
-    return PolyhedralSurface(verts, faces)
-
-
-def open_box():
-    """Cube with the top face removed: an open surface with 4 boundary edges."""
-    c = cube()
-    return PolyhedralSurface(c.vertices, [f for i, f in enumerate(c.faces) if i != 1])
-
-
 # ----------------------------------------------------------------------
 # random families
 

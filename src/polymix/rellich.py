@@ -529,18 +529,6 @@ def rellich_suite(arch, test_functions, n, seed):
     return identities, estimates
 
 
-def rellich_identity(arch, u, n, seed):
-    """Both sides of the identity for one test function; see rellich_suite."""
-    ids, _ = rellich_suite(arch, [u], n, seed)
-    return ids[0]
-
-
-def rellich_estimate(arch, u, n, seed):
-    """The one-sided estimate for one test function; see rellich_suite."""
-    _, ests = rellich_suite(arch, [u], n, seed)
-    return ests[0]
-
-
 def identity_csv_rows(fixture_name, results):
     """Rows (fixture, vertex, r, R, u_name, lhs, lhs_stderr, rhs, rhs_stderr, residual)."""
     return [

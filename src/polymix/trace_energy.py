@@ -19,6 +19,10 @@ default every vertex of the closed Dirichlet region is pinned to the data
 the closure); the relaxed variant that leaves shared Dirichlet/Neumann
 edge vertices free is available via ``closure=False`` and converges to the
 same limit, only slower.
+Only the seminorm is computed: truncating an extension to [min f, max f]
+does not raise its gradient energy and leaves a mass term of at most
+max |f|^2 area, so the full restriction norm is finite exactly when the
+seminorm is.
 Refinement studies classify the energy sequence as CONVERGENT (settled
 within 1%) or DIVERGENT (monotone growth that keeps adding a solid share
 of the median increment, the discrete signature of data with no
@@ -62,9 +66,9 @@ class RefinedSurface:
     of triangle t's angle at corner k, computed from coordinates at level 0
     only: children ``(a, ab, ca)``, ``(ab, b, bc)`` and ``(ca, bc, c)`` keep
     their parent's angles ``(A, B, C)``, the middle ``(ab, bc, ca)`` has ``(C, A, B)``.
-    ``operators`` caches the multilevel solver's level operators (see
-    :class:`_Hierarchy`); every level of one refinement chain holds the
-    same dict, so a finer solve reuses what a coarser one built.
+    ``operators`` caches the multilevel solver's levels by level number
+    (see :meth:`cycle_levels`); every level of one refinement chain holds
+    the same dict, so a finer solve reuses what a coarser one built.
     """
 
     base: PolyhedralSurface
@@ -81,6 +85,46 @@ class RefinedSurface:
     @property
     def vertex_count(self):
         return len(self.vertices)
+
+    def level_size(self, level):
+        """n_l, the vertex count of level ``level`` of the chain."""
+        return self.vertex_count - sum(len(p) for p in self.parents[level:])
+
+    def operator(self, level):
+        """Level ``level``'s stiffness, gathered from this level.
+
+        Level l is the first n_l vertices; its triangle t is ``(T[s t, 0],
+        T[s t + (s - 1) / 3, 1], T[s t + 2 (s - 1) / 3, 2])`` of this level's
+        triangles T with ``s = 4^(L - l)``, and its cotangents are rows ``s t``
+        of this level's (corner children keep their parent's corners and
+        angles), so a level is assembled with the same bits as in the chain,
+        and without a cross product.
+        """
+        s = 4 ** (self.level - level)
+        tris, skip = self.triangles, (s - 1) // 3
+        tris = np.column_stack([tris[::s, 0], tris[skip::s, 1], tris[2 * skip::s, 2]])
+        return cotan_stiffness(self.vertices[:self.level_size(level)], tris, self.cotangents[::s])
+
+    def cycle_levels(self, free_mask, a_ff):
+        """Levels L, L - 1, ..., 0 of the V-cycle for this level's free block.
+
+        Level L is built from ``a_ff``.  A coarser level's free set is the
+        prefix of ``free_mask``; it is taken from ``operators`` when the
+        cached free set is the same, else assembled with :meth:`operator`.
+        """
+        if len(free_mask) != self.vertex_count:
+            raise ValueError("levels of a %d-vertex surface do not fit a matrix of order %d"
+                             % (self.vertex_count, len(free_mask)))
+        levels = []
+        for level in range(self.level, -1, -1):
+            mask = free_mask[:self.level_size(level)]
+            cached = self.operators.get(level)
+            if level == self.level or cached is None or not np.array_equal(cached.free_mask, mask):
+                block = a_ff if level == self.level else _free_blocks(self.operator(level), mask)[2]
+                cached = self.operators[level] = _build_level(
+                    block, mask, self.parents[level - 1] if level else None)
+            levels.append(cached)
+        return levels
 
 
 def _refinement_chain(base, fan_offset):
@@ -229,20 +273,6 @@ def cotan_stiffness(vertices, triangles, cotangents=None):
     return k + sparse.csr_matrix((diagonal, at[:-1], at), shape=(n, n))
 
 
-def lumped_mass(vertices, triangles):
-    """Diagonal (barycentric lumped) mass vector: one third of incident area."""
-    v = np.asarray(vertices, dtype=float)
-    t = np.asarray(triangles, dtype=np.int64)
-    areas = 0.5 * np.linalg.norm(
-        np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]), axis=1
-    )
-    return np.bincount(t.T.ravel(), np.tile(areas / 3.0, 3), len(v))
-
-
-def _mass_matrix(vertices, triangles):
-    return sparse.diags(lumped_mass(vertices, triangles)).tocsr()
-
-
 def _free_blocks(matrix, free_mask):
     """``(free, fixed, a_ff, a_fc)``: the free and the pinned indices and
     the free rows' free and pinned columns of a CSR matrix, cut from one
@@ -325,61 +355,6 @@ def _build_level(a_ff, free_mask, ends):
                   restrict=prolong.T.tocsr())
 
 
-@dataclass(frozen=True)
-class _Hierarchy:
-    """The nested midpoint levels of ``refined`` for one quadratic form: the
-    cotangent stiffness, plus the lumped mass when ``with_mass``.
-
-    Level l is the first n_l vertices; its triangle t is ``(T[s t, 0],
-    T[s t + (s - 1) / 3, 1], T[s t + 2 (s - 1) / 3, 2])`` of the finest
-    triangles T with ``s = 4^(L - l)``, and its cotangents are rows ``s t``
-    of the finest (corner children keep their parent's corners and angles),
-    so a level is assembled with the same bits as in the chain, and without
-    a cross product.  Built levels are cached in ``refined.operators``,
-    which every level of one refinement chain shares.
-    """
-
-    refined: RefinedSurface
-    with_mass: bool = False
-
-    def size(self, level):
-        """n_l, the vertex count of level ``level``."""
-        return self.refined.vertex_count - sum(len(p) for p in self.refined.parents[level:])
-
-    def operator(self, level):
-        """Level ``level``'s matrix, gathered from the finest level."""
-        rs = self.refined
-        s = 4 ** (rs.level - level)
-        tris, skip = rs.triangles, (s - 1) // 3
-        tris = np.column_stack([tris[::s, 0], tris[skip::s, 1], tris[2 * skip::s, 2]])
-        verts = rs.vertices[:self.size(level)]
-        stiff = cotan_stiffness(verts, tris, rs.cotangents[::s])
-        return (stiff + _mass_matrix(verts, tris)).tocsr() if self.with_mass else stiff
-
-    def cycle_levels(self, free_mask, a_ff):
-        """Levels L, L - 1, ..., 0 of the V-cycle for the finest free block.
-
-        Level L is built from ``a_ff``.  A coarser level's free set is the
-        prefix of ``free_mask``; it is taken from the cache when the cached
-        free set is the same, else assembled with :meth:`operator`.
-        """
-        rs = self.refined
-        if len(free_mask) != rs.vertex_count:
-            raise ValueError("levels of a %d-vertex surface do not fit a matrix of order %d"
-                             % (rs.vertex_count, len(free_mask)))
-        cache = rs.operators.setdefault(self.with_mass, {})
-        levels = []
-        for level in range(rs.level, -1, -1):
-            mask = free_mask[:self.size(level)]
-            cached = cache.get(level)
-            if level == rs.level or cached is None or not np.array_equal(cached.free_mask, mask):
-                block = a_ff if level == rs.level else _free_blocks(self.operator(level), mask)[2]
-                cached = cache[level] = _build_level(block, mask,
-                                                     rs.parents[level - 1] if level else None)
-            levels.append(cached)
-        return levels
-
-
 def _v_cycle(levels):
     """Symmetric V(1,1) cycle over ``levels``, finest first (one
     multiplicative multilevel step: Bramble, Pasciak & Xu 1990; Xu 1992).
@@ -414,13 +389,13 @@ def _v_cycle(levels):
     return LinearOperator((n, n), matvec=apply, dtype=float)
 
 
-def solve_constrained(matrix, fixed_idx, fixed_vals, rtol=SOLVER_RTOL, levels=None):
+def solve_constrained(matrix, fixed_idx, fixed_vals, refined=None):
     """Minimize u^T A u with some entries of u pinned; CG on the free block.
 
-    CG is preconditioned by one V-cycle (:func:`_v_cycle`) over ``levels``,
-    the :class:`_Hierarchy` whose finest level ``matrix`` is; with none,
-    ``matrix`` is its own coarsest level and the cycle is its exact
-    solve.  Returns (u, iterations, relative_residual, pinned_components):
+    CG is preconditioned by one V-cycle (:func:`_v_cycle`) over the levels
+    of ``refined``, the :class:`RefinedSurface` whose stiffness ``matrix``
+    is (see :meth:`RefinedSurface.cycle_levels`); with none, ``matrix`` is
+    its own coarsest level and the cycle is its exact solve.  Returns (u, iterations, relative_residual, pinned_components):
     free components that touch no pinned vertex have a constant nullspace
     and are pinned to zero (equivalently, mean-subtracted).
     """
@@ -440,8 +415,8 @@ def solve_constrained(matrix, fixed_idx, fixed_vals, rtol=SOLVER_RTOL, levels=No
         blocks = _free_blocks(matrix, free_mask)
     free, fixed, a_ff, a_fc = blocks
     # built even with nothing free, so that a finer solve finds the level
-    cycle = ([_build_level(a_ff, free_mask, None)] if levels is None
-             else levels.cycle_levels(free_mask, a_ff))
+    cycle = ([_build_level(a_ff, free_mask, None)] if refined is None
+             else refined.cycle_levels(free_mask, a_ff))
     if len(free) == 0:
         return u, 0, 0.0, len(unanchored)
 
@@ -452,7 +427,7 @@ def solve_constrained(matrix, fixed_idx, fixed_vals, rtol=SOLVER_RTOL, levels=No
         nonlocal iterations
         iterations += 1
 
-    x, info = cg(a_ff, b, rtol=rtol, atol=0.0, maxiter=20 * n + 200, M=_v_cycle(cycle),
+    x, info = cg(a_ff, b, rtol=SOLVER_RTOL, atol=0.0, maxiter=20 * n + 200, M=_v_cycle(cycle),
                  callback=count)
     bnorm = float(np.linalg.norm(b))
     resid = float(np.linalg.norm(b - a_ff @ x)) / bnorm if bnorm > 0 else 0.0
@@ -478,12 +453,11 @@ class ExtensionResult:
         return len(self.values)
 
 
-def minimal_extension_energy(refined, partition, data, rtol=SOLVER_RTOL, closure=True):
+def minimal_extension_energy(refined, partition, data, closure=True):
     """Least PL Dirichlet energy over extensions of the Dirichlet data."""
     stiff = cotan_stiffness(refined.vertices, refined.triangles, refined.cotangents)
     idx, vals = constrained_vertices(refined, partition, data, closure=closure)
-    u, iters, resid, pinned = solve_constrained(stiff, idx, vals, rtol=rtol,
-                                                levels=_Hierarchy(refined))
+    u, iters, resid, pinned = solve_constrained(stiff, idx, vals, refined=refined)
     energy = float(u @ (stiff @ u))
     return ExtensionResult(
         energy=max(energy, 0.0),
@@ -492,35 +466,6 @@ def minimal_extension_energy(refined, partition, data, rtol=SOLVER_RTOL, closure
         residual=resid,
         pinned_components=pinned,
         constrained_count=len(idx),
-    )
-
-
-@dataclass
-class NormResult:
-    value: float
-    gradient_part: float
-    mass_part: float
-    values: np.ndarray
-    iterations: int
-    residual: float
-
-
-def full_restriction_norm(refined, partition, data, rtol=SOLVER_RTOL, closure=True):
-    """Minimize the full restriction norm: mass term plus Dirichlet energy."""
-    stiff = cotan_stiffness(refined.vertices, refined.triangles, refined.cotangents)
-    mass = _mass_matrix(refined.vertices, refined.triangles)
-    idx, vals = constrained_vertices(refined, partition, data, closure=closure)
-    u, iters, resid, _ = solve_constrained((stiff + mass).tocsr(), idx, vals, rtol=rtol,
-                                           levels=_Hierarchy(refined, with_mass=True))
-    grad_part = float(u @ (stiff @ u))
-    mass_part = float(u @ (mass @ u))
-    return NormResult(
-        value=max(grad_part, 0.0) + mass_part,
-        gradient_part=max(grad_part, 0.0),
-        mass_part=mass_part,
-        values=u,
-        iterations=iters,
-        residual=resid,
     )
 
 

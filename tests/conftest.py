@@ -39,6 +39,25 @@ def refine(base, level, fan_offset=0):
     return next(islice(_refinement_chain(base, fan_offset), int(level), None))
 
 
+def two_tetrahedra_shared_vertex():
+    """Two closed tetrahedra glued at one vertex: non-manifold fixture."""
+    t = fixtures.regular_tetrahedron()
+    v = np.asarray(t.vertices)
+    shift = v[0] * 2.0  # second copy touches the first only at vertex 0
+    verts = np.vstack([v, (shift - v)[1:]])
+    faces = list(t.faces)
+    remap = {0: 0, 1: 4, 2: 5, 3: 6}
+    for f in t.faces:
+        faces.append(tuple(remap[i] for i in reversed(f)))
+    return PolyhedralSurface(verts, faces)
+
+
+def open_box():
+    """Cube with the top face removed: an open surface with 4 boundary edges."""
+    c = fixtures.cube()
+    return PolyhedralSurface(c.vertices, [f for i, f in enumerate(c.faces) if i != 1])
+
+
 @pytest.fixture(scope="session")
 def cube():
     return fixtures.cube()

@@ -2,7 +2,8 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines on a passing run.  The Monte Carlo criterion (4) draws 1e7 samples
-per region and takes about a minute and a half; everything else is fast.
+per region, and its set-up took about 10 s on a 2-core machine; everything
+else is fast.
 """
 
 import itertools

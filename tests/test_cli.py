@@ -19,12 +19,13 @@ from polymix.mesh import PolyhedralSurface, read_off, serialize_off, write_off
 from polymix.partition import Partition
 from polymix.rellich import _streams
 
-from conftest import refine, u_pyramid
+from conftest import open_box, refine, u_pyramid
 
 SUBCOMMANDS = [
     "validate", "angles", "check-partition", "enumerate", "monochromatic",
     "search", "rellich", "sector-blowup", "trace-energy", "fixtures",
 ]
+CSV_SUBCOMMANDS = ("angles", "rellich", "sector-blowup", "trace-energy")
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +60,28 @@ def test_every_subcommand_has_help(sub, capsys):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     assert "--output" in text
-    assert "--format" in text
+    assert ("--format" in text) == (sub in CSV_SUBCOMMANDS)
     assert ("--seed" in text) == (sub in ("search", "rellich"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{cube}"],
+    ["check-partition", "{cube}", "{partition}"],
+    ["enumerate", "{cube}", "--side", "interior"],
+    ["monochromatic", "{cube}", "--side", "interior"],
+    ["search", "--family", "hulls", "--budget", "1"],
+    ["fixtures", "--out-dir", "{out}"],
+], ids=lambda argv: argv[0])
+def test_json_only_subcommands_reject_format(workdir, tmp_path, capsys, argv):
+    assert argv[0] not in CSV_SUBCOMMANDS
+    part = tmp_path / "p.json"
+    part.write_text(json.dumps({"side": "interior", "labels": ["D"] * 6}))
+    argv = [a.format(cube=off(workdir, "cube"), partition=part, out=tmp_path / "fx")
+            for a in argv]
+    assert main(argv + ["--format", "csv"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format csv" in captured.err
 
 
 def test_fixtures_written(workdir):
@@ -81,10 +102,7 @@ def test_validate_ok(workdir, tmp_path):
 
 def test_validate_strict_fails_on_bad_mesh(tmp_path):
     bad = tmp_path / "open.off"
-    from polymix import fixtures
-    from polymix.mesh import serialize_off
-
-    bad.write_text(serialize_off(fixtures.open_box()))
+    bad.write_text(serialize_off(open_box()))
     assert main(["validate", str(bad)]) == EXIT_OK
     assert main(["validate", str(bad), "--strict"]) == EXIT_VALIDATION
 
@@ -499,7 +517,12 @@ def test_trace_energy_non_finite_constant_exit_2(workdir, tmp_path, capsys, valu
     ("constants:0", "bad --data item '0' in 'constants:0' (use constants:F=V,...)"),
     ("constants:a=1", "bad --data item 'a=1' in 'constants:a=1' (use constants:F=V,...)"),
     ("constants:0=1,", "bad --data item '' in 'constants:0=1,' (use constants:F=V,...)"),
-], ids=["repeated-face", "empty", "no-value", "bad-face", "trailing-comma"])
+    ("constants:99=1,0=1,2=0",
+     "bad --data 'constants:99=1,0=1,2=0': the mesh has no face 99 (it has faces 0 to 4)"),
+    ("constants:0=1,1=5,2=0",
+     "bad --data 'constants:0=1,1=5,2=0': face 1 is Neumann and takes no constant"),
+], ids=["repeated-face", "empty", "no-value", "bad-face", "trailing-comma", "missing-face",
+        "neumann-face"])
 def test_trace_energy_bad_constants_item_exit_2(workdir, tmp_path, capsys, data, message):
     part = tmp_path / "p.json"
     part.write_text(json.dumps({"side": "interior", "labels": ["D", "N", "D", "N", "N"]}))
@@ -710,3 +733,10 @@ def test_cli_start_up_leaves_heavy_scipy_modules_unimported():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.split() == [], out.stdout
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its definition is gone would fail only
+    # `from polymix import *`, which nothing else in the suite runs
+    for name in polymix.__all__:
+        getattr(polymix, name)

@@ -28,7 +28,7 @@ from polymix.mesh import MeshError, PolyhedralSurface, plane_basis, validate_sur
 from polymix.partition import (TAU_ANGLE, GeneratorSpec, enumerate_admissible, is_monochromatic,
                                quotient_graph)
 
-from conftest import (dented_box, dented_box_solid_angle, edge_incidence, u_pyramid,
+from conftest import (dented_box, dented_box_solid_angle, edge_incidence, open_box, u_pyramid,
                       u_pyramid_solid_angle)
 from sampling_reference import (
     _inside_tester,
@@ -155,7 +155,7 @@ OPEN = "dihedral angles need a closed oriented surface; offending edge %r"
 # after it, without wall 3 before it.
 @pytest.mark.parametrize("build, error, message", [
     (lambda: fixtures._prism(TWO_SLITS, 1.0), DegenerateEdgeError, FOLD % ((4, 14),)),
-    (fixtures.open_box, MeshError, OPEN % ((4, 5),)),
+    (open_box, MeshError, OPEN % ((4, 5),)),
     (lambda: with_face_reversed(fixtures.cube(), 2), MeshError, OPEN % ((0, 1),)),
     (lambda: without_face(fixtures._prism(SLIT, 1.0), 5), DegenerateEdgeError, FOLD % ((4, 11),)),
     (lambda: without_face(fixtures._prism(SLIT, 1.0), 3), MeshError, OPEN % ((3, 4),)),

@@ -30,7 +30,8 @@ from polymix.mesh import (
 )
 from polymix.partition import GeneratorSpec, Partition, quotient_graph, validate_partition
 
-from conftest import CUBE_OFF, PYRAMID_OFF, edge_incidence, edge_index
+from conftest import (CUBE_OFF, PYRAMID_OFF, edge_incidence, edge_index, open_box,
+                      two_tetrahedra_shared_vertex)
 from test_geometry import REFLEX_MESHES
 
 
@@ -123,7 +124,7 @@ def test_builtin_fixtures_validate_clean(name):
 
 
 def test_two_tetrahedra_glued_at_vertex_is_nonmanifold():
-    s = fixtures.two_tetrahedra_shared_vertex()
+    s = two_tetrahedra_shared_vertex()
     d = validate_surface(s)
     kinds = {v.kind for v in d.violations}
     assert "nonmanifold_vertex" in kinds
@@ -132,7 +133,7 @@ def test_two_tetrahedra_glued_at_vertex_is_nonmanifold():
 
 
 def test_open_box_reports_boundary_edges():
-    d = validate_surface(fixtures.open_box())
+    d = validate_surface(open_box())
     open_edges = [v for v in d.violations if v.kind == "edge_face_count"]
     assert len(open_edges) == 4  # the removed quad had 4 edges
     assert all(v.location[2] == 1 for v in open_edges)
@@ -197,7 +198,7 @@ def test_three_disjoint_cubes_report_three_components():
 
 @pytest.mark.parametrize("build", [
     lambda: disjoint_cubes(1), lambda: disjoint_cubes(2), lambda: disjoint_cubes(4),
-    fixtures.open_box, fixtures.two_tetrahedra_shared_vertex, fixtures.l_prism,
+    open_box, two_tetrahedra_shared_vertex, fixtures.l_prism,
     lambda: PolyhedralSurface(np.eye(3), [(0, 1, 2)]),
 ])
 def test_component_count_equals_dfs_reference(build):
@@ -365,8 +366,8 @@ def cubes_sharing_vertex():
 @pytest.mark.parametrize("build", [
     *(pytest.param(lambda name=name: fixtures.builtin(name), id=name)
       for name in sorted(fixtures.BUILTIN)),
-    pytest.param(fixtures.two_tetrahedra_shared_vertex, id="two-tetrahedra"),
-    pytest.param(fixtures.open_box, id="open-box"),
+    pytest.param(two_tetrahedra_shared_vertex, id="two-tetrahedra"),
+    pytest.param(open_box, id="open-box"),
     pytest.param(cubes_sharing_vertex, id="cubes-sharing-vertex"),
     pytest.param(lambda: disjoint_cubes(2), id="disjoint-cubes"),
     pytest.param(lambda: PolyhedralSurface(np.eye(3), [(0, 1, 2), (0, 2, 1)]), id="pillow"),
@@ -894,7 +895,7 @@ def search_family_meshes(family, sizes):
 
 REFERENCE_FORMULA_MESHES = {
     "fixtures": lambda: [fixtures.builtin(name) for name in sorted(fixtures.BUILTIN)]
-    + [fixtures.open_box(), fixtures.two_tetrahedra_shared_vertex(), disjoint_cubes(2)],
+    + [open_box(), two_tetrahedra_shared_vertex(), disjoint_cubes(2)],
     "reflex": lambda: REFLEX_MESHES,
     # every face cycle started at another corner, so reflex and straight
     # corners also come first and last

@@ -25,8 +25,6 @@ from polymix.rellich import (
     _workspace,
     catalog,
     catalog_entry,
-    rellich_estimate,
-    rellich_identity,
     rellich_suite,
 )
 
@@ -39,6 +37,12 @@ from rellich_reference import (
 from sampling_reference import collect, sample_arch, sample_lateral
 
 N_UNIT = 200_000  # moderate count for unit tests; acceptance runs 1e7
+
+
+def suite_of_one(arch, u, n, seed):
+    """The identity and the estimate of :func:`rellich_suite` for one test function."""
+    identities, estimates = rellich_suite(arch, [u], n, seed)
+    return identities[0], estimates[0]
 
 
 @pytest.fixture(scope="module")
@@ -90,9 +94,8 @@ def test_catalog_gradients_by_finite_differences():
 
 
 def test_constant_gives_exact_zeros(cube_arch):
-    res = rellich_identity(cube_arch, catalog_entry("1"), 10_000, seed=1)
+    res, est = suite_of_one(cube_arch, catalog_entry("1"), 10_000, seed=1)
     assert res.lhs == 0.0 and res.rhs == 0.0
-    est = rellich_estimate(cube_arch, catalog_entry("1"), 10_000, seed=1)
     assert est.lhs == 0.0 and est.rhs == 0.0 and est.slack == 0.0
 
 
@@ -128,7 +131,7 @@ def test_rhs_decomposition_adds_up(cube_suite):
 
 def test_suite_matches_single_calls(cube_arch):
     u = catalog_entry("x^2-y^2")
-    single = rellich_identity(cube_arch, u, 50_000, seed=7)
+    single, _ = suite_of_one(cube_arch, u, 50_000, seed=7)
     ids, _ = rellich_suite(cube_arch, [catalog_entry("z"), u], 50_000, seed=7)
     paired = [r for r in ids if r.u_name == u.name][0]
     assert paired.lhs == single.lhs
@@ -142,8 +145,8 @@ def test_translation_invariance():
     shifted = PolyhedralSurface(np.asarray(base.vertices) + np.array([3.0, -2.0, 5.0]),
                                base.faces)
     u = catalog_entry("xy")
-    a = rellich_identity(ArchRegion(base, 0, 0.25, 0.5), u, 50_000, seed=3)
-    b = rellich_identity(ArchRegion(shifted, 0, 0.25, 0.5), u, 50_000, seed=3)
+    a, _ = suite_of_one(ArchRegion(base, 0, 0.25, 0.5), u, 50_000, seed=3)
+    b, _ = suite_of_one(ArchRegion(shifted, 0, 0.25, 0.5), u, 50_000, seed=3)
     assert a.lhs == pytest.approx(b.lhs, rel=1e-12)
     assert a.rhs == pytest.approx(b.rhs, rel=1e-12)
 
@@ -156,8 +159,8 @@ def test_scale_invariance_degree_one():
     s = 7.0
     base = fixtures.cube()
     big = PolyhedralSurface(np.asarray(base.vertices) * s, base.faces)
-    a = rellich_identity(ArchRegion(base, 0, 0.25, 0.5), u, 50_000, seed=9)
-    b = rellich_identity(ArchRegion(big, 0, 0.25 * s, 0.5 * s), u, 50_000, seed=9)
+    a, _ = suite_of_one(ArchRegion(base, 0, 0.25, 0.5), u, 50_000, seed=9)
+    b, _ = suite_of_one(ArchRegion(big, 0, 0.25 * s, 0.5 * s), u, 50_000, seed=9)
     assert b.lhs == pytest.approx(s * s * a.lhs, rel=2e-2)
     assert b.rhs == pytest.approx(s * s * a.rhs, rel=2e-2)
     assert a.relative_residual == pytest.approx(b.relative_residual, abs=2e-2)
@@ -195,8 +198,8 @@ def test_power_of_two_scale_is_exact_for_every_degree(index, k):
 
 def test_residual_shrinks_with_samples(cube_arch):
     u = catalog_entry("x")
-    small = rellich_identity(cube_arch, u, 20_000, seed=11)
-    large = rellich_identity(cube_arch, u, 320_000, seed=11)
+    small, _ = suite_of_one(cube_arch, u, 20_000, seed=11)
+    large, _ = suite_of_one(cube_arch, u, 320_000, seed=11)
     assert large.combined_stderr < 0.35 * small.combined_stderr  # ~1/4 expected
 
 

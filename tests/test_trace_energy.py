@@ -22,12 +22,9 @@ from polymix.trace_energy import (
     corner_cotangents,
     cotan_stiffness,
     export_off_with_scalars,
-    full_restriction_norm,
-    lumped_mass,
     minimal_extension_energy,
     refinement_study,
     solve_constrained,
-    _Hierarchy,
     _free_blocks,
     _free_components_without_anchor,
     _prolongation,
@@ -478,10 +475,10 @@ def reference_solve_constrained(matrix, fixed_idx, fixed_vals, rtol=SOLVER_RTOL)
     return u
 
 
-def assert_matches_reference(matrix, idx, vals, levels, energy_matrix=None):
+def assert_matches_reference(matrix, idx, vals, refined, energy_matrix=None):
     """The multilevel solve agrees with plain CG: energy to 1e-9, values to 1e-7."""
     energy_matrix = matrix if energy_matrix is None else energy_matrix
-    u, _, resid, _ = solve_constrained(matrix, idx, vals, levels=levels)
+    u, _, resid, _ = solve_constrained(matrix, idx, vals, refined=refined)
     ref = reference_solve_constrained(matrix, idx, vals)
     e, e_ref = float(u @ (energy_matrix @ u)), float(ref @ (energy_matrix @ ref))
     assert abs(e - e_ref) <= 1e-9 * max(abs(e_ref), 1e-300) or max(e, e_ref) <= 1e-13
@@ -497,7 +494,7 @@ def test_multilevel_solve_equals_plain_cg_on_pyramid_step(pyramid, closure, fan_
         rs = refine(pyramid, level, fan_offset=fan_offset)
         stiff = cotan_stiffness(rs.vertices, rs.triangles)
         idx, vals = constrained_vertices(rs, PYRAMID_PART, PYRAMID_STEP, closure=closure)
-        assert_matches_reference(stiff, idx, vals, _Hierarchy(rs))
+        assert_matches_reference(stiff, idx, vals, rs)
 
 
 def test_multilevel_solve_equals_plain_cg_on_cube_smooth(cube):
@@ -506,26 +503,14 @@ def test_multilevel_solve_equals_plain_cg_on_cube_smooth(cube):
         rs = refine(cube, level)
         stiff = cotan_stiffness(rs.vertices, rs.triangles)
         idx, vals = constrained_vertices(rs, part, data)
-        assert_matches_reference(stiff, idx, vals, _Hierarchy(rs))
-
-
-def test_multilevel_solve_equals_plain_cg_on_full_norm(cube):
-    # the mass term breaks the level independence of the diagonal; the
-    # preconditioner stays symmetric positive definite all the same
-    rs = refine(cube, 4)
-    stiff = cotan_stiffness(rs.vertices, rs.triangles)
-    both = (stiff + sparse.diags(lumped_mass(rs.vertices, rs.triangles))).tocsr()
-    idx, vals = constrained_vertices(rs, cube_partition({0}), TraceData.coordinate("x"))
-    u = assert_matches_reference(both, idx, vals, _Hierarchy(rs, with_mass=True))
-    res = full_restriction_norm(rs, cube_partition({0}), TraceData.coordinate("x"))
-    assert np.array_equal(res.values, u)
+        assert_matches_reference(stiff, idx, vals, rs)
 
 
 def test_solve_rejects_parents_longer_than_the_matrix(pyramid):
     coarse, fine = refine(pyramid, 1), refine(pyramid, 3)
     stiff = cotan_stiffness(coarse.vertices, coarse.triangles)
     with pytest.raises(ValueError, match="do not fit a matrix of order"):
-        solve_constrained(stiff, [0], [1.0], levels=_Hierarchy(fine))
+        solve_constrained(stiff, [0], [1.0], refined=fine)
 
 
 @pytest.mark.parametrize("fan_offset", range(4))
@@ -566,7 +551,7 @@ def test_level_stiffness_is_the_galerkin_product_of_the_next(name):
         a_fine = cotan_stiffness(fine.vertices, fine.triangles, fine.cotangents)
         p = _prolongation(fine.parents[-1], np.ones(fine.vertex_count, dtype=bool))
         assert_close_sparse(p.T @ a_fine @ p, a_coarse, 1e-14)
-        gathered = _Hierarchy(fine).operator(level)
+        gathered = fine.operator(level)
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(gathered, part), getattr(a_coarse, part)), level
 
@@ -582,7 +567,7 @@ def test_free_block_prolongation_keeps_the_galerkin_identity(pyramid):
         a_fine = cotan_stiffness(fine.vertices, fine.triangles, fine.cotangents)
         p = _prolongation(fine.parents[-1], mask)
         coarse_mask = mask[:fine.vertex_count - len(fine.parents[-1])]
-        want = _free_blocks(_Hierarchy(fine).operator(level), coarse_mask)[2]
+        want = _free_blocks(fine.operator(level), coarse_mask)[2]
         assert_close_sparse(p.T @ _free_blocks(a_fine, mask)[2] @ p, want, 1e-14)
 
 
@@ -594,7 +579,7 @@ def test_v_cycle_is_symmetric_and_positive(name):
     idx, _ = constrained_vertices(rs, odd_faces_dirichlet(base), TraceData.coordinate("x"))
     mask = np.ones(rs.vertex_count, dtype=bool)
     mask[idx] = False
-    cycle = _v_cycle(_Hierarchy(rs).cycle_levels(mask, _free_blocks(stiff, mask)[2]))
+    cycle = _v_cycle(rs.cycle_levels(mask, _free_blocks(stiff, mask)[2]))
     rng = np.random.default_rng(17)
     for _ in range(20):
         x, y = rng.normal(size=(2, cycle.shape[0]))
@@ -749,31 +734,6 @@ def test_stiffness_kernel_is_constants():
     assert float(u @ (stiff @ u)) >= 0.0
 
 
-def test_lumped_mass_total_area(cube):
-    rs = refine(cube, 1)
-    assert lumped_mass(rs.vertices, rs.triangles).sum() == pytest.approx(6.0)
-
-
-def reference_lumped_mass(vertices, triangles):
-    """Reference: one unbuffered add per corner slot."""
-    v = np.asarray(vertices, dtype=float)
-    t = np.asarray(triangles, dtype=np.int64)
-    areas = 0.5 * np.linalg.norm(
-        np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]), axis=1)
-    m = np.zeros(len(v))
-    for k in range(3):
-        np.add.at(m, t[:, k], areas / 3.0)
-    return m
-
-
-@pytest.mark.parametrize("name", ["cube", "l-prism", "hull-3"])
-def test_lumped_mass_equals_add_at_reference(name):
-    base = HULLS.get(name) or fixtures.builtin(name)
-    rs = refine(base, 4)
-    assert np.array_equal(lumped_mass(rs.vertices, rs.triangles),
-                          reference_lumped_mass(rs.vertices, rs.triangles))
-
-
 def test_constant_data_zero_energy(cube):
     rs = refine(cube, 2)
     res = minimal_extension_energy(rs, cube_partition({0}), TraceData.face_constants({0: 2.5}))
@@ -807,7 +767,7 @@ def test_unanchored_component_pinned():
     res = minimal_extension_energy(rs, part, TraceData.face_constants({}))
     stiff = cotan_stiffness(rs.vertices, rs.triangles)
     empty = np.zeros(0, dtype=np.int64)
-    assert np.array_equal(assert_matches_reference(stiff, empty, np.zeros(0), _Hierarchy(rs)),
+    assert np.array_equal(assert_matches_reference(stiff, empty, np.zeros(0), rs),
                           res.values)
     assert res.energy == pytest.approx(0.0, abs=1e-15)
     assert res.pinned_components == 1
@@ -821,7 +781,7 @@ def test_disjoint_cubes_one_dirichlet_face_pins_the_other_cube():
     res = minimal_extension_energy(rs, part, TraceData.coordinate("x"))
     stiff = cotan_stiffness(rs.vertices, rs.triangles)
     idx, vals = constrained_vertices(rs, part, TraceData.coordinate("x"))
-    assert np.array_equal(assert_matches_reference(stiff, idx, vals, _Hierarchy(rs)), res.values)
+    assert np.array_equal(assert_matches_reference(stiff, idx, vals, rs), res.values)
     assert res.pinned_components == 1
     assert res.constrained_count > 0
 
@@ -891,30 +851,6 @@ def test_free_components_count_stored_zeros_as_edges(anchor):
     got = [c.tolist() for c in _free_components_without_anchor(_free_blocks(matrix, free_mask))]
     assert got == reference_free_components_without_anchor(matrix, free_mask)
     assert got == ([[3]] if anchor else [[0, 1], [3]])
-
-
-# ----------------------------------------------------------------------
-# norms
-
-
-def test_full_norm_zero_data(cube):
-    res = full_restriction_norm(refine(cube, 2), cube_partition({0}),
-                                TraceData.face_constants({0: 0.0}))
-    assert res.value <= 1e-12
-
-
-def test_full_norm_feasible_upper_bound(cube):
-    # extending f = 1 by the constant 1 costs exactly area(dOmega) = 6
-    res = full_restriction_norm(refine(cube, 2), cube_partition({0}),
-                                TraceData.face_constants({0: 1.0}))
-    assert res.value <= 6.0 + 1e-9
-    assert res.gradient_part >= 0.0
-
-
-def test_full_norm_dominates_gradient_part(cube):
-    res = full_restriction_norm(refine(cube, 2), cube_partition({0}),
-                                TraceData.coordinate("x"))
-    assert res.value >= res.gradient_part
 
 
 # ----------------------------------------------------------------------
